@@ -318,9 +318,10 @@ func benchAllFigures(b *testing.B, name string, workers int, noRecord bool) {
 	b.ReportMetric(float64(events)/wall.Seconds()/1e6, "Mevents/s")
 }
 
-// BenchmarkAllFiguresSequential is the harness as it existed before
-// this rewrite: one simulation at a time, every cell re-executing the
-// DB engine / CPU2000 generators.
+// BenchmarkAllFiguresSequential runs one pass at a time with nothing
+// recorded: each drain executes its (workload, layout) live — the DB
+// engine / CPU2000 generators — and feeds every cell queued on that
+// hub from the one execution.
 func BenchmarkAllFiguresSequential(b *testing.B) {
 	benchAllFigures(b, "allfigures_sequential_reexecute", 1, true)
 }
@@ -358,7 +359,8 @@ func benchFig4Workload(b *testing.B, name string, noRecord bool) {
 	b.ReportMetric(float64(events)/wall.Seconds()/1e6, "Mevents/s")
 }
 
-// BenchmarkFig4RowReexecute re-executes wisc-large-1 for each config.
+// BenchmarkFig4RowReexecute executes wisc-large-1 live once per
+// layout, each execution feeding that layout's three configs.
 func BenchmarkFig4RowReexecute(b *testing.B) {
 	benchFig4Workload(b, "fig4row_reexecute", true)
 }

@@ -67,7 +67,7 @@ func main() {
 		wiscN      = flag.Int("wisc-n", 10000, "Wisconsin big-relation cardinality")
 		seed       = flag.Int64("seed", 42, "workload seed")
 		workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential)")
-		noReplay   = flag.Bool("no-replay", false, "re-execute workloads per config instead of replaying recorded traces")
+		noReplay   = flag.Bool("no-replay", false, "execute workloads live in each full-detail pass instead of recording and replaying their traces")
 		checkpoint = flag.String("checkpoint", "", "directory persisting completed simulations; re-runs skip them")
 		failFast   = flag.Bool("fail-fast", false, "cancel the remaining jobs after the first failure")
 		timeout    = flag.Duration("timeout", 0, "overall campaign deadline (0 = none)")

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"cgp/internal/obs"
 	"cgp/internal/workload"
 )
 
@@ -38,10 +39,12 @@ func fig4Jobs(r *Runner) []Job {
 // TestRunAllParallelMatchesSequential is the harness's headline
 // determinism property: a parallel RunAll over the Figure-4 grid with
 // trace replay must produce byte-identical Result/Stats to the
-// sequential re-executing path, in input order.
+// sequential re-executing path, in input order — and so must a
+// NoRecord RunAll, where each (workload, layout) executes live once and
+// feeds all of its configs.
 func TestRunAllParallelMatchesSequential(t *testing.T) {
-	// Sequential reference: one worker, no record/replay — the harness
-	// as it existed before the parallel rewrite.
+	// Sequential reference: one worker, no record/replay, one Run (a
+	// one-cell live pass) per job.
 	seq := NewRunner(harnessOpts(1, true))
 	var want []*Result
 	for _, j := range fig4Jobs(seq) {
@@ -52,57 +55,84 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 		want = append(want, res)
 	}
 
+	check := func(name string, r *Runner) {
+		t.Helper()
+		jobs := fig4Jobs(r)
+		got, err := r.RunAll(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: RunAll returned %d results, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			// Results come back in input order.
+			if got[i].Workload != jobs[i].Workload.Name || got[i].Config != jobs[i].Config.Label() {
+				t.Fatalf("%s: result %d is (%s, %s), want (%s, %s)", name,
+					i, got[i].Workload, got[i].Config, jobs[i].Workload.Name, jobs[i].Config.Label())
+			}
+			// Byte-identical measurements: replayed and fanned-out
+			// streams give identical cycles (and every other statistic)
+			// to direct execution.
+			a, err := json.Marshal(want[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(got[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s: row %d (%s, %s) differs from sequential:\nseq: %s\ngot: %s",
+					name, i, got[i].Workload, got[i].Config, a, b)
+			}
+			if want[i].CPU.Cycles != got[i].CPU.Cycles {
+				t.Errorf("%s: row %d cycles: direct %d vs %d", name, i, want[i].CPU.Cycles, got[i].CPU.Cycles)
+			}
+		}
+	}
 	// Parallel replay path: many workers (even on one CPU this
 	// exercises the concurrent interleavings under -race).
-	par := NewRunner(harnessOpts(8, false))
-	jobs := fig4Jobs(par)
-	got, err := par.RunAll(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("RunAll returned %d results, want %d", len(got), len(want))
-	}
-	for i := range got {
-		// Results come back in input order.
-		if got[i].Workload != jobs[i].Workload.Name || got[i].Config != jobs[i].Config.Label() {
-			t.Fatalf("result %d is (%s, %s), want (%s, %s)",
-				i, got[i].Workload, got[i].Config, jobs[i].Workload.Name, jobs[i].Config.Label())
-		}
-		// Byte-identical measurements: replayed traces give identical
-		// cycles (and every other statistic) to direct execution.
-		a, err := json.Marshal(want[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(got[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("row %d (%s, %s) differs between sequential and parallel:\nseq: %s\npar: %s",
-				i, got[i].Workload, got[i].Config, a, b)
-		}
-		if want[i].CPU.Cycles != got[i].CPU.Cycles {
-			t.Errorf("row %d cycles: direct %d vs replay %d", i, want[i].CPU.Cycles, got[i].CPU.Cycles)
-		}
-	}
+	check("parallel replay", NewRunner(harnessOpts(8, false)))
+	check("live fan-out", NewRunner(harnessOpts(2, true)))
 }
 
 // TestRunAllDeduplicates: duplicate jobs in one batch resolve to the
-// same cached *Result, computed once.
+// same cached *Result, computed once, in both record modes. A later
+// RunAll of the same job is served from that cache — and still settles
+// in the progress tracker: every job ends in a terminal state.
 func TestRunAllDeduplicates(t *testing.T) {
-	r := NewRunner(harnessOpts(4, false))
-	w := WiscProf(r.opts.DB)
-	cfg := Config{Layout: LayoutO5}
-	jobs := []Job{{w, cfg}, {w, cfg}, {w, cfg}, {w, cfg}}
-	results, err := r.RunAll(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i] != results[0] {
-			t.Fatalf("duplicate job %d got a distinct result", i)
+	for _, noRecord := range []bool{false, true} {
+		opts := harnessOpts(4, noRecord)
+		opts.Obs = obs.New()
+		r := NewRunner(opts)
+		w := WiscProf(r.opts.DB)
+		cfg := Config{Layout: LayoutO5}
+		jobs := []Job{{w, cfg}, {w, cfg}, {w, cfg}, {w, cfg}}
+		results, err := r.RunAll(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(results); i++ {
+			if results[i] != results[0] {
+				t.Fatalf("noRecord=%v: duplicate job %d got a distinct result", noRecord, i)
+			}
+		}
+		again, err := r.RunAll(context.Background(), jobs[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again[0] != results[0] {
+			t.Fatalf("noRecord=%v: repeated job got a distinct result", noRecord)
+		}
+		snap := opts.Obs.Progress.Snapshot()
+		for _, j := range snap.Jobs {
+			switch obs.JobState(j.State) {
+			case obs.JobExecuted, obs.JobReplayed, obs.JobResumed, obs.JobFailed:
+			default:
+				t.Errorf("noRecord=%v: job %s/%s never settled: counts=%v",
+					noRecord, j.Workload, j.Config, snap.Counts)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cgp/internal/obs"
 	"cgp/internal/trace"
@@ -232,6 +233,14 @@ func TestTraceDisconnectFlushesSpans(t *testing.T) {
 	raw2.Write(hdr[:])
 	raw2.Close()
 
+	// Let the server accept both connections and their handlers run to
+	// completion before shutting down: a handler that first sees the
+	// canceled context, or a listener closed before Accept, would never
+	// read the frame at all.
+	deadline := time.Now().Add(5 * time.Second)
+	for (s.connSeq.Load() < 2 || s.conns.Load() != 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	shutdown()
 	spans := spansByID(tr)
 	sp, ok := spans[id]

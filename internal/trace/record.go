@@ -162,74 +162,35 @@ const maxEventRecord = 1 + 7*binary.MaxVarintLen64
 // the dynamic dispatch per batch to noise.
 const replayBatch = 512
 
-// ReplayAll feeds the recorded events to every consumer in one decode
-// pass: each event is decoded once and dispatched to every consumer.
-// When several simulator configurations consume the same (workload,
-// layout) stream, this amortizes the decode cost across all of them.
-// Consumers are independent, so events are handed to them a batch at a
-// time (each consumer sees the full stream in order; only the
-// interleaving between consumers changes, which no consumer can
-// observe).
-func (r *Recording) ReplayAll(cs ...Consumer) error {
-	if len(cs) == 1 {
-		return r.Replay(cs[0])
-	}
-	batched := make([]BatchConsumer, 0, len(cs))
-	plain := make([]Consumer, 0, len(cs))
-	for _, c := range cs {
-		if bc, ok := c.(BatchConsumer); ok {
-			batched = append(batched, bc)
-		} else {
-			plain = append(plain, c)
-		}
-	}
-	return r.ReplayBatch(func(evs []Event) error {
-		for _, bc := range batched {
-			bc.EventBatch(evs)
-		}
-		for _, c := range plain {
-			for i := range evs {
-				c.Event(evs[i])
-			}
-		}
-		return nil
-	})
-}
-
 // Replay feeds the recorded events to c in recording order. A consumer
 // implementing BatchConsumer (the CPU model does) receives the events
 // through its batch entry point; otherwise they are delivered one
 // Event call at a time. Replay allocates a fixed per-call setup cost
-// (the dispatch closure here, the batch buffer in ReplayBatch) and
+// (the dispatch closure here, the batch buffer in ReplaySampled) and
 // nothing per event — TestReplayAllocsIndependentOfLength pins the
 // runtime side of what allocfree verifies statically.
 //
 //cgplint:hotpath
 func (r *Recording) Replay(c Consumer) error {
-	if bc, ok := c.(BatchConsumer); ok {
-		return r.ReplayBatch(func(evs []Event) error { //cgplint:ignore allocfree one dispatch closure per Replay call, amortized across the whole stream
-			bc.EventBatch(evs) //cgplint:ignore allocfree dynamic consumer dispatch is paid once per 512-event batch, not per event
-			return nil
-		})
-	}
+	bc, batched := c.(BatchConsumer)
 	return r.ReplayBatch(func(evs []Event) error { //cgplint:ignore allocfree one dispatch closure per Replay call, amortized across the whole stream
+		if batched {
+			bc.EventBatch(evs)
+			return nil
+		}
 		for i := range evs {
-			c.Event(evs[i]) //cgplint:ignore allocfree dispatch itself does not allocate; consumers wanting a verified path implement BatchConsumer
+			c.Event(evs[i])
 		}
 		return nil
 	})
 }
 
-// ReplayBatch is the kernel of every replay: it decodes the stream into
-// a reusable buffer, replayBatch events at a time, and hands each
-// full batch (and the final partial one) to fn. The varints are decoded
-// directly from the chunk slices — the generic Reader pays an
-// interface-dispatched ReadByte per varint byte, which costs as much as
-// the simulation consuming the events — and the buffer is allocated
-// once per call, so steady-state replay does not allocate per batch.
-// fn must not retain the slice. A non-nil error from fn aborts the
-// replay immediately and is returned as-is (the runner uses this for
-// prompt cancellation at batch granularity).
+// ReplayBatch is a full replay: ReplaySampled over the whole-stream
+// plan, handing fn every decoded event in batches of replayBatch (the
+// final one partial) and nothing else. fn must not retain the slice. A
+// non-nil error from fn aborts the replay immediately and is returned
+// as-is (the runner uses this for prompt cancellation at batch
+// granularity).
 //
 // Before decoding, the chunk checksums sealed at record time are
 // re-verified; a corrupted recording fails with *CorruptionError
@@ -237,18 +198,31 @@ func (r *Recording) Replay(c Consumer) error {
 //
 //cgplint:hotpath
 func (r *Recording) ReplayBatch(fn func(evs []Event) error) error {
-	if err := r.Verify(); err != nil {
-		return err
-	}
+	return r.ReplaySampled(nil, nil, fn, nil) //cgplint:ignore allocfree fn is the caller's own callback, passed through; the whole-stream plan calls neither nil span hook
+}
+
+// decoder returns a decoder positioned just past the stream's magic
+// header, or ErrBadMagic.
+func (r *Recording) decoder() (chunkDecoder, error) {
 	d := chunkDecoder{b: r.buf}
 	hdr := d.window(len(traceMagic))
 	if len(hdr) < len(traceMagic) || [8]byte(hdr[:8]) != traceMagic {
-		return ErrBadMagic
+		return d, ErrBadMagic
 	}
 	d.advance(len(traceMagic))
-	buf := make([]Event, replayBatch) //cgplint:ignore allocfree one reusable batch buffer per replay call, amortized across the whole stream
+	return d, nil
+}
+
+// fill is the one decode loop of every replay: it decodes events into
+// buf until buf is full or the stream ends, and returns how many it
+// decoded. The varints are decoded directly from the chunk slices — the
+// generic Reader pays an interface-dispatched ReadByte per varint byte,
+// which costs as much as the simulation consuming the events.
+//
+//cgplint:hotpath
+func (d *chunkDecoder) fill(buf []Event) (int, error) {
 	n := 0
-	for {
+	for n < len(buf) {
 		// Fast path: decode records lying wholly inside the current
 		// chunk without per-event window/advance bookkeeping.
 		if d.ci < len(d.b.chunks) {
@@ -257,42 +231,30 @@ func (r *Recording) ReplayBatch(fn func(evs []Event) error) error {
 			for pos+maxEventRecord <= len(chunk) && n < len(buf) {
 				m, err := decodeEventInto(chunk[pos:], &buf[n])
 				if err != nil {
-					return err
+					return n, err
 				}
 				pos += m
 				n++
 			}
 			d.off = pos
 			if n == len(buf) {
-				if err := fn(buf); err != nil {
-					return err
-				}
-				n = 0
-				continue
+				break
 			}
 		}
 		// Slow path: a record straddling a chunk boundary, or the tail
 		// of the final chunk.
 		w := d.window(maxEventRecord)
 		if len(w) == 0 {
-			if n > 0 {
-				return fn(buf[:n])
-			}
-			return nil
+			break
 		}
 		m, err := decodeEventInto(w, &buf[n])
 		if err != nil {
-			return err
+			return n, err
 		}
 		d.advance(m)
 		n++
-		if n == len(buf) {
-			if err := fn(buf); err != nil {
-				return err
-			}
-			n = 0
-		}
 	}
+	return n, nil
 }
 
 // chunkDecoder walks a chunkBuffer as one logical byte stream,

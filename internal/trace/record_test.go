@@ -204,35 +204,6 @@ func TestReplayBatchChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestReplayAllMixedConsumers fans one decode pass out to batch-capable
-// and plain consumers at once; each must see the full stream in order.
-func TestReplayAllMixedConsumers(t *testing.T) {
-	evs := recordTestEvents(replayBatch + 100)
-	r := NewRecorder()
-	for _, ev := range evs {
-		r.Event(ev)
-	}
-	rec, err := r.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batched batchCapture
-	var plain Capture
-	var stats Stats
-	if err := rec.ReplayAll(&batched, &plain, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batched.events, evs) {
-		t.Error("batch consumer missed events")
-	}
-	if !reflect.DeepEqual(plain.Events, evs) {
-		t.Error("plain consumer missed events")
-	}
-	if stats.Events != int64(len(evs)) {
-		t.Errorf("stats consumer saw %d events, want %d", stats.Events, len(evs))
-	}
-}
-
 // TestReplayAllocsIndependentOfLength pins the reusable-buffer design:
 // a Replay call allocates a fixed setup cost (the batch buffer and the
 // dispatch closure), not per batch — so the count must not grow with

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"sort"
 
 	"cgp/internal/units"
@@ -97,29 +98,29 @@ type skipPoint struct {
 // sampled replays of a memoized recording). Safe for concurrent use.
 // A recording that fails to decode gets a nil index; ReplaySampled
 // then surfaces the decode error on its own pass.
+//
+//cgplint:coldpath built once per recording, not per replayed event
 func (r *Recording) skipIndex() []skipPoint {
 	r.idxOnce.Do(func() {
-		d := chunkDecoder{b: r.buf}
-		hdr := d.window(len(traceMagic))
-		if len(hdr) < len(traceMagic) || [8]byte(hdr[:8]) != traceMagic {
+		d, err := r.decoder()
+		if err != nil {
 			return
 		}
-		d.advance(len(traceMagic))
 		pts := []skipPoint{{ci: d.ci, off: d.off}}
-		var ev Event
+		// skipIndexEvery is a multiple of the batch size, so every
+		// checkpoint falls on a batch boundary.
+		buf := make([]Event, replayBatch)
 		var events, instrs int64
 		for {
-			w := d.window(maxEventRecord)
-			if len(w) == 0 {
-				break
-			}
-			m, err := decodeEventInto(w, &ev)
+			n, err := d.fill(buf)
 			if err != nil {
 				return
 			}
-			d.advance(m)
-			events++
-			instrs += int64(ev.Instructions())
+			events += int64(n)
+			instrs += countInstrs(buf[:n])
+			if n < len(buf) {
+				break
+			}
 			if events%skipIndexEvery == 0 {
 				pts = append(pts, skipPoint{ci: d.ci, off: d.off, events: events, instrs: instrs})
 			}
@@ -129,14 +130,33 @@ func (r *Recording) skipIndex() []skipPoint {
 	return r.idx
 }
 
-// ReplaySampled walks the recording according to spans, calling begin
-// at the start of every decoded span, fn with each decoded batch, and
-// skip once per skipped span with its aggregate event and instruction
-// counts. Spans must be consecutive from the start of the stream; the
-// replay stops at the end of the plan (internal/sample plans always
-// cover the stream exactly). Any non-nil error from a callback aborts
-// the replay and is returned as-is. Like ReplayBatch, the chunk
-// checksums are re-verified before decoding.
+// countInstrs sums the instructions a batch of events carries.
+func countInstrs(evs []Event) int64 {
+	var n int64
+	for i := range evs {
+		n += int64(evs[i].Instructions())
+	}
+	return n
+}
+
+// wholeStream is the full-detail plan: one measured span that only the
+// end of the stream ends. It does not consult Events(), which Load
+// replays through before the recording's Stats exist.
+var wholeStream = []Span{{Kind: SpanMeasure, Events: math.MaxInt64}}
+
+// ReplaySampled is the one walk every replay takes: it follows spans,
+// calling begin at the start of every decoded span, fn with each
+// decoded batch, and skip once per skipped span with its aggregate
+// event and instruction counts. An empty plan is the whole-stream plan
+// (a disabled sample.Config plans nil), which ReplayBatch uses. Spans
+// must be consecutive from the start of the stream; the replay stops at
+// the end of the plan or of the stream, whichever comes first. Batches
+// are full replayBatch slices except at a span's end or the stream's.
+// begin and skip may be nil when the plan has no use for them. Any
+// non-nil error from a callback aborts the replay and is returned
+// as-is. The chunk checksums are re-verified before decoding.
+//
+//cgplint:hotpath
 func (r *Recording) ReplaySampled(spans []Span,
 	begin func(SpanKind) error,
 	fn func(evs []Event) error,
@@ -144,47 +164,54 @@ func (r *Recording) ReplaySampled(spans []Span,
 	if err := r.Verify(); err != nil {
 		return err
 	}
-	idx := r.skipIndex()
-	d := chunkDecoder{b: r.buf}
-	hdr := d.window(len(traceMagic))
-	if len(hdr) < len(traceMagic) || [8]byte(hdr[:8]) != traceMagic {
-		return ErrBadMagic
+	d, err := r.decoder()
+	if err != nil {
+		return err
 	}
-	d.advance(len(traceMagic))
-	buf := make([]Event, replayBatch)
+	if len(spans) == 0 {
+		spans = wholeStream
+	}
+	// The running instruction count only feeds a later skip's report.
+	lastSkip := -1
+	for i, sp := range spans {
+		if sp.Kind == SpanSkip && sp.Events > 0 {
+			lastSkip = i
+		}
+	}
+	buf := make([]Event, replayBatch) //cgplint:ignore allocfree one reusable batch buffer per replay call, amortized across the whole stream
 	var consumed, instrs int64
-	for _, sp := range spans {
+	for si, sp := range spans {
 		if sp.Events <= 0 {
 			continue
 		}
 		if sp.Kind == SpanSkip {
+			idx := r.skipIndex()
 			target := consumed + sp.Events
 			startEvents, startInstrs := consumed, instrs
 			// Jump to the last checkpoint at or before the target,
 			// provided it is ahead of the current position.
-			if len(idx) > 0 {
-				i := sort.Search(len(idx), func(i int) bool { return idx[i].events > target }) - 1
-				if i >= 0 && idx[i].events > consumed {
-					p := idx[i]
-					d.ci, d.off = p.ci, p.off
-					consumed, instrs = p.events, p.instrs
-				}
+			i := sort.Search(len(idx), func(i int) bool { return idx[i].events > target }) - 1 //cgplint:ignore allocfree one index search per skipped span, not per event
+			if i >= 0 && idx[i].events > consumed {
+				p := idx[i]
+				d.ci, d.off = p.ci, p.off
+				consumed, instrs = p.events, p.instrs
 			}
 			// Decode the sub-checkpoint remainder, counting only
 			// instructions.
-			var ev Event
 			for consumed < target {
-				w := d.window(maxEventRecord)
-				if len(w) == 0 {
-					break // stream shorter than the plan: report what was skipped
+				want := int64(len(buf))
+				if rest := target - consumed; rest < want {
+					want = rest
 				}
-				m, err := decodeEventInto(w, &ev)
+				n, err := d.fill(buf[:want])
 				if err != nil {
 					return err
 				}
-				d.advance(m)
-				consumed++
-				instrs += int64(ev.Instructions())
+				consumed += int64(n)
+				instrs += countInstrs(buf[:n])
+				if int64(n) < want {
+					break // stream shorter than the plan: report what was skipped
+				}
 			}
 			if err := skip(consumed-startEvents, units.Instrs(instrs-startInstrs)); err != nil {
 				return err
@@ -194,54 +221,32 @@ func (r *Recording) ReplaySampled(spans []Span,
 			}
 			continue
 		}
-		if err := begin(sp.Kind); err != nil {
-			return err
+		if begin != nil {
+			if err := begin(sp.Kind); err != nil {
+				return err
+			}
 		}
-		remaining := sp.Events
-		for remaining > 0 {
-			want := replayBatch
-			if remaining < int64(want) {
-				want = int(remaining)
+		count := si < lastSkip
+		for remaining := sp.Events; remaining > 0; {
+			want := int64(len(buf))
+			if remaining < want {
+				want = remaining
 			}
-			n := 0
-			// Fast path: records lying wholly inside the current chunk.
-			if d.ci < len(d.b.chunks) {
-				chunk := d.b.chunks[d.ci]
-				pos := d.off
-				for pos+maxEventRecord <= len(chunk) && n < want {
-					m, err := decodeEventInto(chunk[pos:], &buf[n])
-					if err != nil {
-						return err
-					}
-					pos += m
-					n++
-				}
-				d.off = pos
-			}
-			// Slow path: one straddling or tail record at a time.
-			for n < want {
-				w := d.window(maxEventRecord)
-				if len(w) == 0 {
-					break
-				}
-				m, err := decodeEventInto(w, &buf[n])
-				if err != nil {
-					return err
-				}
-				d.advance(m)
-				n++
-				if d.ci < len(d.b.chunks) && d.off+maxEventRecord <= len(d.b.chunks[d.ci]) {
-					break // back on a whole-chunk fast path
-				}
+			n, err := d.fill(buf[:want])
+			if err != nil {
+				return err
 			}
 			if n == 0 {
-				return nil // stream shorter than the plan
+				return nil // the stream ends the plan
 			}
-			for i := 0; i < n; i++ {
-				instrs += int64(buf[i].Instructions())
+			if count {
+				instrs += countInstrs(buf[:n])
 			}
 			if err := fn(buf[:n]); err != nil {
 				return err
+			}
+			if int64(n) < want {
+				return nil
 			}
 			remaining -= int64(n)
 			consumed += int64(n)

@@ -106,8 +106,8 @@ func TestObsCampaignArtifacts(t *testing.T) {
 	if _, err := r.RunAll(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	// A single uncached Run goes through the per-cell replay path, which
-	// emits a "run" span (batched campaigns emit "replay" spans instead).
+	// A single uncached Run is RunAll of one job: a one-cell pass, the
+	// trace's last "replay" span.
 	w := r.DBWorkloads()[0]
 	if _, err := r.Run(context.Background(), w, Config{Layout: LayoutO5, Prefetcher: PrefNL, Degree: 2}); err != nil {
 		t.Fatal(err)
@@ -121,10 +121,30 @@ func TestObsCampaignArtifacts(t *testing.T) {
 		t.Errorf("campaign trace fails validation: %v", err)
 	}
 	trace := traceBuf.String()
-	for _, phase := range []string{`"record"`, `"run"`, `"verify"`, `"replay"`} {
+	for _, phase := range []string{`"record"`, `"verify"`, `"replay"`} {
 		if !strings.Contains(trace, phase) {
 			t.Errorf("campaign trace has no %s span", phase)
 		}
+	}
+	var parsed struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ts   int64             `json:"ts"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(traceBuf.Bytes(), &parsed); err != nil {
+		t.Fatal(err)
+	}
+	var last map[string]string
+	var lastTs int64 = -1
+	for _, ev := range parsed.TraceEvents {
+		if ev.Name == "replay" && ev.Ts >= lastTs {
+			last, lastTs = ev.Args, ev.Ts
+		}
+	}
+	if last["workload"] != w.Name || last["cells"] != "1" {
+		t.Errorf("the lone Run's pass has args %v, want workload %s and cells 1", last, w.Name)
 	}
 
 	entries, err := obs.ValidateRunLog(bytes.NewReader(logBuf.Bytes()))
@@ -151,8 +171,7 @@ func TestObsCampaignArtifacts(t *testing.T) {
 			t.Errorf("job %s never queued", key)
 		}
 	}
-	// The extra single Run settles too (it is never queued — queueing is
-	// a campaign notion).
+	// The extra single Run settles too.
 	cells[w.Name+"/"+Config{Layout: LayoutO5, Prefetcher: PrefNL, Degree: 2}.withDefaults().Label()] = true
 	for key := range cells {
 		if settled[key] == 0 {

@@ -81,10 +81,11 @@ type RunnerOptions struct {
 	// Workers caps the number of simulations RunAll keeps in flight.
 	// 0 means GOMAXPROCS; 1 forces sequential execution.
 	Workers int
-	// NoRecord disables trace record/replay: every Run re-executes the
-	// workload (engine build, data load, query execution) instead of
-	// replaying a captured event stream. Slower when several configs
-	// share a (workload, layout), but holds no trace memory. Used by
+	// NoRecord disables trace recording: a full-detail pass executes
+	// the workload live, feeding every cell drained with it, instead of
+	// replaying a recorded event stream. Slower when several drains
+	// share a (workload, layout), but holds no trace memory. Sampled
+	// cells replay a recording regardless — skipping needs one. Used by
 	// one-shot CLI runs and by benchmarks isolating the replay layer.
 	NoRecord bool
 	// CheckpointDir, when set, persists each completed Result to disk
@@ -497,39 +498,27 @@ func (r *Runner) profileFor(ctx context.Context, w *Workload) (*program.Profile,
 }
 
 // collectProfiles gathers w's feedback artifacts from its O5 event
-// stream. The stream comes from the shared recording, so a workload
-// that is both profiled and simulated on O5 executes exactly once.
+// stream, in a pass whose only consumer is the collectors. The pass
+// replays the shared recording (unless NoRecord), so a workload that
+// is both profiled and simulated on O5 executes exactly once.
 func (r *Runner) collectProfiles(ctx context.Context, w *Workload) (*profiles, error) {
-	if r.opts.NoRecord {
-		pc := trace.NewProfileCollector()
-		sc := trace.NewSequenceCollector(0)
-		img, err := r.imageFor(ctx, w, LayoutO5)
-		if err != nil {
-			return nil, err
-		}
-		if err := runWorkload(ctx, w, img, trace.Tee(pc, sc)); err != nil {
-			return nil, err
-		}
-		return &profiles{edges: pc.Profile, seq: sc.Profile}, nil
-	}
-	var p *profiles
-	err := r.replayRetry(ctx, w, LayoutO5, func(ctx context.Context) (*trace.Recording, error) {
-		rec, err := r.recordingFor(ctx, w, LayoutO5)
-		if err != nil {
-			return nil, err
-		}
-		pc := trace.NewProfileCollector()
-		sc := trace.NewSequenceCollector(0)
-		if err := replayOne(ctx, rec, trace.Tee(pc, sc)); err != nil {
-			return rec, err
-		}
-		p = &profiles{edges: pc.Profile, seq: sc.Profile}
-		return rec, nil
+	var (
+		pc  *trace.ProfileCollector
+		sc  *trace.SequenceCollector
+		col *passCell
+	)
+	_, err := r.pass(ctx, w, LayoutO5, sample.Config{}, func() []*passCell {
+		pc, sc = trace.NewProfileCollector(), trace.NewSequenceCollector(0)
+		col = &passCell{c: trace.Tee(pc, sc)}
+		return []*passCell{col}
 	})
+	if err == nil && col.err != nil {
+		err = col.err
+	}
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &profiles{edges: pc.Profile, seq: sc.Profile}, nil
 }
 
 // mergeSequences folds src's recorded call positions into dst.
@@ -648,53 +637,25 @@ func (r *Runner) replayRetry(ctx context.Context, w *Workload, layout Layout, at
 	}
 }
 
-// Run simulates one workload under one configuration. Results are
-// cached by (workload, config fingerprint); concurrent calls for the
-// same pair share one simulation. The context cancels the work: a
-// canceled run fails with ctx's error and is not cached.
+// Run simulates one workload under one configuration. It is RunAll of
+// the one job, so a lone cell takes the same hub, pass and checkpoint
+// path as a campaign's. Results are cached by (workload, config
+// fingerprint); concurrent calls for the same pair share one
+// simulation. The context cancels the work: a canceled run fails with
+// a *JobError wrapping ctx's error and is not cached.
 func (r *Runner) Run(ctx context.Context, w *Workload, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	v, err := r.once(ctx, runKey(w, cfg), func(ctx context.Context) (any, error) {
-		return r.runCell(ctx, w, cfg)
-	})
+	res, err := r.RunAll(ctx, []Job{{w, cfg}})
 	if err != nil {
-		return nil, err
+		return nil, err.(*CampaignError).Jobs[0]
 	}
-	return v.(*Result), nil
+	return res[0], nil
 }
 
-// runCell is the uncached unit behind Run: serve the checkpoint if one
-// exists, otherwise simulate and checkpoint the result.
-func (r *Runner) runCell(ctx context.Context, w *Workload, cfg Config) (*Result, error) {
-	if res, ok := r.loadCheckpoint(w, cfg); ok {
-		r.opts.Log("checkpoint %-12s %-14s", w.Name, cfg.Label())
-		r.obsWall().Incr("checkpoint_hits", 1)
-		r.obsJob(obs.JobResumed, w.Name, cfg.Label(), "checkpoint")
-		r.noteResult(res)
-		r.emitRecord(w, cfg, res, nil)
-		return res, nil
-	}
-	r.obsJob(obs.JobStarted, w.Name, cfg.Label(), "")
-	res, err := r.simulate(ctx, w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.storeCheckpoint(w, cfg, res)
-	r.obsJob(obs.JobExecuted, w.Name, cfg.Label(), "")
-	r.noteResult(res)
-	return res, nil
-}
-
-// prepared is one configured simulation waiting for an event stream.
-type prepared struct {
-	c   *cpu.CPU
-	gp  *core.CGP
-	res *Result
-}
-
-// prepare builds the prefetcher and CPU for one (workload, config)
-// cell.
-func (r *Runner) prepare(ctx context.Context, w *Workload, cfg Config) (*prepared, error) {
+// prepare builds the prefetcher and CPU for one cell, as a pass
+// consumer: the CPU behind the fault-injection hook, when set, and
+// ready for its sampling plan when the cell is sampled.
+func (r *Runner) prepare(ctx context.Context, w *Workload, c hubCell) (*passCell, error) {
+	cfg := c.cfg
 	pf, gp := cfg.buildPrefetcher()
 	if cfg.Prefetcher == PrefSoftwareCGP && !cfg.PerfectICache {
 		// The software variant needs the profiled call sequences bound
@@ -709,182 +670,29 @@ func (r *Runner) prepare(ctx context.Context, w *Workload, cfg Config) (*prepare
 		}
 		pf = buildSoftwareCGP(cfg, prof.seq, img)
 	}
-	c := cpu.New(cfg.cpuConfig(), pf)
+	b := &passCell{cell: c, cpu: cpu.New(cfg.cpuConfig(), pf), gp: gp}
 	if r.opts.Attribution {
-		c.EnableAttribution()
+		b.cpu.EnableAttribution()
 	}
-	return &prepared{
-		c:   c,
-		gp:  gp,
-		res: &Result{Workload: w.Name, Config: cfg.Label()},
-	}, nil
-}
-
-// consumerFor applies the fault-injection hook, when set, to a cell's
-// CPU consumer.
-func (r *Runner) consumerFor(w *Workload, cfg Config, c trace.Consumer) trace.Consumer {
-	if r.hooks.wrapConsumer != nil {
-		return r.hooks.wrapConsumer(w, cfg, c)
-	}
-	return c
-}
-
-// finalize seals the simulation's statistics into its Result.
-func (p *prepared) finalize() *Result {
-	p.res.CPU = p.c.Finish()
-	if p.gp != nil {
-		s := p.gp.Stats()
-		p.res.CGPStats = &s
-	}
-	return p.res
-}
-
-// replayOne replays rec into a single consumer with a context poll per
-// batch, so cancellation takes effect within replayBatch events.
-func replayOne(ctx context.Context, rec *trace.Recording, c trace.Consumer) error {
-	bc, batched := c.(trace.BatchConsumer)
-	return rec.ReplayBatch(func(evs []trace.Event) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if batched {
-			bc.EventBatch(evs)
-		} else {
-			for i := range evs {
-				c.Event(evs[i])
-			}
-		}
-		return nil
-	})
-}
-
-// replaySampledOne drives rec's sampled replay into one cell: span
-// boundaries and skip spans go to the CPU's sampling hooks, decoded
-// events go through the (possibly hook-wrapped) consumer, and both
-// decoded and skip paths poll ctx so cancellation takes effect within
-// replayBatch events even across long skips.
-func replaySampledOne(ctx context.Context, rec *trace.Recording, plan []trace.Span, c *cpu.CPU, wrapped trace.Consumer) error {
-	bc, batched := wrapped.(trace.BatchConsumer)
-	return rec.ReplaySampled(plan,
-		func(kind trace.SpanKind) error {
-			c.BeginSpan(kind)
-			return nil
-		},
-		func(evs []trace.Event) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if batched {
-				bc.EventBatch(evs)
-			} else {
-				for i := range evs {
-					wrapped.Event(evs[i])
-				}
-			}
-			return nil
-		},
-		func(events int64, instrs units.Instrs) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			c.SkipSpan(events, instrs)
-			return nil
-		})
-}
-
-// simulateSampled performs one uncached sampled simulation. Sampling
-// is replay-only — skipping events without decoding needs a sealed
-// recording's skip index — so this path records the workload even
-// under NoRecord; the recording is then memoized like any other.
-func (r *Runner) simulateSampled(ctx context.Context, w *Workload, cfg Config) (*Result, error) {
-	var res *Result
-	err := r.replayRetry(ctx, w, cfg.Layout, func(ctx context.Context) (*trace.Recording, error) {
-		rec, err := r.recordingFor(ctx, w, cfg.Layout)
-		if err != nil {
-			return nil, err
-		}
-		p, err := r.prepare(ctx, w, cfg)
-		if err != nil {
-			return rec, err
-		}
-		p.c.EnableSampling()
-		plan := cfg.Sampling.Plan(rec.Events())
-		r.opts.Log("run %-12s %-14s (sampled %s)", w.Name, cfg.Label(), cfg.Sampling)
-		sp := r.obsSpan("run", "run").
-			Arg("workload", w.Name).Arg("config", cfg.Label()).
-			Arg("sampling", cfg.Sampling.String())
-		err = replaySampledOne(ctx, rec, plan, p.c, r.consumerFor(w, cfg, p.c))
-		sp.End()
-		if err != nil {
-			return rec, fmt.Errorf("cgp: sampled replay %s under %s: %w", w.Name, cfg.Label(), err)
-		}
-		p.res.Trace = rec.Stats
-		res = p.finalize()
-		return rec, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// simulate performs one uncached simulation: build the prefetcher and
-// CPU for cfg, then feed them w's event stream — replayed from the
-// shared recording, or re-executed when NoRecord is set. A corrupt
-// recording is rebuilt from source under the retry budget. Cells with
-// sampling enabled take the sampled replay path.
-func (r *Runner) simulate(ctx context.Context, w *Workload, cfg Config) (*Result, error) {
 	if cfg.Sampling.Enabled() {
-		return r.simulateSampled(ctx, w, cfg)
+		b.cpu.EnableSampling()
 	}
-	if r.opts.NoRecord {
-		p, err := r.prepare(ctx, w, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.opts.Log("run %-12s %-14s", w.Name, cfg.Label())
-		img, err := r.imageFor(ctx, w, cfg.Layout)
-		if err != nil {
-			return nil, err
-		}
-		c := r.consumerFor(w, cfg, p.c)
-		sp := r.obsSpan("run", "run").
-			Arg("workload", w.Name).Arg("config", cfg.Label())
-		err = runWorkload(ctx, w, img, trace.Tee(&p.res.Trace, c))
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("cgp: %s under %s: %w", w.Name, cfg.Label(), err)
-		}
-		return p.finalize(), nil
+	b.c = b.cpu
+	if r.hooks.wrapConsumer != nil {
+		b.c = r.hooks.wrapConsumer(w, cfg, b.c)
 	}
-	var res *Result
-	err := r.replayRetry(ctx, w, cfg.Layout, func(ctx context.Context) (*trace.Recording, error) {
-		rec, err := r.recordingFor(ctx, w, cfg.Layout)
-		if err != nil {
-			return nil, err
-		}
-		p, err := r.prepare(ctx, w, cfg)
-		if err != nil {
-			return rec, err
-		}
-		r.opts.Log("run %-12s %-14s", w.Name, cfg.Label())
-		sp := r.obsSpan("run", "run").
-			Arg("workload", w.Name).Arg("config", cfg.Label())
-		err = replayOne(ctx, rec, r.consumerFor(w, cfg, p.c))
-		sp.End()
-		if err != nil {
-			return rec, fmt.Errorf("cgp: replay %s under %s: %w", w.Name, cfg.Label(), err)
-		}
-		// The recorded stats are what a Tee'd Stats consumer would have
-		// counted; copying avoids recounting per replay.
-		p.res.Trace = rec.Stats
-		res = p.finalize()
-		return rec, nil
-	})
-	if err != nil {
-		return nil, err
+	b.bc, _ = b.c.(trace.BatchConsumer)
+	return b, nil
+}
+
+// result seals a finished cell's statistics into its Result.
+func (b *passCell) result(w *Workload, st trace.Stats) *Result {
+	res := &Result{Workload: w.Name, Config: b.cell.cfg.Label(), CPU: b.cpu.Finish(), Trace: st}
+	if b.gp != nil {
+		s := b.gp.Stats()
+		res.CGPStats = &s
 	}
-	return res, nil
+	return res
 }
 
 // Job names one (workload, config) simulation for RunAll.
@@ -907,12 +715,13 @@ type Job struct {
 // simulation fails only its own job. With FailFast set, the first
 // failure cancels the jobs that have not finished yet.
 //
-// In replay mode, jobs sharing a (workload, layout) recording are
-// batched: their configured CPUs consume a single decode pass over the
-// recording, so the decode cost is paid once per batch instead of once
+// Jobs sharing a (workload, layout) event stream are batched through
+// that stream's replay hub: each drain feeds its cells from one pass
+// over the stream per sampling schedule, so the decode (or, under
+// NoRecord, the live execution) is paid once per pass instead of once
 // per config. Batching only changes scheduling — every consumer still
-// sees the full event stream in order, so results are identical to
-// running each job alone.
+// sees its plan's stream in order, so results are identical to running
+// each job alone.
 func (r *Runner) RunAll(ctx context.Context, jobs []Job) ([]*Result, error) {
 	results := make([]*Result, len(jobs))
 	errs := make([]error, len(jobs))
@@ -929,38 +738,16 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) ([]*Result, error) {
 		}
 	}
 	var wg sync.WaitGroup
-	if r.opts.NoRecord {
-		for i := range jobs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				// The semaphore is acquired before Run, never inside it,
-				// so a singleflight leader always already owns a slot (or
-				// needs none) and followers cannot starve it.
-				select {
-				case r.sem <- struct{}{}:
-				case <-ctx.Done():
-					errs[i] = ctx.Err()
-					return
-				}
-				defer func() { <-r.sem }()
-				results[i], errs[i] = r.Run(ctx, jobs[i].Workload, jobs[i].Config)
-				fail(errs[i])
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for _, g := range groupJobs(jobs) {
-			wg.Add(1)
-			// runGroup acquires a worker slot itself, only around the
-			// drain phase: claiming and waiting hold no slot.
-			go func(g *jobGroup) {
-				defer wg.Done()
-				r.runGroup(ctx, g, results, errs, fail)
-			}(g)
-		}
-		wg.Wait()
+	for _, g := range groupJobs(jobs) {
+		wg.Add(1)
+		// runGroup acquires a worker slot itself, only around the drain
+		// phase: claiming and waiting hold no slot.
+		go func(g *jobGroup) {
+			defer wg.Done()
+			r.runGroup(ctx, g, results, errs, fail)
+		}(g)
 	}
+	wg.Wait()
 	var failed []*JobError
 	for i, err := range errs {
 		if err != nil {
@@ -976,8 +763,8 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) ([]*Result, error) {
 	return results, &CampaignError{Jobs: failed}
 }
 
-// jobGroup collects the jobs of one RunAll call that replay the same
-// (workload, layout) recording.
+// jobGroup collects the jobs of one RunAll call that share a
+// (workload, layout) event stream.
 type jobGroup struct {
 	w      *Workload
 	hubKey string
@@ -1008,13 +795,15 @@ func groupJobs(jobs []Job) []*jobGroup {
 	return order
 }
 
-// replayHub coalesces claimed cells that consume one recording. Group
-// tasks enqueue their cells before taking a worker slot, so whichever
-// task drains first serves every pending cell of the recording in one
-// wide replay pass — concurrent figure generators' grids merge into a
-// few decode passes instead of one per figure. Coalescing only affects
-// scheduling: each cell's CPU always consumes the full event stream,
-// so results are identical however cells are batched.
+// replayHub coalesces claimed cells that consume one (workload,
+// layout) event stream; it is the only place a cell is simulated.
+// Group tasks enqueue their cells before taking a worker slot, so
+// whichever task drains first serves every pending cell of the stream
+// in one wide pass per sampling schedule — concurrent figure
+// generators' grids merge into a few passes instead of one per figure.
+// Coalescing only affects scheduling: each cell's CPU always consumes
+// its plan's stream, so results are identical however cells are
+// batched.
 type replayHub struct {
 	mu      sync.Mutex
 	active  bool
@@ -1083,83 +872,75 @@ func (r *Runner) resolveCell(c hubCell, res *Result, err error) {
 }
 
 // runGroup claims the group's uncomputed cells, enqueues them on the
-// recording's hub, competes to drain it, then collects results
-// (including cells another goroutine computed) into the RunAll output
-// slots. Claiming and enqueueing happen before the worker slot is
-// acquired — they do no simulation work — so even a single-worker pool
-// sees every concurrent figure's cells before the first drain begins.
+// stream's hub, competes to drain it, then collects results (including
+// cells another goroutine computed) into the RunAll output slots.
+// Claiming and enqueueing happen before the worker slot is acquired —
+// they do no simulation work — so even a single-worker pool sees every
+// concurrent figure's cells before the first drain begins. A cell that
+// another campaign's cancellation aborted (hubs are shared across
+// concurrent RunAll calls) was evicted as transient, so it goes round
+// again: claimed and enqueued under this campaign's live context.
 func (r *Runner) runGroup(ctx context.Context, g *jobGroup, results []*Result, errs []error, fail func(error)) {
 	type cellRef struct {
 		key   string
 		f     *flight
 		owner bool
 	}
-	cells := make([]cellRef, 0, len(g.keys))
-	var enq []hubCell
-	for _, rk := range g.keys {
-		f, owner := r.claim(rk)
-		cells = append(cells, cellRef{rk, f, owner})
-		if owner {
-			enq = append(enq, hubCell{g.cfgs[rk], rk, f})
-		}
-	}
 	h := r.hubFor(g.hubKey)
-	if len(enq) > 0 {
-		h.mu.Lock()
-		h.pending = append(h.pending, enq...)
-		h.mu.Unlock()
-	}
-	select {
-	case r.sem <- struct{}{}:
-		r.pump(ctx, g.w, h)
-		<-r.sem //cgplint:ignore ctxflow held worker token guarantees a free slot, the release cannot block
-	case <-ctx.Done():
-		// Canceled before a worker slot freed up. Withdraw our still-
-		// pending cells so their flights don't dangle unresolved; cells
-		// an active drainer already took will be resolved by it.
-		h.withdraw(enq, func(c hubCell) { r.resolveCell(c, nil, ctx.Err()) })
-	}
-	for _, c := range cells {
-		v, err := c.f.wait(ctx)
-		if err != nil && isCancellation(err) && ctx.Err() == nil {
-			// The cell was aborted by another campaign's cancellation
-			// (hubs are shared across concurrent RunAll calls). The
-			// entry was evicted as transient, so recompute it under
-			// this campaign's live context.
-			select {
-			case r.sem <- struct{}{}:
-				res, rerr := r.Run(ctx, g.w, g.cfgs[c.key])
-				<-r.sem //cgplint:ignore ctxflow held worker token guarantees a free slot, the release cannot block
-				if rerr != nil {
-					v, err = nil, rerr
+	for keys := g.keys; len(keys) > 0; {
+		cells := make([]cellRef, 0, len(keys))
+		var enq []hubCell
+		for _, rk := range keys {
+			f, owner := r.claim(rk)
+			cells = append(cells, cellRef{rk, f, owner})
+			if owner {
+				enq = append(enq, hubCell{g.cfgs[rk], rk, f})
+			}
+		}
+		if len(enq) > 0 {
+			h.mu.Lock()
+			h.pending = append(h.pending, enq...)
+			h.mu.Unlock()
+		}
+		select {
+		case r.sem <- struct{}{}:
+			r.pump(ctx, g.w, h)
+			<-r.sem //cgplint:ignore ctxflow held worker token guarantees a free slot, the release cannot block
+		case <-ctx.Done():
+			// Canceled before a worker slot freed up. Withdraw our still-
+			// pending cells so their flights don't dangle unresolved;
+			// cells an active drainer already took will be resolved by it.
+			h.withdraw(enq, func(c hubCell) { r.resolveCell(c, nil, ctx.Err()) })
+		}
+		keys = nil
+		for _, c := range cells {
+			v, err := c.f.wait(ctx)
+			if err != nil && isCancellation(err) && ctx.Err() == nil {
+				keys = append(keys, c.key)
+				continue
+			}
+			if err == nil && !c.owner {
+				// The cell was claimed by another campaign or group task
+				// and served to this one through the singleflight cache.
+				r.obsJob(obs.JobReplayed, g.w.Name, g.cfgs[c.key].Label(), "coalesced")
+			}
+			for _, i := range g.idx[c.key] {
+				if err != nil {
+					errs[i] = err
 				} else {
-					v, err = res, nil
+					results[i] = v.(*Result)
 				}
-			case <-ctx.Done():
-				v, err = nil, ctx.Err()
 			}
+			fail(err)
 		}
-		if err == nil && !c.owner {
-			// The cell was claimed by another campaign or group task and
-			// served to this one through the singleflight cache.
-			r.obsJob(obs.JobReplayed, g.w.Name, g.cfgs[c.key].Label(), "coalesced")
-		}
-		for _, i := range g.idx[c.key] {
-			if err != nil {
-				errs[i] = err
-			} else {
-				results[i] = v.(*Result)
-			}
-		}
-		fail(err)
 	}
 }
 
 // pump drains h: while cells are pending and no other drainer is
-// active, grab them all and simulate them in one shared replay pass.
-// Cells enqueued during a pass are picked up by the next loop
-// iteration; if another drainer is active it will do the same, so
-// every enqueued cell is eventually simulated.
+// active, grab them all and simulate them (runBatch). Cells enqueued
+// during a drain are picked up by the next loop iteration; if another
+// drainer is active it will do the same, so every enqueued cell is
+// eventually simulated.
 func (r *Runner) pump(ctx context.Context, w *Workload, h *replayHub) {
 	for {
 		h.mu.Lock()
@@ -1195,98 +976,15 @@ func (r *Runner) runBatchGuarded(ctx context.Context, w *Workload, batch []hubCe
 	r.runBatch(ctx, w, batch)
 }
 
-// batchCell pairs one hub cell with its configured simulation and
-// per-consumer failure state during a shared replay pass.
-type batchCell struct {
-	cell hubCell
-	sim  *prepared
-	c    trace.Consumer      // possibly hook-wrapped
-	bc   trace.BatchConsumer // batch fast path when supported
-	err  *JobError           // set once the consumer panicked; no more events
-}
-
-// deliver hands one decoded batch to the cell's consumer, converting a
-// panic into the cell's JobError. Only this cell stops consuming — the
-// hub keeps serving its batch mates.
-func (b *batchCell) deliver(evs []trace.Event) {
-	defer func() {
-		if p := recover(); p != nil {
-			b.err = &JobError{Index: -1, Panic: p, Stack: debug.Stack()}
-		}
-	}()
-	if b.bc != nil {
-		b.bc.EventBatch(evs)
-	} else {
-		for i := range evs {
-			b.c.Event(evs[i])
-		}
-	}
-}
-
-// errNoLiveCells aborts a shared replay pass whose consumers have all
-// panicked: decoding the rest of the stream would feed no one.
-var errNoLiveCells = errors.New("cgp: every consumer of the replay pass failed")
-
-// fanout performs one shared decode pass over rec, dispatching each
-// batch to every live cell with a context poll per batch. A panic in
-// one cell marks only that cell failed; the stream keeps flowing to
-// the others. The returned error is stream-level (corruption,
-// cancellation) — per-cell panics are reported in each cell's err.
-func fanout(ctx context.Context, rec *trace.Recording, cells []*batchCell) error {
-	err := rec.ReplayBatch(func(evs []trace.Event) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		live := 0
-		for _, b := range cells {
-			if b.err != nil {
-				continue
-			}
-			b.deliver(evs)
-			if b.err == nil {
-				live++
-			}
-		}
-		if live == 0 {
-			return errNoLiveCells
-		}
-		return nil
-	})
-	if errors.Is(err, errNoLiveCells) {
-		return nil
-	}
-	return err
-}
-
-// runBatch simulates a set of configs of one (workload, layout) pair
-// against a single decode pass of the shared recording, resolving each
-// cell's flight with its Result or failure. Cells with a valid
-// checkpoint are served from disk without simulating; a corrupt
-// recording is rebuilt from source (fresh CPUs, full re-replay) under
-// the retry budget; a panicking consumer fails only its own cell.
+// runBatch simulates a drained set of one (workload, layout)'s cells,
+// resolving each cell's flight with its Result or failure. Cells with a
+// valid checkpoint are served from disk; the rest run in one pass per
+// sampling schedule, so every full-detail cell shares one pass and so
+// do the cells of each sampled schedule.
 func (r *Runner) runBatch(ctx context.Context, w *Workload, batch []hubCell) {
-	todo := make([]hubCell, 0, len(batch))
+	var order []sample.Config
+	passes := map[sample.Config][]hubCell{}
 	for _, c := range batch {
-		if c.cfg.Sampling.Enabled() {
-			// Sampled cells use the sampled replay, not the shared
-			// detailed decode pass — and they are cheap enough (the
-			// point of sampling) that running them sequentially inside
-			// the drain costs little. runCell gives them the same
-			// checkpoint, observability and panic treatment as any
-			// other cell.
-			v, err := guarded(ctx, func(ctx context.Context) (any, error) {
-				return r.runCell(ctx, w, c.cfg)
-			})
-			if err != nil {
-				if je := (*JobError)(nil); errors.As(err, &je) && je.Workload == "" {
-					je.Workload, je.Config = w.Name, c.cfg.Label()
-				}
-				r.resolveCell(c, nil, err)
-				continue
-			}
-			r.resolveCell(c, v.(*Result), nil)
-			continue
-		}
 		if res, ok := r.loadCheckpoint(w, c.cfg); ok {
 			r.opts.Log("checkpoint %-12s %-14s", w.Name, c.cfg.Label())
 			r.obsWall().Incr("checkpoint_hits", 1)
@@ -1296,79 +994,249 @@ func (r *Runner) runBatch(ctx context.Context, w *Workload, batch []hubCell) {
 			c.f.resolve(res, nil)
 			continue
 		}
-		todo = append(todo, c)
-	}
-	if len(todo) == 0 {
-		return
-	}
-	layout := todo[0].cfg.Layout
-	err := r.replayRetry(ctx, w, layout, func(ctx context.Context) (*trace.Recording, error) {
-		rec, err := r.recordingFor(ctx, w, layout)
-		if err != nil {
-			return nil, err
+		smp := c.cfg.Sampling
+		if _, ok := passes[smp]; !ok {
+			order = append(order, smp)
 		}
-		// Check integrity before building CPUs: a corrupt recording
-		// retries with no per-cell state to unwind.
-		vsp := r.obsSpan("verify", "verify").Arg("workload", w.Name)
-		err = rec.Verify()
-		vsp.End()
-		if err != nil {
-			return rec, err
-		}
-		cells := make([]*batchCell, 0, len(todo))
+		passes[smp] = append(passes[smp], c)
+	}
+	for _, smp := range order {
+		r.runPass(ctx, w, smp, passes[smp])
+	}
+}
+
+// runPass simulates cells — one (workload, layout), one sampling
+// schedule — in a single pass over their event stream. A cell whose
+// simulation cannot be built fails alone, as does a cell whose
+// consumer panics; a stream-level failure (recording error,
+// cancellation, exhausted retry budget) fails every cell still
+// unresolved.
+func (r *Runner) runPass(ctx context.Context, w *Workload, smp sample.Config, todo []hubCell) {
+	var cells []*passCell
+	st, err := r.pass(ctx, w, todo[0].cfg.Layout, smp, func() []*passCell {
+		cells = cells[:0]
 		left := todo[:0]
 		for _, c := range todo {
-			p, perr := r.prepare(ctx, w, c.cfg)
-			if perr != nil {
+			b, err := r.prepare(ctx, w, c)
+			if err != nil {
 				// Deterministic per-cell failure: resolve now and drop
 				// the cell from any later retry round.
-				r.resolveCell(c, nil, perr)
+				r.resolveCell(c, nil, err)
 				continue
 			}
 			r.opts.Log("run %-12s %-14s", w.Name, c.cfg.Label())
 			r.obsJob(obs.JobStarted, w.Name, c.cfg.Label(), "")
-			cc := r.consumerFor(w, c.cfg, p.c)
-			bc, _ := cc.(trace.BatchConsumer)
-			cells = append(cells, &batchCell{cell: c, sim: p, c: cc, bc: bc})
+			cells = append(cells, b)
 			left = append(left, c)
 		}
 		todo = left
-		if len(cells) == 0 {
-			return rec, nil
-		}
-		rsp := r.obsSpan("replay", "replay").
-			Arg("workload", w.Name).
-			Arg("layout", layout.String()).
-			Arg("cells", fmt.Sprint(len(cells)))
-		err = fanout(ctx, rec, cells)
-		rsp.End()
-		if err != nil {
-			return rec, err
-		}
-		for _, b := range cells {
-			if b.err != nil {
-				b.err.Workload, b.err.Config = w.Name, b.cell.cfg.Label()
-				r.resolveCell(b.cell, nil, b.err)
-				continue
-			}
-			b.sim.res.Trace = rec.Stats
-			res := b.sim.finalize()
-			r.storeCheckpoint(w, b.cell.cfg, res)
-			r.obsJob(obs.JobExecuted, w.Name, b.cell.cfg.Label(), "")
-			r.noteResult(res)
-			r.resolveCell(b.cell, res, nil)
-		}
-		todo = nil
-		return rec, nil
+		return cells
 	})
-	if err == nil {
+	if err != nil {
+		for _, c := range todo {
+			r.resolveCell(c, nil, err)
+		}
 		return
 	}
-	// Stream-level failure (recording error, cancellation, exhausted
-	// retry budget): every still-unresolved cell fails with it.
-	for _, c := range todo {
-		r.resolveCell(c, nil, err)
+	for _, b := range cells {
+		if b.err != nil {
+			b.err.Workload, b.err.Config = w.Name, b.cell.cfg.Label()
+			r.resolveCell(b.cell, nil, b.err)
+			continue
+		}
+		res := b.result(w, st)
+		r.storeCheckpoint(w, b.cell.cfg, res)
+		r.obsJob(obs.JobExecuted, w.Name, b.cell.cfg.Label(), "")
+		r.noteResult(res)
+		r.resolveCell(b.cell, res, nil)
 	}
+}
+
+// pass walks w's event stream on layout once, feeding every consumer
+// build returns, and returns the stream's stats. It is the one place a
+// pass's source is chosen: the sealed recording — walked per smp's plan
+// (the whole stream for full detail) and rebuilt from source under the
+// retry budget if corrupt — or, for a full-detail pass under NoRecord,
+// the live workload execution itself. build runs once the source is
+// ready, again after a rebuild, so a retry feeds fresh consumers; a
+// pass with no consumers ends there. The error is stream-level: a
+// consumer's panic lands in its own cell's err.
+func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sample.Config, build func() []*passCell) (trace.Stats, error) {
+	var st trace.Stats
+	span := func(cells []*passCell, source string) *obs.Span {
+		return r.obsSpan("replay", "replay").
+			Arg("workload", w.Name).Arg("layout", layout.String()).
+			Arg("sampling", smp.String()).Arg("source", source).
+			Arg("cells", fmt.Sprint(len(cells)))
+	}
+	var err error
+	if r.opts.NoRecord && !smp.Enabled() {
+		img, ierr := r.imageFor(ctx, w, layout)
+		if ierr != nil {
+			return st, ierr
+		}
+		if cells := build(); len(cells) > 0 {
+			sp := span(cells, "live")
+			_, batch, _ := fanout(ctx, cells)
+			b := &batcher{buf: make([]trace.Event, 0, liveBatch), batch: batch}
+			if err = runWorkload(ctx, w, img, b); err == nil {
+				err = b.flush()
+			}
+			sp.End()
+			st = b.st
+		}
+	} else {
+		err = r.replayRetry(ctx, w, layout, func(ctx context.Context) (*trace.Recording, error) {
+			rec, err := r.recordingFor(ctx, w, layout)
+			if err != nil {
+				return nil, err
+			}
+			// Check integrity before building consumers: a corrupt
+			// recording retries with no per-cell state to unwind.
+			vsp := r.obsSpan("verify", "verify").Arg("workload", w.Name)
+			err = rec.Verify()
+			vsp.End()
+			if err != nil {
+				return rec, err
+			}
+			cells := build()
+			if len(cells) == 0 {
+				return rec, nil
+			}
+			sp := span(cells, "recording")
+			begin, batch, skip := fanout(ctx, cells)
+			err = rec.ReplaySampled(smp.Plan(rec.Events()), begin, batch, skip)
+			sp.End()
+			st = rec.Stats
+			return rec, err
+		})
+	}
+	if errors.Is(err, errNoLiveCells) {
+		err = nil // each cell reports its own panic
+	}
+	return st, err
+}
+
+// passCell is one consumer of a pass: a cell's configured CPU, or a
+// profile run's collectors (cpu nil).
+type passCell struct {
+	cell hubCell
+	cpu  *cpu.CPU
+	gp   *core.CGP
+	c    trace.Consumer      // the CPU, possibly hook-wrapped
+	bc   trace.BatchConsumer // batch fast path when supported
+	err  *JobError           // set once the consumer panicked; no more events
+}
+
+// errNoLiveCells aborts a pass whose consumers have all panicked:
+// walking the rest of the stream would feed no one.
+var errNoLiveCells = errors.New("cgp: every consumer of the pass failed")
+
+// fanout returns a pass's source callbacks over cells, the one place
+// cell consumers are fed: every batch goes to each cell's (possibly
+// hook-wrapped) consumer, span starts and skipped spans go to each
+// cell's CPU itself, and batches and skips poll ctx, so cancellation
+// takes effect within one batch even across long skips.
+func fanout(ctx context.Context, cells []*passCell) (
+	begin func(trace.SpanKind) error,
+	batch func([]trace.Event) error,
+	skip func(int64, units.Instrs) error) {
+	begin = func(kind trace.SpanKind) error {
+		return feed(cells, func(b *passCell) {
+			if b.cpu != nil {
+				b.cpu.BeginSpan(kind)
+			}
+		})
+	}
+	batch = func(evs []trace.Event) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return feed(cells, func(b *passCell) {
+			if b.bc != nil {
+				b.bc.EventBatch(evs)
+				return
+			}
+			for i := range evs {
+				b.c.Event(evs[i])
+			}
+		})
+	}
+	skip = func(events int64, instrs units.Instrs) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return feed(cells, func(b *passCell) {
+			if b.cpu != nil {
+				b.cpu.SkipSpan(events, instrs)
+			}
+		})
+	}
+	return begin, batch, skip
+}
+
+// feed applies fn to every live cell, converting a panic into that
+// cell's JobError: only the panicking cell stops consuming, its pass
+// mates keep the stream. Once no cell is left it aborts the pass.
+func feed(cells []*passCell, fn func(*passCell)) error {
+	live := 0
+	for _, b := range cells {
+		if b.err == nil {
+			b.call(fn)
+		}
+		if b.err == nil {
+			live++
+		}
+	}
+	if live == 0 {
+		return errNoLiveCells
+	}
+	return nil
+}
+
+// call runs fn on b, recording a panic as b's JobError.
+func (b *passCell) call(fn func(*passCell)) {
+	defer func() {
+		if p := recover(); p != nil {
+			b.err = &JobError{Index: -1, Panic: p, Stack: debug.Stack()}
+		}
+	}()
+	fn(b)
+}
+
+// liveBatch is how many live-executed events a pass hands over at a
+// time, matching a replay's batches.
+const liveBatch = 512
+
+// batcher counts a live execution's stream stats and buffers its
+// events into batches for a pass's fan-out. An error from the fan-out
+// aborts the execution the way cancellation does (runWorkload recovers
+// it).
+type batcher struct {
+	st    trace.Stats
+	buf   []trace.Event
+	batch func([]trace.Event) error
+}
+
+// Event implements trace.Consumer.
+func (b *batcher) Event(ev trace.Event) {
+	b.st.Event(ev)
+	b.buf = append(b.buf, ev)
+	if len(b.buf) == cap(b.buf) {
+		if err := b.flush(); err != nil {
+			panic(abortRun{err})
+		}
+	}
+}
+
+// flush hands the buffered events to the fan-out.
+func (b *batcher) flush() error {
+	if len(b.buf) == 0 {
+		return nil
+	}
+	err := b.batch(b.buf)
+	b.buf = b.buf[:0]
+	return err
 }
 
 // buildSoftwareCGP binds a profiled sequence table to an image's

@@ -134,9 +134,9 @@ func sampledGrid(r *Runner, seed int64) []Job {
 }
 
 // TestSampledWorkerInvariance: a sampled campaign is byte-identical
-// whether it runs on one worker or many — including with seeded
-// random window offsets, which must depend only on the schedule seed,
-// never on scheduling order.
+// whether it runs on one worker or many, or one cell per pass —
+// including with seeded random window offsets, which must depend only
+// on the schedule seed, never on scheduling order.
 func TestSampledWorkerInvariance(t *testing.T) {
 	const seed = 42
 	one := NewRunner(samplingTestOpts(seed, 1))
@@ -157,6 +157,21 @@ func TestSampledWorkerInvariance(t *testing.T) {
 		b, _ := json.Marshal(got[i])
 		if !bytes.Equal(a, b) {
 			t.Errorf("job %d (%s) differs between 1 and 8 workers:\n1: %s\n8: %s",
+				i, want[i].Config, a, b)
+		}
+	}
+	// Each job alone through Run on a fresh runner: a one-cell pass
+	// against the coalesced campaign's shared ones.
+	alone := NewRunner(samplingTestOpts(seed, 1))
+	for i, j := range sampledGrid(alone, seed) {
+		res, err := alone.Run(context.Background(), j.Workload, j.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(want[i])
+		b, _ := json.Marshal(res)
+		if !bytes.Equal(a, b) {
+			t.Errorf("job %d (%s) differs between a coalesced pass and a one-cell pass:\ncoalesced: %s\nalone: %s",
 				i, want[i].Config, a, b)
 		}
 	}
