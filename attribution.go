@@ -41,18 +41,30 @@ type AttributionTable struct {
 	Rows       []AttrRow
 }
 
-// attrDemand ranks rows: the demand fetches that the prefetcher could
-// have served (misses it didn't, plus hits and delayed hits it did).
-func attrDemand(f *cpu.FuncAttribution) int64 {
-	return f.Misses + f.PrefHits + f.DelayedHits
+// RankAttribution returns the top n per-function rows (n <= 0 means
+// every row), ranked by prefetch-relevant demand traffic
+// (AttrCounters.Demand, descending), ties broken by start address so
+// the order is deterministic. rows is not modified.
+func RankAttribution(rows []cpu.FuncAttribution, n int) []cpu.FuncAttribution {
+	ranked := append([]cpu.FuncAttribution(nil), rows...)
+	sort.SliceStable(ranked, func(i, j int) bool {
+		di, dj := ranked[i].Demand(), ranked[j].Demand()
+		if di != dj {
+			return di > dj
+		}
+		return ranked[i].Func < ranked[j].Func
+	})
+	if n > 0 && len(ranked) > n {
+		ranked = ranked[:n]
+	}
+	return ranked
 }
 
 // AttributionTable simulates (or serves from cache) one cell and
-// returns its top-n attribution rows, ranked by prefetch-relevant
-// demand traffic (descending, ties broken by start address so the
-// order is deterministic). n <= 0 means every function. The runner
-// must have been built with Attribution set; otherwise the result
-// carries no rows to tabulate and an error says so.
+// returns its top-n attribution rows in RankAttribution order. n <= 0
+// means every function. The runner must have been built with
+// Attribution set; otherwise the result carries no rows to tabulate
+// and an error says so.
 func (r *Runner) AttributionTable(ctx context.Context, w *Workload, cfg Config, n int) (*AttributionTable, error) {
 	if !r.opts.Attribution {
 		return nil, fmt.Errorf("cgp: attribution table requires RunnerOptions.Attribution")
@@ -71,8 +83,9 @@ func (r *Runner) AttributionTable(ctx context.Context, w *Workload, cfg Config, 
 		Config:     cfg.Label(),
 		TotalFuncs: len(res.CPU.Attribution),
 	}
-	rows := make([]AttrRow, 0, len(res.CPU.Attribution))
-	for _, fa := range res.CPU.Attribution {
+	ranked := RankAttribution(res.CPU.Attribution, n)
+	t.Rows = make([]AttrRow, 0, len(ranked))
+	for _, fa := range ranked {
 		name := "(pre-main)"
 		if fa.Func != 0 {
 			if fn, ok := img.FuncAt(fa.Func); ok && img.Start(fn) == fa.Func {
@@ -81,19 +94,8 @@ func (r *Runner) AttributionTable(ctx context.Context, w *Workload, cfg Config, 
 				name = fmt.Sprintf("%#x", uint64(fa.Func))
 			}
 		}
-		rows = append(rows, AttrRow{Name: name, Func: fa.Func, FuncAttribution: fa})
+		t.Rows = append(t.Rows, AttrRow{Name: name, Func: fa.Func, FuncAttribution: fa})
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		di, dj := attrDemand(&rows[i].FuncAttribution), attrDemand(&rows[j].FuncAttribution)
-		if di != dj {
-			return di > dj
-		}
-		return rows[i].Func < rows[j].Func
-	})
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
-	t.Rows = rows
 	return t, nil
 }
 

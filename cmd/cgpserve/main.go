@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -205,15 +206,16 @@ func serve(cfg serveConfig) error {
 		}
 	}
 	if cfg.tracejson != "" {
-		f, err := os.Create(cfg.tracejson)
-		if err != nil {
+		// Validate before writing, as experiments does for its harness
+		// trace: a malformed export fails here, not inside Perfetto.
+		var buf bytes.Buffer
+		if err := tracer.WriteChromeTrace(&buf); err != nil {
 			return err
 		}
-		err = tracer.WriteChromeTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		if err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
+			return fmt.Errorf("trace validation: %w", err)
 		}
-		if err != nil {
+		if err := os.WriteFile(cfg.tracejson, buf.Bytes(), 0o644); err != nil {
 			return err
 		}
 	}

@@ -42,8 +42,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
+	"cgp"
 	"cgp/internal/core"
 	"cgp/internal/cpu"
 	"cgp/internal/db"
@@ -484,24 +484,10 @@ func replaySampled(path string, c *cpu.CPU, pf prefetch.Prefetcher, scfg sample.
 	return nil
 }
 
-// printAttribution renders the top-n per-function rows, ranked by the
-// demand fetches a prefetcher could have served (misses + prefetch
-// hits + delayed hits).
+// printAttribution renders the top-n per-function rows in the same
+// ranking as the library's attribution tables (cgp.RankAttribution).
 func printAttribution(rows []cpu.FuncAttribution, n int) {
-	demand := func(f *cpu.FuncAttribution) int64 {
-		return f.Misses + f.PrefHits + f.DelayedHits
-	}
-	sorted := append([]cpu.FuncAttribution(nil), rows...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		di, dj := demand(&sorted[i]), demand(&sorted[j])
-		if di != dj {
-			return di > dj
-		}
-		return sorted[i].Func < sorted[j].Func
-	})
-	if n < len(sorted) {
-		sorted = sorted[:n]
-	}
+	sorted := cgp.RankAttribution(rows, n)
 	fmt.Printf("\nper-function attribution (top %d of %d by prefetch-relevant demand):\n", len(sorted), len(rows))
 	fmt.Printf("%-12s %10s %8s %8s %8s %6s %8s %6s %10s\n",
 		"function", "fetches", "misses", "prfhits", "delayed", "cover", "issued", "accur", "timeliness")

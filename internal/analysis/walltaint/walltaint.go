@@ -1,6 +1,6 @@
 // Package walltaint proves, by taint tracking, that no wall-clock-
 // derived value reaches the deterministic domain's outputs: the obs
-// Registry (figure-feeding counters, gauges, histograms), config
+// Registry (figure-feeding counters), config
 // fingerprints, and the typed simulated-unit values (units.Cycles,
 // units.EstCycles, ...) that figures are rendered from.
 //

@@ -14,177 +14,140 @@ import (
 // bucket absorbs everything from 2^(attrBuckets-2) cycles up.
 const attrBuckets = 24
 
-// FuncAttribution is one function's share of the prefetch accounting:
-// what the instruction stream demanded while the function was
-// executing, and how the prefetches launched on its behalf fared. It
-// is part of Stats, so it is deterministic and replay-stable like
-// every other counter.
+// AttrCounters is the counter block every attribution row carries —
+// per function and per traced query — with the derived metrics defined
+// once over it. It is part of Stats, so it is deterministic and
+// replay-stable like every other counter.
 //
 // The two sides attribute differently, by design:
 //
 //   - Demand-side counters (LineFetches, Misses, PrefHits,
-//     DelayedHits, Timeliness) belong to the function that was
-//     executing when the fetch happened — they answer "how well is
-//     this function's code covered?".
+//     DelayedHits) belong to the function (query) that was executing
+//     when the fetch happened — they answer "how well is this code
+//     covered?".
 //   - Issue-side counters (Issued, Squashed, Useful, Useless) belong
-//     to the function whose entry or execution triggered the prefetch
-//     — for CGP's call/return prefetches that is the function being
-//     entered, so they answer "does prefetching on behalf of this
+//     to the function (query) whose entry or execution triggered the
+//     prefetch — for CGP's call/return prefetches that is the function
+//     being entered, so they answer "does prefetching on behalf of this
 //     function pay off?".
-type FuncAttribution struct {
-	// Func is the function's start address (0 collects fetches seen
-	// before the first call event identifies a function).
-	Func isa.Addr
-
+type AttrCounters struct {
 	// LineFetches counts demand instruction line fetches executed
-	// inside the function; Misses is the subset that went to L2 with
+	// inside the row's scope; Misses is the subset that went to L2 with
 	// no prefetch in sight.
 	LineFetches int64
 	Misses      int64
 	// PrefHits / DelayedHits are first touches of prefetched lines
-	// while the function was executing: fully resident vs still
-	// enroute (the paper's Figure 8 split, per function).
+	// inside the scope: fully resident vs still enroute (the paper's
+	// Figure 8 split, per row).
 	PrefHits    int64
 	DelayedHits int64
 
-	// Issued / Squashed count prefetch requests triggered on the
-	// function's behalf; Useful / Useless settle how those issues
-	// ended (first-touched vs evicted untouched).
+	// Issued / Squashed count prefetch requests triggered on the row's
+	// behalf; Useful / Useless settle how those issues ended
+	// (first-touched vs evicted untouched).
 	Issued   int64
 	Squashed int64
 	Useful   int64
 	Useless  int64
 
 	// TimelinessSum is the total issue-to-first-use distance of the
-	// function's useful prefetches; Timeliness is the power-of-two
-	// histogram of those distances. A distance below the L2 latency
+	// row's useful demand touches. A distance below the L2 latency
 	// means the prefetch was late (a delayed hit).
 	TimelinessSum units.Cycles
-	Timeliness    [attrBuckets]int64
 }
 
-// observeTimeliness records one issue-to-use distance.
-func (f *FuncAttribution) observeTimeliness(d units.Cycles) {
-	if d < 0 {
-		d = 0
-	}
-	f.TimelinessSum += d
-	b := bits.Len64(uint64(d))
-	if b >= attrBuckets {
-		b = attrBuckets - 1
-	}
-	f.Timeliness[b]++
-}
+// Demand returns the demand fetches a prefetcher could have served:
+// misses it did not, plus the prefetch hits and delayed hits it did.
+// It ranks attribution tables.
+func (a *AttrCounters) Demand() int64 { return a.Misses + a.PrefHits + a.DelayedHits }
 
 // Coverage returns the fraction of would-be misses the prefetcher
-// served (fully or late) for this function's code.
-func (f *FuncAttribution) Coverage() float64 {
-	demand := f.Misses + f.PrefHits + f.DelayedHits
+// served (fully or late) for the row's code.
+func (a *AttrCounters) Coverage() float64 {
+	demand := a.Demand()
 	if demand == 0 {
 		return 0
 	}
-	return float64(f.PrefHits+f.DelayedHits) / float64(demand)
+	return float64(a.PrefHits+a.DelayedHits) / float64(demand)
 }
 
 // Accuracy returns Useful / Issued for prefetches launched on the
-// function's behalf.
-func (f *FuncAttribution) Accuracy() float64 {
-	if f.Issued == 0 {
+// row's behalf.
+func (a *AttrCounters) Accuracy() float64 {
+	if a.Issued == 0 {
 		return 0
 	}
-	return float64(f.Useful) / float64(f.Issued)
+	return float64(a.Useful) / float64(a.Issued)
 }
 
 // MeanTimeliness returns the mean issue-to-first-use distance of the
-// function's useful demand touches, in cycles.
-func (f *FuncAttribution) MeanTimeliness() float64 {
-	used := f.PrefHits + f.DelayedHits
+// row's useful demand touches, in cycles.
+func (a *AttrCounters) MeanTimeliness() float64 {
+	used := a.PrefHits + a.DelayedHits
 	if used == 0 {
 		return 0
 	}
-	return float64(f.TimelinessSum) / float64(used)
+	return float64(a.TimelinessSum) / float64(used)
+}
+
+// observeTimeliness records one issue-to-use distance d into the sum
+// and, when hist is non-nil, into its power-of-two bucket.
+func (a *AttrCounters) observeTimeliness(d units.Cycles, hist *[attrBuckets]int64) {
+	if d < 0 {
+		d = 0
+	}
+	a.TimelinessSum += d
+	if hist != nil {
+		b := bits.Len64(uint64(d))
+		if b >= attrBuckets {
+			b = attrBuckets - 1
+		}
+		hist[b]++
+	}
+}
+
+// FuncAttribution is one function's share of the prefetch accounting,
+// plus the distribution of its prefetches' timeliness.
+type FuncAttribution struct {
+	// Func is the function's start address (0 collects fetches seen
+	// before the first call event identifies a function).
+	Func isa.Addr
+	AttrCounters
+	// Timeliness is the power-of-two histogram of the distances
+	// TimelinessSum totals.
+	Timeliness [attrBuckets]int64
 }
 
 // QueryAttribution is one traced query's share of the prefetch
 // accounting, keyed by the wire-carried trace ID of the KindQueryTag
-// event that opened its probe batch. The counters split exactly like
-// FuncAttribution's: demand-side counters belong to the query whose
-// statements were executing when the fetch happened, issue-side
-// counters to the query on whose behalf the prefetch was launched.
-// Rows exist only for tagged queries — replaying an untagged capture
-// (or any synthetic workload) produces none, so Stats serialization is
-// unchanged for every pre-existing run shape.
+// event that opened its probe batch: demand-side counters belong to
+// the query whose statements were executing when the fetch happened,
+// issue-side counters to the query on whose behalf the prefetch was
+// launched. Rows exist only for tagged queries — replaying an untagged
+// capture (or any synthetic workload) produces none, so Stats
+// serialization is unchanged for every pre-existing run shape.
 type QueryAttribution struct {
 	// Query is the trace ID from the tagging client (never zero; the
 	// replayer rejects zero tags).
 	Query uint64
-
-	// Demand side: line fetches executed inside the query's statements.
-	LineFetches int64
-	Misses      int64
-	PrefHits    int64
-	DelayedHits int64
-
-	// Issue side: prefetches triggered while the query was executing.
-	Issued   int64
-	Squashed int64
-	Useful   int64
-	Useless  int64
-
-	// TimelinessSum totals the issue-to-first-use distance of the
-	// query's useful prefetches (no per-query bucket array — the
-	// per-function table already carries the distribution).
-	TimelinessSum units.Cycles
+	// AttrCounters carries no timeliness buckets: the per-function
+	// table already carries the distribution.
+	AttrCounters
 }
 
-// observeTimeliness records one issue-to-use distance.
-func (q *QueryAttribution) observeTimeliness(d units.Cycles) {
-	if d < 0 {
-		d = 0
-	}
-	q.TimelinessSum += d
-}
-
-// Coverage returns the fraction of would-be misses the prefetcher
-// served (fully or late) for this query's code.
-func (q *QueryAttribution) Coverage() float64 {
-	demand := q.Misses + q.PrefHits + q.DelayedHits
-	if demand == 0 {
-		return 0
-	}
-	return float64(q.PrefHits+q.DelayedHits) / float64(demand)
-}
-
-// Accuracy returns Useful / Issued for prefetches launched on the
-// query's behalf.
-func (q *QueryAttribution) Accuracy() float64 {
-	if q.Issued == 0 {
-		return 0
-	}
-	return float64(q.Useful) / float64(q.Issued)
-}
-
-// MeanTimeliness returns the mean issue-to-first-use distance of the
-// query's useful demand touches, in cycles.
-func (q *QueryAttribution) MeanTimeliness() float64 {
-	used := q.PrefHits + q.DelayedHits
-	if used == 0 {
-		return 0
-	}
-	return float64(q.TimelinessSum) / float64(used)
-}
-
-// attribution is the per-function collector. It is nil on a CPU
-// unless EnableAttribution was called; every hot-path hook is guarded
-// by that nil check. Rows are appended on first sight of a function
-// and reused forever after, so a warmed CPU attributes without
-// allocating — the same steady-state contract the inflight ring keeps.
+// attribution is the per-function and per-query collector. It is nil
+// on a CPU unless EnableAttribution was called; every hot-path hook is
+// guarded by that nil check. Rows are appended on first sight of a
+// function (or query) and reused forever after, so a warmed CPU
+// attributes without allocating — the same steady-state contract the
+// inflight ring keeps.
 //
-// When the stream carries KindQueryTag events (a tagged live capture),
-// the collector additionally scopes the same counters by query: curQ
-// indexes the executing query's row, or -1 between a context switch
-// and the next tag — a switch to an untagged batch must not smear its
-// fetches onto the previously tagged query.
+// Every event is charged to a function row and a query row. When the
+// stream carries KindQueryTag events (a tagged live capture), curQ
+// indexes the executing query's row; outside any tagged query — before
+// the first tag, or between a context switch and the next tag, so an
+// untagged batch never smears onto the previous query — it indexes
+// qrows[0], a scratch row that is never exported.
 type attribution struct {
 	index  map[isa.Addr]int32
 	rows   []FuncAttribution
@@ -199,7 +162,7 @@ func newAttribution() *attribution {
 	a := &attribution{
 		index:  make(map[isa.Addr]int32, 64),
 		qindex: make(map[uint64]int32, 16),
-		curQ:   -1,
+		qrows:  make([]QueryAttribution, 1, 16),
 	}
 	a.curIdx = a.rowFor(0)
 	return a
@@ -232,21 +195,6 @@ func (a *attribution) enter(fn isa.Addr) {
 	a.curIdx = a.rowFor(fn)
 }
 
-// cur returns the executing function's row. The pointer is valid only
-// until the next enter — rows may move when the slice grows.
-func (a *attribution) cur() *FuncAttribution { return &a.rows[a.curIdx] }
-
-// at returns the row at a previously captured index.
-func (a *attribution) at(i int32) *FuncAttribution { return &a.rows[i] }
-
-// sorted returns a copy of the rows ordered by function start address,
-// the deterministic order Stats exposes.
-func (a *attribution) sorted() []FuncAttribution {
-	rows := append([]FuncAttribution(nil), a.rows...)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Func < rows[j].Func })
-	return rows
-}
-
 // enterQuery switches the executing query (on KindQueryTag events).
 func (a *attribution) enterQuery(id uint64) {
 	if i, ok := a.qindex[id]; ok {
@@ -258,7 +206,7 @@ func (a *attribution) enterQuery(id uint64) {
 
 // leaveQuery clears the query scope (on context switches: the next
 // batch is untagged until its own tag arrives).
-func (a *attribution) leaveQuery() { a.curQ = -1 }
+func (a *attribution) leaveQuery() { a.curQ = 0 }
 
 // addQueryRow appends a fresh row for query id. Tagged captures carry
 // a handful of distinct IDs, so this is first-sight-only like addRow.
@@ -271,29 +219,79 @@ func (a *attribution) addQueryRow(id uint64) int32 {
 	return i
 }
 
-// qcur returns the executing query's row, or nil outside any tagged
-// query. The pointer is valid only until the next enterQuery.
-func (a *attribution) qcur() *QueryAttribution {
-	if a.curQ < 0 {
-		return nil
-	}
-	return &a.qrows[a.curQ]
+// Demand-side hooks charge the executing function and query.
+
+// fetched charges one demand line fetch.
+func (a *attribution) fetched() {
+	a.rows[a.curIdx].LineFetches++
+	a.qrows[a.curQ].LineFetches++
 }
 
-// qat returns the query row at a previously captured index (from an
-// inflight entry's qissuer), or nil for the -1 "no query" sentinel.
-func (a *attribution) qat(i int32) *QueryAttribution {
-	if i < 0 {
-		return nil
-	}
-	return &a.qrows[i]
+// missed charges one full miss.
+func (a *attribution) missed() {
+	a.rows[a.curIdx].Misses++
+	a.qrows[a.curQ].Misses++
 }
 
-// qsorted returns a copy of the query rows ordered by trace ID, the
-// deterministic order Stats exposes (and the join key order
-// `cgptrace replay -by-query` prints).
+// used settles the first demand touch of a prefetched line, d cycles
+// after its issue: a prefetch hit (or a delayed hit, if the line was
+// still enroute) for the executing function and query, and a useful
+// prefetch for the rows that issued it.
+func (a *attribution) used(delayed bool, d units.Cycles, issuer, qissuer int32) {
+	f, q := &a.rows[a.curIdx], &a.qrows[a.curQ]
+	if delayed {
+		f.DelayedHits++
+		q.DelayedHits++
+	} else {
+		f.PrefHits++
+		q.PrefHits++
+	}
+	f.observeTimeliness(d, &f.Timeliness)
+	q.observeTimeliness(d, nil)
+	a.rows[issuer].Useful++
+	a.qrows[qissuer].Useful++
+}
+
+// Issue-side hooks charge the function and query on whose behalf a
+// prefetch was requested.
+
+// squashed charges one dropped prefetch request.
+func (a *attribution) squashed() {
+	a.rows[a.curIdx].Squashed++
+	a.qrows[a.curQ].Squashed++
+}
+
+// issued charges one prefetch sent to L2 and returns the row indices
+// its inflight entry carries until the line is used or evicted.
+func (a *attribution) issued() (issuer, qissuer int32) {
+	a.rows[a.curIdx].Issued++
+	a.qrows[a.curQ].Issued++
+	return a.curIdx, a.curQ
+}
+
+// useless settles a prefetched line evicted untouched.
+func (a *attribution) useless(issuer, qissuer int32) {
+	a.rows[issuer].Useless++
+	a.qrows[qissuer].Useless++
+}
+
+// sorted returns a copy of the function rows ordered by start address,
+// the deterministic order Stats exposes.
+func (a *attribution) sorted() []FuncAttribution {
+	rows := append([]FuncAttribution(nil), a.rows...)
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Func < rows[j].Func })
+	return rows
+}
+
+// qsorted returns a copy of the query rows, minus the scratch row,
+// ordered by trace ID: the deterministic order Stats exposes (and the
+// join key order `cgptrace replay -by-query` prints). It returns nil
+// when no query was tagged.
 func (a *attribution) qsorted() []QueryAttribution {
-	rows := append([]QueryAttribution(nil), a.qrows...)
+	if len(a.qrows) == 1 {
+		return nil
+	}
+	rows := append([]QueryAttribution(nil), a.qrows[1:]...)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Query < rows[j].Query })
 	return rows
 }

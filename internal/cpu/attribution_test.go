@@ -7,6 +7,7 @@ package cpu_test
 // must stay allocation-free once warmed.
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -173,5 +174,46 @@ func TestEventLoopDoesNotAllocateWithAttribution(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("attributed event loop allocates %.1f times per 2000-event batch, want 0", allocs)
+	}
+}
+
+// TestAttributionStatsJSONShape pins the serialized form of attributed
+// Stats — what checkpoints store and cgpsim -stats-json prints. The
+// embedded AttrCounters fields must serialize flat, in this key order,
+// and the pinned bytes must decode to the same rows, so checkpoints
+// already on disk keep loading.
+func TestAttributionStatsJSONShape(t *testing.T) {
+	const want = `{"Cycles":1000,"Instructions":800,"ICacheMisses":12,"ILineAccesses":300,"IMissStallCycles":0,"DCacheMisses":0,"DLineAccesses":0,"L2Accesses":0,"L2Misses":0,"Branches":0,"BranchMispredicts":0,"Returns":0,"RASMispredicts":0,"Calls":0,"Switches":0,"NL":{"Issued":0,"Squashed":0,"PrefHits":0,"DelayedHits":0,"Useless":0},"CGHC":{"Issued":0,"Squashed":0,"PrefHits":0,"DelayedHits":0,"Useless":0},"L1IStats":{"Accesses":0,"Misses":0,"Evictions":0,"Inserts":0},"L1DStats":{"Accesses":0,"Misses":0,"Evictions":0,"Inserts":0},"L2Stats":{"Accesses":0,"Misses":0,"Evictions":0,"Inserts":0},"Attribution":[{"Func":16384,"LineFetches":300,"Misses":12,"PrefHits":30,"DelayedHits":4,"Issued":50,"Squashed":6,"Useful":34,"Useless":9,"TimelinessSum":1234,"Timeliness":[1,0,0,2,0,0,0,30,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]}],"QueryAttr":[{"Query":12884901906,"LineFetches":200,"Misses":7,"PrefHits":20,"DelayedHits":3,"Issued":40,"Squashed":5,"Useful":23,"Useless":8,"TimelinessSum":999}],"Sample":null}`
+	s := cpu.Stats{
+		Cycles: 1000, Instructions: 800, ICacheMisses: 12, ILineAccesses: 300,
+		Attribution: []cpu.FuncAttribution{{
+			Func: 0x4000,
+			AttrCounters: cpu.AttrCounters{
+				LineFetches: 300, Misses: 12, PrefHits: 30, DelayedHits: 4,
+				Issued: 50, Squashed: 6, Useful: 34, Useless: 9, TimelinessSum: 1234,
+			},
+			Timeliness: [24]int64{0: 1, 3: 2, 7: 30, 23: 1},
+		}},
+		QueryAttr: []cpu.QueryAttribution{{
+			Query: 0x300000012,
+			AttrCounters: cpu.AttrCounters{
+				LineFetches: 200, Misses: 7, PrefHits: 20, DelayedHits: 3,
+				Issued: 40, Squashed: 5, Useful: 23, Useless: 8, TimelinessSum: 999,
+			},
+		}},
+	}
+	got, err := json.Marshal(&s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("attributed Stats JSON changed shape:\ngot:  %s\nwant: %s", got, want)
+	}
+	var back cpu.Stats
+	if err := json.Unmarshal([]byte(want), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, s) {
+		t.Fatalf("pinned JSON decodes to %+v, want %+v", back, s)
 	}
 }

@@ -18,10 +18,10 @@ type lineMeta struct {
 	used       bool
 	portion    prefetch.Portion
 	// issuedAt / issuer / qissuer record when the prefetch was
-	// launched, which attribution row triggered it, and which query row
-	// (-1 outside any tagged query). They are only meaningful for
-	// prefetched lines on a CPU with attribution enabled; otherwise
-	// they stay zero.
+	// launched and which function and query attribution rows triggered
+	// it (query row 0 outside any tagged query). They are only
+	// meaningful for prefetched lines on a CPU with attribution
+	// enabled; otherwise they stay zero.
 	issuedAt units.Cycles
 	issuer   int32
 	qissuer  int32
@@ -68,9 +68,10 @@ type CPU struct {
 	loopBranches    int64
 	loopMispredicts int64
 
-	// attr is the per-function attribution collector, nil unless
-	// EnableAttribution was called. Every hook below is guarded by the
-	// nil check, so the disabled case costs one predictable branch.
+	// attr is the per-function and per-query attribution collector,
+	// nil unless EnableAttribution was called. Every hook below is
+	// guarded by the nil check, so the disabled case costs one
+	// predictable branch.
 	attr *attribution
 
 	// smp is the sampled-simulation state (see sample.go), nil unless
@@ -212,9 +213,7 @@ func (c *CPU) Finish() *Stats {
 	s.RASMispredicts = c.ras.Mispredicts()
 	if c.attr != nil {
 		s.Attribution = c.attr.sorted()
-		if len(c.attr.qrows) > 0 {
-			s.QueryAttr = c.attr.qsorted()
-		}
+		s.QueryAttr = c.attr.qsorted()
 	}
 	if c.smp != nil {
 		c.closeWindow()
@@ -286,10 +285,7 @@ func (c *CPU) addThroughput(n int) {
 func (c *CPU) fetchLine(line isa.Addr) {
 	c.stats.ILineAccesses++
 	if c.attr != nil {
-		c.attr.cur().LineFetches++
-		if q := c.attr.qcur(); q != nil {
-			q.LineFetches++
-		}
+		c.attr.fetched()
 	}
 	// drainCompleted's guard, hoisted by hand: the whole wrapper is past
 	// the inlining budget, and this runs on every fetched line.
@@ -303,17 +299,7 @@ func (c *CPU) fetchLine(line isa.Addr) {
 			meta.used = true
 			c.portionStats(meta.portion).PrefHits++
 			if c.attr != nil {
-				row := c.attr.cur()
-				row.PrefHits++
-				row.observeTimeliness(c.cycle - meta.issuedAt)
-				c.attr.at(meta.issuer).Useful++
-				if q := c.attr.qcur(); q != nil {
-					q.PrefHits++
-					q.observeTimeliness(c.cycle - meta.issuedAt)
-				}
-				if q := c.attr.qat(meta.qissuer); q != nil {
-					q.Useful++
-				}
+				c.attr.used(false, c.cycle-meta.issuedAt, meta.issuer, meta.qissuer)
 			}
 		}
 	} else if inf := c.fifo.lookup(line); inf != nil {
@@ -326,17 +312,7 @@ func (c *CPU) fetchLine(line isa.Addr) {
 		c.stats.IMissStallCycles += wait
 		c.portionStats(inf.portion).DelayedHits++
 		if c.attr != nil {
-			row := c.attr.cur()
-			row.DelayedHits++
-			row.observeTimeliness(c.cycle - inf.issuedAt)
-			c.attr.at(inf.issuer).Useful++
-			if q := c.attr.qcur(); q != nil {
-				q.DelayedHits++
-				q.observeTimeliness(c.cycle - inf.issuedAt)
-			}
-			if q := c.attr.qat(inf.qissuer); q != nil {
-				q.Useful++
-			}
+			c.attr.used(true, c.cycle-inf.issuedAt, inf.issuer, inf.qissuer)
 		}
 		// The entry stays queued (the bus transfer already happened)
 		// but is marked consumed and unindexed so drain skips it.
@@ -349,10 +325,7 @@ func (c *CPU) fetchLine(line isa.Addr) {
 		// Full miss: go to L2 through the shared FIFO.
 		c.stats.ICacheMisses++
 		if c.attr != nil {
-			c.attr.cur().Misses++
-			if q := c.attr.qcur(); q != nil {
-				q.Misses++
-			}
+			c.attr.missed()
 		}
 		lat := c.l2DemandAccess(line)
 		c.cycle += lat
@@ -369,10 +342,7 @@ func (c *CPU) insertL1I(line isa.Addr, meta lineMeta) {
 	if had && ev.Payload.prefetched && !ev.Payload.used {
 		c.portionStats(ev.Payload.portion).Useless++
 		if c.attr != nil {
-			c.attr.at(ev.Payload.issuer).Useless++
-			if q := c.attr.qat(ev.Payload.qissuer); q != nil {
-				q.Useless++
-			}
+			c.attr.useless(ev.Payload.issuer, ev.Payload.qissuer)
 		}
 	}
 }
@@ -381,36 +351,18 @@ func (c *CPU) insertL1I(line isa.Addr, meta lineMeta) {
 func (c *CPU) issue(req prefetch.Request) {
 	line := isa.LineAddr(req.Addr)
 	ps := c.portionStats(req.Portion)
-	if c.l1i.Contains(cache.Line(isa.Line(line))) {
+	if c.l1i.Contains(cache.Line(isa.Line(line))) || c.fifo.lookup(line) != nil {
+		// Already resident or already in flight.
 		ps.Squashed++
 		if c.attr != nil {
-			c.attr.cur().Squashed++
-			if q := c.attr.qcur(); q != nil {
-				q.Squashed++
-			}
-		}
-		return
-	}
-	if c.fifo.lookup(line) != nil {
-		ps.Squashed++
-		if c.attr != nil {
-			c.attr.cur().Squashed++
-			if q := c.attr.qcur(); q != nil {
-				q.Squashed++
-			}
+			c.attr.squashed()
 		}
 		return
 	}
 	ps.Issued++
-	var issuer int32
-	qissuer := int32(-1)
+	var issuer, qissuer int32
 	if c.attr != nil {
-		c.attr.cur().Issued++
-		issuer = c.attr.curIdx
-		qissuer = c.attr.curQ
-		if q := c.attr.qcur(); q != nil {
-			q.Issued++
-		}
+		issuer, qissuer = c.attr.issued()
 	}
 	if c.cfg.PrefetchIntoL2Only {
 		// The line is staged in L2 only: warm the L2 (paying the memory

@@ -15,9 +15,8 @@ type inflight struct {
 	portion prefetch.Portion
 	done    bool
 	// issuedAt / issuer / qissuer carry the attribution provenance of
-	// the prefetch (issue cycle, issuing function's row index, and
-	// issuing query's row index or -1); all stay zero when attribution
-	// is disabled.
+	// the prefetch (issue cycle and the issuing function's and query's
+	// row indices); all stay zero when attribution is disabled.
 	issuedAt units.Cycles
 	issuer   int32
 	qissuer  int32

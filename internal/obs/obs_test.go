@@ -23,9 +23,7 @@ func TestNilSafety(t *testing.T) {
 
 	var reg *Registry
 	reg.Counter("a").Add(1)
-	reg.Gauge("b").Set(2)
-	reg.Histogram("c").Observe(3)
-	if err := reg.WriteText(&bytes.Buffer{}); err != nil {
+	if err := reg.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,53 +67,33 @@ func TestRegistryExpositionSortedAndStable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zeta").Add(3)
 	r.Counter("alpha").Add(1)
-	r.Gauge("mid").Set(2)
-	h := r.Histogram("dist")
-	h.Observe(0)
-	h.Observe(1)
-	h.Observe(5)
+	r.Counter("mid").Add(2)
 
 	var a, b bytes.Buffer
-	if err := r.WriteText(&a); err != nil {
+	if err := r.WritePrometheus(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteText(&b); err != nil {
+	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
 		t.Fatalf("exposition not stable:\n%s\nvs\n%s", a.String(), b.String())
 	}
-	lines := strings.Split(strings.TrimSpace(a.String()), "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] >= lines[i] {
-			t.Fatalf("exposition not sorted: %q before %q", lines[i-1], lines[i])
+	if err := ValidatePrometheusText(a.Bytes()); err != nil {
+		t.Fatalf("exposition fails the lint: %v\n%s", err, a.String())
+	}
+	var samples []string
+	for _, line := range strings.Split(strings.TrimSpace(a.String()), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			samples = append(samples, line)
 		}
 	}
-	want := []string{"alpha 1", "dist_count 3", "dist_sum 6", "mid 2", "zeta 3"}
-	for _, w := range want {
-		if !strings.Contains(a.String(), w+"\n") {
-			t.Fatalf("exposition missing %q:\n%s", w, a.String())
-		}
+	want := []string{"alpha 1", "mid 2", "zeta 3"}
+	if strings.Join(samples, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("exposition samples %q, want %q (sorted by name)", samples, want)
 	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
-	h.Observe(0)  // bucket 0
-	h.Observe(1)  // bucket 1: [1,2)
-	h.Observe(3)  // bucket 2: [2,4)
-	h.Observe(-7) // clamped to 0
-	if got := h.Bucket(0); got != 2 {
-		t.Fatalf("bucket 0 = %d, want 2", got)
-	}
-	if got := h.Bucket(1); got != 1 {
-		t.Fatalf("bucket 1 = %d, want 1", got)
-	}
-	if got := h.Bucket(2); got != 1 {
-		t.Fatalf("bucket 2 = %d, want 1", got)
-	}
-	if h.Count() != 4 || h.Sum() != 4 {
-		t.Fatalf("count=%d sum=%d, want 4, 4", h.Count(), h.Sum())
+	if !strings.Contains(a.String(), "# TYPE alpha counter\n") {
+		t.Fatalf("exposition missing counter TYPE line:\n%s", a.String())
 	}
 }
 
@@ -128,16 +106,12 @@ func TestCountersConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("n").Add(1)
-				r.Histogram("h").Observe(int64(j))
 			}
 		}()
 	}
 	wg.Wait()
 	if got := r.Counter("n").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
-	}
-	if got := r.Histogram("h").Count(); got != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }
 
@@ -349,11 +323,14 @@ func TestWallRegistryExposition(t *testing.T) {
 	r.Observe("record", units.WallNanos(500))
 
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"wall_retries 2\n", "wall_record_count 2\n", "wall_record_total_ns 2000\n"} {
+	if err := ValidatePrometheusText(buf.Bytes()); err != nil {
+		t.Fatalf("exposition fails the lint: %v\n%s", err, out)
+	}
+	for _, want := range []string{"wall_retries_total 2\n", "wall_record_count 2\n", "wall_record_total_ns 2000\n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}

@@ -10,12 +10,10 @@ import (
 	"strings"
 )
 
-// Prometheus text exposition (format version 0.0.4). The plain
-// `name value` WriteText format predates this file and stays for the
-// artifact dumps that diff it; /metrics now serves WritePrometheus so
-// a stock Prometheus scrape (and the promtext lint in CI) can consume
-// it: `# HELP`/`# TYPE` per family, escaped label values, cumulative
-// `le` histogram buckets with `+Inf`, and summary quantiles.
+// Prometheus text exposition (format version 0.0.4), the one metrics
+// format every /metrics endpoint serves, so a stock Prometheus scrape
+// (and the promtext lint in CI) can consume it: `# HELP`/`# TYPE` per
+// family, escaped label values, and summary quantiles.
 
 // promEscape escapes a label value per the exposition format:
 // backslash, double quote and newline.
@@ -99,70 +97,29 @@ func AppendPromGauge(b []byte, name, help string, v int64) []byte {
 }
 
 // WritePrometheus writes the deterministic-domain registry in
-// Prometheus text exposition format: counters and gauges as-is,
-// power-of-two histograms expanded to cumulative `le` buckets (upper
-// bound 2^i per occupied bucket) plus `+Inf`, `_sum` and `_count`.
-// Families are emitted in sorted name order so the exposition is
-// deterministic like the registry it describes.
+// Prometheus text exposition format, one counter family per metric in
+// sorted name order, so the exposition is deterministic like the
+// registry it describes.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	counterNames := sortedKeys(r.counters)
-	gaugeNames := sortedKeys(r.gauges)
-	histNames := sortedKeys(r.hists)
 	var b []byte
-	for _, name := range counterNames {
+	for _, name := range sortedKeys(r.counters) {
 		pn := promName(name)
 		b = appendPromHeader(b, pn, "Deterministic-domain counter "+name+".", "counter")
 		b = append(b, fmt.Sprintf("%s %d\n", pn, r.counters[name].Value())...)
-	}
-	for _, name := range gaugeNames {
-		pn := promName(name)
-		b = appendPromHeader(b, pn, "Deterministic-domain gauge "+name+".", "gauge")
-		b = append(b, fmt.Sprintf("%s %d\n", pn, r.gauges[name].Value())...)
-	}
-	for _, name := range histNames {
-		h := r.hists[name]
-		pn := promName(name)
-		b = appendPromHeader(b, pn, "Deterministic-domain power-of-two histogram "+name+".", "histogram")
-		var cum int64
-		for i := 0; i < histBuckets; i++ {
-			n := h.Bucket(i)
-			if n == 0 {
-				continue
-			}
-			cum += n
-			b = append(b, fmt.Sprintf("%s_bucket{le=%q} %d\n", pn, promBucketBound(i), cum)...)
-		}
-		b = append(b, fmt.Sprintf("%s_bucket{le=\"+Inf\"} %d\n", pn, h.Count())...)
-		b = append(b, fmt.Sprintf("%s_sum %d\n", pn, h.Sum())...)
-		b = append(b, fmt.Sprintf("%s_count %d\n", pn, h.Count())...)
 	}
 	r.mu.Unlock()
 	_, err := w.Write(b)
 	return err
 }
 
-// promBucketBound renders power-of-two bucket i's inclusive upper
-// bound: bucket 0 holds zeros (le="0"), bucket i≥1 holds integer
-// values in [2^(i-1), 2^i), so its inclusive bound is 2^i - 1.
-func promBucketBound(i int) string {
-	if i <= 0 {
-		return "0"
-	}
-	if i >= 64 {
-		return "+Inf"
-	}
-	return strconv.FormatUint(uint64(1)<<uint(i)-1, 10)
-}
-
 // WritePrometheus writes the wall-clock-domain registry in Prometheus
 // text exposition format: event counters as `wall_<name>_total`
 // counters, timers as `wall_<name>_count` + `wall_<name>_total_ns`
-// counter pairs. The `wall_` prefix marks the domain, exactly as in
-// the plain-text exposition.
+// counter pairs. The `wall_` prefix marks the domain.
 func (r *WallRegistry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil

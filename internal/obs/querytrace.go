@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,7 +156,7 @@ type QueryTracer struct {
 	seen   int64
 	rng    uint64
 	closed bool
-	logErr error
+	log    jsonlWriter
 }
 
 // NewQueryTracer builds a tracer.
@@ -176,6 +174,7 @@ func NewQueryTracer(opts QueryTraceOptions) *QueryTracer {
 		opts:   opts,
 		slowNs: units.WallNanos(opts.SlowThreshold.Nanoseconds()),
 		rng:    opts.Seed,
+		log:    jsonlWriter{w: opts.LogW},
 	}
 }
 
@@ -373,29 +372,16 @@ func (t *QueryTracer) Close() error {
 			t.logLocked(&t.res[i], false)
 		}
 	}
-	return t.logErr
-}
-
-// queryLogLine is the slow-query log's JSONL schema. TraceID is
-// rendered as 16 lower-case hex digits so log greps and the replay
-// join never fight integer formatting.
-type queryLogLine struct {
-	TraceID string           `json:"trace_id"`
-	Conn    string           `json:"conn"`
-	Tagged  bool             `json:"tagged"`
-	Status  string           `json:"status"`
-	Slow    bool             `json:"slow"`
-	TotalNs int64            `json:"total_ns"`
-	Stages  map[string]int64 `json:"stages"`
+	return t.log.err
 }
 
 // logLocked writes one span to the log; the caller holds t.mu.
 func (t *QueryTracer) logLocked(sp *QuerySpanData, slow bool) {
-	if t.opts.LogW == nil || t.logErr != nil {
+	if t.opts.LogW == nil {
 		return
 	}
-	line := queryLogLine{
-		TraceID: fmt.Sprintf("%016x", sp.ID),
+	e := QueryLogEntry{
+		TraceID: FormatTraceID(sp.ID),
 		Conn:    sp.Conn,
 		Tagged:  sp.Tagged,
 		Status:  sp.Status,
@@ -405,20 +391,15 @@ func (t *QueryTracer) logLocked(sp *QuerySpanData, slow bool) {
 	}
 	for i := QueryStage(0); i < NumQueryStages; i++ {
 		if d := sp.Stages[i]; d > 0 {
-			line.Stages[i.String()] = wallInt(d)
+			e.Stages[i.String()] = wallInt(d)
 		}
 	}
-	data, err := json.Marshal(line)
-	if err != nil {
-		t.logErr = err
-		return
-	}
-	if _, err := t.opts.LogW.Write(append(data, '\n')); err != nil {
-		t.logErr = err
-	}
+	t.log.write(e)
 }
 
-// QueryLogEntry is one parsed slow-query log line.
+// QueryLogEntry is one slow-query log line, as written and as parsed.
+// TraceID is rendered as 16 lower-case hex digits so log greps and the
+// replay join never fight integer formatting.
 type QueryLogEntry struct {
 	TraceID string           `json:"trace_id"`
 	Conn    string           `json:"conn"`
@@ -429,13 +410,29 @@ type QueryLogEntry struct {
 	Stages  map[string]int64 `json:"stages"`
 }
 
-// ID parses the entry's 16-hex-digit trace ID.
+// ID parses the entry's trace ID, or returns 0 if it is malformed.
 func (e *QueryLogEntry) ID() uint64 {
-	var id uint64
-	if _, err := fmt.Sscanf(e.TraceID, "%016x", &id); err != nil {
-		return 0
-	}
+	id, _ := ParseTraceID(e.TraceID)
 	return id
+}
+
+// FormatTraceID renders a trace ID the way every artifact carries it:
+// 16 lower-case hex digits.
+func FormatTraceID(id uint64) string { return fmt.Sprintf("%016x", id) }
+
+// ParseTraceID parses a trace ID as FormatTraceID renders it: exactly
+// 16 hex digits (either case; no sign, prefix or padding) and nonzero.
+// It is the one parser for the HTTP trace header, slow-query log lines
+// and their validator.
+func ParseTraceID(s string) (uint64, error) {
+	id, err := strconv.ParseUint(s, 16, 64)
+	if len(s) != 16 || err != nil {
+		return 0, fmt.Errorf("trace id %q: want 16 hex digits", s)
+	}
+	if id == 0 {
+		return 0, fmt.Errorf("zero trace id")
+	}
+	return id, nil
 }
 
 // ValidateQueryLog parses a slow-query log and checks its schema:
@@ -449,45 +446,29 @@ func ValidateQueryLog(r io.Reader) ([]QueryLogEntry, error) {
 	for i := QueryStage(0); i < NumQueryStages; i++ {
 		stageNames[i.String()] = true
 	}
-	var entries []QueryLogEntry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e QueryLogEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("query log line %d: invalid JSON: %w", line, err)
-		}
-		if len(e.TraceID) != 16 || e.ID() == 0 {
-			return nil, fmt.Errorf("query log line %d: bad trace_id %q (want 16 hex digits, nonzero)", line, e.TraceID)
+	return readJSONL(r, "query log", func(e *QueryLogEntry) error {
+		if _, err := ParseTraceID(e.TraceID); err != nil {
+			return fmt.Errorf("bad trace_id %q (want 16 hex digits, nonzero)", e.TraceID)
 		}
 		if !KnownQueryStatuses[e.Status] {
-			return nil, fmt.Errorf("query log line %d: unknown status %q", line, e.Status)
+			return fmt.Errorf("unknown status %q", e.Status)
 		}
 		if e.Conn == "" {
-			return nil, fmt.Errorf("query log line %d: empty conn", line)
+			return fmt.Errorf("empty conn")
 		}
 		if e.TotalNs < 0 {
-			return nil, fmt.Errorf("query log line %d: negative total_ns", line)
+			return fmt.Errorf("negative total_ns")
 		}
 		for name, ns := range e.Stages {
 			if !stageNames[name] {
-				return nil, fmt.Errorf("query log line %d: unknown stage %q", line, name)
+				return fmt.Errorf("unknown stage %q", name)
 			}
 			if ns < 0 {
-				return nil, fmt.Errorf("query log line %d: negative %s duration", line, name)
+				return fmt.Errorf("negative %s duration", name)
 			}
 		}
-		entries = append(entries, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("query log: %w", err)
-	}
-	return entries, nil
+		return nil
+	})
 }
 
 // WriteChromeTrace exports the retained spans as Perfetto-loadable
@@ -497,67 +478,35 @@ func ValidateQueryLog(r io.Reader) ([]QueryLogEntry, error) {
 // span's start — the layout shows each stage's share, not the exact
 // sub-microsecond gaps between them.
 func (t *QueryTracer) WriteChromeTrace(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`+"\n")
-		return err
-	}
 	spans := t.Spans()
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].ID < spans[j].ID
-	})
-	var laneEnds []units.WallNanos
-	events := make([]chromeEvent, 0, 2*len(spans))
+	recs := make([]spanRecord, len(spans))
 	for i := range spans {
 		sp := &spans[i]
-		lane := -1
-		for l, end := range laneEnds {
-			if end <= sp.Start {
-				lane = l
-				break
-			}
+		id := FormatTraceID(sp.ID)
+		recs[i] = spanRecord{
+			name: "query", cat: "query", key: id,
+			start: sp.Start, dur: sp.Total,
+			args:   [][2]string{{"trace_id", id}, {"conn", sp.Conn}, {"status", sp.Status}},
+			stages: make([]spanStage, NumQueryStages),
 		}
-		if lane == -1 {
-			lane = len(laneEnds)
-			laneEnds = append(laneEnds, 0)
-		}
-		laneEnds[lane] = sp.Start + sp.Total
-		args := map[string]string{
-			"trace_id": fmt.Sprintf("%016x", sp.ID),
-			"conn":     sp.Conn,
-			"status":   sp.Status,
-		}
-		events = append(events, chromeEvent{
-			Name: "query", Cat: "query", Ph: "X",
-			Ts: wallInt(sp.Start) / 1000, Dur: wallInt(sp.Total) / 1000,
-			Pid: 1, Tid: lane + 1, Args: args,
-		})
-		at := sp.Start
 		for st := QueryStage(0); st < NumQueryStages; st++ {
-			d := sp.Stages[st]
-			if d <= 0 {
-				continue
-			}
-			events = append(events, chromeEvent{
-				Name: st.String(), Cat: "stage", Ph: "X",
-				Ts: wallInt(at) / 1000, Dur: wallInt(d) / 1000,
-				Pid: 1, Tid: lane + 1,
-			})
-			at += d
+			recs[i].stages[st] = spanStage{name: st.String(), dur: sp.Stages[st]}
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return writeChromeTrace(w, recs)
 }
 
 // ---- fixed-bucket wall-latency histogram ----
 
-// wallHist is a fixed-bucket power-of-two latency histogram over
-// nanoseconds: bucket i counts observations v with bits.Len64(v) == i.
-// Observation is lock-free (atomic adds into a fixed array) — the
-// per-query aggregation path takes no mutex.
+// histBuckets is the number of power-of-two buckets a wallHist keeps:
+// bucket i counts observations v with bits.Len64(v) == i, i.e. bucket 0
+// holds zeros and bucket i≥1 holds v in [2^(i-1), 2^i).
+const histBuckets = 65
+
+// wallHist is the package's one histogram: fixed power-of-two buckets
+// over nanoseconds (see histBuckets). Observation is lock-free (atomic
+// adds into a fixed array) — the per-query aggregation path takes no
+// mutex.
 type wallHist struct {
 	count   atomic.Int64
 	sum     atomic.Int64

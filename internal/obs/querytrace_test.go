@@ -104,6 +104,9 @@ func TestValidateQueryLogRejectsBadLines(t *testing.T) {
 		{"not json", "not json"},
 		{"short id", `{"trace_id":"12ab","conn":"c","status":"ok","total_ns":1,"stages":{}}`},
 		{"zero id", `{"trace_id":"0000000000000000","conn":"c","status":"ok","total_ns":1,"stages":{}}`},
+		{"trailing non-hex", `{"trace_id":"00000000000001zz","conn":"c","status":"ok","total_ns":1,"stages":{}}`},
+		{"space padded", `{"trace_id":" 00000000000001 ","conn":"c","status":"ok","total_ns":1,"stages":{}}`},
+		{"trailing spaces", `{"trace_id":"1               ","conn":"c","status":"ok","total_ns":1,"stages":{}}`},
 		{"bad status", `{"trace_id":"0000000000000001","conn":"c","status":"weird","total_ns":1,"stages":{}}`},
 		{"empty conn", `{"trace_id":"0000000000000001","conn":"","status":"ok","total_ns":1,"stages":{}}`},
 		{"negative total", `{"trace_id":"0000000000000001","conn":"c","status":"ok","total_ns":-5,"stages":{}}`},
@@ -216,6 +219,28 @@ func TestWallHistQuantiles(t *testing.T) {
 }
 
 func TestWriteChromeTraceShape(t *testing.T) {
+	type event struct {
+		Name string            `json:"name"`
+		Ph   string            `json:"ph"`
+		Tid  int               `json:"tid"`
+		Args map[string]string `json:"args"`
+	}
+	export := func(tr *QueryTracer) []event {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			TraceEvents     []event `json:"traceEvents"`
+			DisplayTimeUnit string  `json:"displayTimeUnit"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatalf("chrome trace is not valid JSON: %v", err)
+		}
+		return out.TraceEvents
+	}
+
 	tr := NewQueryTracer(QueryTraceOptions{})
 	ct := tr.Conn()
 	endSpan(tr, ct, 0xbeef, StatusOK, map[QueryStage]units.WallNanos{
@@ -223,32 +248,37 @@ func TestWriteChromeTraceShape(t *testing.T) {
 		StageDrain: 5000,
 	})
 	ct.Close()
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		TraceEvents []struct {
-			Name string            `json:"name"`
-			Ph   string            `json:"ph"`
-			Args map[string]string `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
+	events := export(tr)
 	// One umbrella event plus one per nonzero stage.
-	if len(out.TraceEvents) != 3 {
-		t.Fatalf("chrome trace has %d events, want 3", len(out.TraceEvents))
+	if len(events) != 3 {
+		t.Fatalf("chrome trace has %d events, want 3", len(events))
 	}
-	if out.TraceEvents[0].Name != "query" || out.TraceEvents[0].Args["trace_id"] != "000000000000beef" {
-		t.Fatalf("umbrella event = %+v", out.TraceEvents[0])
+	if events[0].Name != "query" || events[0].Args["trace_id"] != "000000000000beef" {
+		t.Fatalf("umbrella event = %+v", events[0])
 	}
-	for _, ev := range out.TraceEvents {
+	for _, ev := range events {
 		if ev.Ph != "X" {
 			t.Fatalf("event %q has phase %q, want X", ev.Name, ev.Ph)
 		}
+		// Stage events nest on their umbrella's lane.
+		if ev.Tid != events[0].Tid {
+			t.Fatalf("stage %q on lane %d, umbrella on lane %d", ev.Name, ev.Tid, events[0].Tid)
+		}
+	}
+
+	// Two overlapping queries land on different lanes. The spans are
+	// filed directly so the intervals are exact.
+	tr = NewQueryTracer(QueryTraceOptions{})
+	tr.absorb([]QuerySpanData{
+		{ID: 1, Conn: "a", Status: StatusOK, Start: 1000, Total: 5000},
+		{ID: 2, Conn: "b", Status: StatusOK, Start: 2000, Total: 5000},
+	})
+	lanes := map[string]int{}
+	for _, ev := range export(tr) {
+		lanes[ev.Args["trace_id"]] = ev.Tid
+	}
+	if len(lanes) != 2 || lanes["0000000000000001"] == lanes["0000000000000002"] {
+		t.Fatalf("overlapping queries' lanes = %v, want two distinct lanes", lanes)
 	}
 }
 

@@ -1,10 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -36,106 +32,19 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a deterministic-domain metric holding the most recent value
-// of some simulated quantity. A nil *Gauge absorbs all operations.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge's value. It is a deterministic sink: the
-// walltaint pass proves no wall-clock-derived value reaches n.
-//
-//cgplint:detsink
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// histBuckets is the number of power-of-two buckets a Histogram keeps:
-// bucket i counts observations v with bits.Len64(v) == i, i.e. bucket 0
-// holds zeros and bucket i≥1 holds v in [2^(i-1), 2^i).
-const histBuckets = 65
-
-// Histogram is a deterministic-domain power-of-two histogram for
-// non-negative simulated quantities (cycle distances, run lengths).
-// Buckets are fixed-size, so observing never allocates. A nil
-// *Histogram absorbs all operations.
-type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-// Observe records one value. Negative values are clamped to zero. It
-// is a deterministic sink: the walltaint pass proves no
-// wall-clock-derived value reaches v.
-//
-//cgplint:detsink
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(uint64(v))].Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Bucket returns the count in power-of-two bucket i (see histBuckets).
-func (h *Histogram) Bucket(i int) int64 {
-	if h == nil || i < 0 || i >= histBuckets {
-		return 0
-	}
-	return h.buckets[i].Load()
-}
-
-// Registry is the deterministic-domain metric registry. Metrics are
-// created lazily by name and live for the registry's lifetime; the
-// text exposition is emitted in sorted name order so it is itself
-// deterministic. A nil *Registry hands out nil metrics, which absorb
-// all operations.
+// Registry is the deterministic-domain metric registry: counters of
+// simulated totals, created lazily by name and living for the
+// registry's lifetime. The Prometheus exposition (WritePrometheus)
+// emits them in sorted name order, so it is itself deterministic. A
+// nil *Registry hands out nil counters, which absorb all operations.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty deterministic-domain registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -151,69 +60,4 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// WriteText writes the registry in a plain text exposition format, one
-// `name value` line per metric, sorted by name. Histograms expand to
-// `name_count`, `name_sum` and one `name_bucket_le_2e<i>` line per
-// non-empty bucket.
-func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	lines := make([]string, 0, len(r.counters)+len(r.gauges)+4*len(r.hists))
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("%s %d", name, g.Value()))
-	}
-	for name, h := range r.hists {
-		lines = append(lines, fmt.Sprintf("%s_count %d", name, h.Count()))
-		lines = append(lines, fmt.Sprintf("%s_sum %d", name, h.Sum()))
-		for i := 0; i < histBuckets; i++ {
-			if n := h.Bucket(i); n != 0 {
-				lines = append(lines, fmt.Sprintf("%s_bucket_le_2e%02d %d", name, i, n))
-			}
-		}
-	}
-	r.mu.Unlock()
-	sort.Strings(lines)
-	for _, line := range lines {
-		if _, err := io.WriteString(w, line+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -103,15 +101,14 @@ const DefaultWorker = "main"
 // A nil *RunLog absorbs all operations.
 type RunLog struct {
 	mu     sync.Mutex
-	w      io.Writer
+	out    jsonlWriter
 	worker string
 	seq    int64
-	err    error
 }
 
 // NewRunLog returns a run log writing to w.
 func NewRunLog(w io.Writer) *RunLog {
-	return &RunLog{w: w}
+	return &RunLog{out: jsonlWriter{w: w}}
 }
 
 // SetWorker sets the worker id stamped on subsequently emitted
@@ -165,23 +162,12 @@ func (l *RunLog) EmitEntry(e RunLogEntry) {
 // emitLocked assigns the next seq (and a wall timestamp when the entry
 // has none) and writes the entry; the caller holds l.mu.
 func (l *RunLog) emitLocked(e RunLogEntry) {
-	if l.err != nil {
-		return
-	}
 	l.seq++
 	e.Seq = l.seq
 	if e.WallNs == 0 {
 		e.WallNs = wallInt(nowWall())
 	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		l.err = err
-		return
-	}
-	data = append(data, '\n')
-	if _, err := l.w.Write(data); err != nil {
-		l.err = err
-	}
+	l.out.write(e)
 }
 
 // Err returns the first write or encode error, if any.
@@ -191,7 +177,7 @@ func (l *RunLog) Err() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.err
+	return l.out.err
 }
 
 // ValidateRunLog parses a JSONL run log and checks its schema: every
@@ -209,40 +195,24 @@ func ValidateRunLog(r io.Reader, workers ...string) ([]RunLogEntry, error) {
 	for _, w := range workers {
 		known[w] = true
 	}
-	var entries []RunLogEntry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	line := 0
 	lastSeq := int64(0)
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e RunLogEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("run log line %d: invalid JSON: %w", line, err)
-		}
+	return readJSONL(r, "run log", func(e *RunLogEntry) error {
 		if !knownJobStates[JobState(e.Event)] {
-			return nil, fmt.Errorf("run log line %d: unknown event %q", line, e.Event)
+			return fmt.Errorf("unknown event %q", e.Event)
 		}
 		if e.Workload == "" || e.Config == "" {
-			return nil, fmt.Errorf("run log line %d: empty workload or config", line)
+			return fmt.Errorf("empty workload or config")
 		}
 		if e.Worker == "" {
-			return nil, fmt.Errorf("run log line %d: missing worker id", line)
+			return fmt.Errorf("missing worker id")
 		}
 		if len(known) > 0 && !known[e.Worker] {
-			return nil, fmt.Errorf("run log line %d: unknown worker %q", line, e.Worker)
+			return fmt.Errorf("unknown worker %q", e.Worker)
 		}
 		if e.Seq <= lastSeq {
-			return nil, fmt.Errorf("run log line %d: seq %d not greater than previous %d", line, e.Seq, lastSeq)
+			return fmt.Errorf("seq %d not greater than previous %d", e.Seq, lastSeq)
 		}
 		lastSeq = e.Seq
-		entries = append(entries, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("run log: %w", err)
-	}
-	return entries, nil
+		return nil
+	})
 }

@@ -47,12 +47,27 @@ func (s *Span) End() {
 	})
 }
 
+// spanRecord is one finished span as the Chrome encoder sees it:
+// harness spans are filed in this form, and query spans convert to it
+// at export, so both kinds share one event model and one writer.
 type spanRecord struct {
 	name  string
 	cat   string
 	start units.WallNanos
 	dur   units.WallNanos
 	args  [][2]string
+	// key orders spans that share a start and name (a query's trace
+	// ID); harness spans leave it empty and keep their finish order.
+	key string
+	// stages are laid out back to back from start as events nested
+	// on the span's lane; stages with no duration are omitted.
+	stages []spanStage
+}
+
+// spanStage is one nested stage of a span.
+type spanStage struct {
+	name string
+	dur  units.WallNanos
 }
 
 // SpanRecorder collects finished spans for export as Chrome
@@ -133,39 +148,53 @@ type chromeTrace struct {
 // file in Perfetto (ui.perfetto.dev) or chrome://tracing. Concurrent
 // spans are assigned to lanes ("tid" rows) by greedy interval
 // packing, so the campaign's parallel schedule reads directly off the
-// timeline: overlapping record/run/replay spans stack on separate
-// rows, and singleflight coalescing shows up as replay spans riding a
-// single record span.
+// timeline: overlapping record/replay spans stack on separate rows,
+// and singleflight coalescing shows up as replay spans riding a single
+// record span. Every span carries a "worker" arg: the recorder's
+// worker id, unless the span set its own.
 func (r *SpanRecorder) WriteChromeTrace(w io.Writer) error {
 	if r == nil {
-		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`+"\n")
-		return err
+		return writeChromeTrace(w, nil)
 	}
 	r.mu.Lock()
-	records := append([]spanRecord(nil), r.done...)
+	recs := append([]spanRecord(nil), r.done...)
 	worker := r.worker
 	r.mu.Unlock()
 	if worker == "" {
 		worker = DefaultWorker
 	}
+	// The default goes first, so a span's own worker arg (a
+	// coordinator span describing one worker's lifetime) overrides it.
+	for i := range recs {
+		recs[i].args = append([][2]string{{"worker", worker}}, recs[i].args...)
+	}
+	return writeChromeTrace(w, recs)
+}
 
-	sort.SliceStable(records, func(i, j int) bool {
-		if records[i].start != records[j].start {
-			return records[i].start < records[j].start
+// writeChromeTrace is the one Chrome trace encoder. It sorts recs by
+// (start, name, key), packs them greedily onto lanes — each span lands
+// on the first lane free by its start — and writes each span as a
+// complete ("X") event on its lane, followed by its stage events on the
+// same lane. Args build a map in order, so a later duplicate key wins.
+func writeChromeTrace(w io.Writer, recs []spanRecord) error {
+	sort.SliceStable(recs, func(i, j int) bool {
+		a, b := &recs[i], &recs[j]
+		if a.start != b.start {
+			return a.start < b.start
 		}
-		return records[i].name < records[j].name
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.key < b.key
 	})
-
-	// Greedy interval packing: each span lands on the first lane that
-	// is free by its start time. Lane ends are kept sorted implicitly
-	// by scanning in order.
 	var laneEnds []units.WallNanos
-	events := make([]chromeEvent, 0, len(records))
-	for _, rec := range records {
+	events := make([]chromeEvent, 0, len(recs))
+	for i := range recs {
+		rec := &recs[i]
 		lane := -1
-		for i, end := range laneEnds {
+		for l, end := range laneEnds {
 			if end <= rec.start {
-				lane = i
+				lane = l
 				break
 			}
 		}
@@ -176,28 +205,32 @@ func (r *SpanRecorder) WriteChromeTrace(w io.Writer) error {
 		laneEnds[lane] = rec.start + rec.dur
 
 		ev := chromeEvent{
-			Name: rec.name,
-			Cat:  rec.cat,
-			Ph:   "X",
-			Ts:   wallInt(rec.start) / 1000, // µs
-			Dur:  wallInt(rec.dur) / 1000,   // µs
-			Pid:  1,
-			Tid:  lane + 1,
+			Name: rec.name, Cat: rec.cat, Ph: "X",
+			Ts:  wallInt(rec.start) / 1000, // µs
+			Dur: wallInt(rec.dur) / 1000,   // µs
+			Pid: 1, Tid: lane + 1,
 		}
-		ev.Args = make(map[string]string, len(rec.args)+1)
-		for _, kv := range rec.args {
-			ev.Args[kv[0]] = kv[1]
-		}
-		// Default worker tag; a span that set its own (a coordinator
-		// span describing a specific worker's lifetime) keeps it.
-		if _, ok := ev.Args["worker"]; !ok {
-			ev.Args["worker"] = worker
+		if len(rec.args) > 0 {
+			ev.Args = make(map[string]string, len(rec.args))
+			for _, kv := range rec.args {
+				ev.Args[kv[0]] = kv[1]
+			}
 		}
 		events = append(events, ev)
+		at := rec.start
+		for _, st := range rec.stages {
+			if st.dur <= 0 {
+				continue
+			}
+			events = append(events, chromeEvent{
+				Name: st.name, Cat: "stage", Ph: "X",
+				Ts: wallInt(at) / 1000, Dur: wallInt(st.dur) / 1000,
+				Pid: 1, Tid: lane + 1,
+			})
+			at += st.dur
+		}
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
 
 // ValidateChromeTrace checks that data is well-formed Chrome

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -90,30 +87,4 @@ func (r *WallRegistry) Total(name string) units.WallNanos {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.totals[name]
-}
-
-// WriteText writes the registry in the same text exposition format as
-// Registry.WriteText, every line prefixed `wall_` to mark the domain.
-// Timers expand to `wall_<name>_count` and `wall_<name>_total_ns`.
-func (r *WallRegistry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	lines := make([]string, 0, len(r.counts)+2*len(r.totals))
-	for name, n := range r.counts {
-		lines = append(lines, fmt.Sprintf("wall_%s %d", name, n))
-	}
-	for name, total := range r.totals {
-		lines = append(lines, fmt.Sprintf("wall_%s_count %d", name, r.spent[name]))
-		lines = append(lines, fmt.Sprintf("wall_%s_total_ns %d", name, wallInt(total)))
-	}
-	r.mu.Unlock()
-	sort.Strings(lines)
-	for _, line := range lines {
-		if _, err := io.WriteString(w, line+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -98,7 +98,7 @@ func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
 		if !tagged {
 			id = s.mintTraceID()
 		}
-		w.Header().Set(traceIDHeader, fmt.Sprintf("%016x", id))
+		w.Header().Set(traceIDHeader, obs.FormatTraceID(id))
 		// HTTP requests have no long-lived connection buffer: the span
 		// flushes straight to the tracer on End.
 		sp = s.opts.Trace.Begin(nil, id, "http", tagged)
@@ -138,30 +138,15 @@ func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseHTTPTraceID parses an X-CGP-Trace-ID request header: empty
-// means untagged; anything else must be exactly 16 hex digits and
-// nonzero.
+// means untagged; anything else must parse as obs.ParseTraceID
+// requires (16 hex digits, nonzero).
 func parseHTTPTraceID(h string) (id uint64, tagged bool, err error) {
 	if h == "" {
 		return 0, false, nil
 	}
-	if len(h) != 16 {
-		return 0, false, fmt.Errorf("%w: %s must be 16 hex digits", ErrMalformed, traceIDHeader)
-	}
-	for _, c := range h {
-		id <<= 4
-		switch {
-		case c >= '0' && c <= '9':
-			id |= uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			id |= uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			id |= uint64(c-'A') + 10
-		default:
-			return 0, false, fmt.Errorf("%w: %s must be 16 hex digits", ErrMalformed, traceIDHeader)
-		}
-	}
-	if id == 0 {
-		return 0, false, fmt.Errorf("%w: zero trace id", ErrMalformed)
+	id, err = obs.ParseTraceID(h)
+	if err != nil {
+		return 0, false, fmt.Errorf("%w: %s: %v", ErrMalformed, traceIDHeader, err)
 	}
 	return id, true, nil
 }

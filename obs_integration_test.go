@@ -80,7 +80,7 @@ func TestObsDetDomainDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b bytes.Buffer
-		if err := r.opts.Obs.Det.WriteText(&b); err != nil {
+		if err := r.opts.Obs.Det.WritePrometheus(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -90,7 +90,7 @@ func TestObsDetDomainDeterministic(t *testing.T) {
 	if seq != par {
 		t.Errorf("deterministic metrics differ between 1 and 8 workers:\nseq:\n%s\npar:\n%s", seq, par)
 	}
-	if !strings.Contains(seq, "sim_jobs 24") {
+	if !strings.Contains(seq, "\nsim_jobs 24\n") {
 		t.Errorf("expected 24 completed jobs in det exposition, got:\n%s", seq)
 	}
 }
@@ -224,7 +224,7 @@ func TestAttributionTable(t *testing.T) {
 		if !strings.HasPrefix(row.Name, "0x") && row.Name != "(pre-main)" {
 			named++
 		}
-		if i > 0 && attrDemand(&row.FuncAttribution) > attrDemand(&tab.Rows[i-1].FuncAttribution) {
+		if i > 0 && row.Demand() > tab.Rows[i-1].Demand() {
 			t.Errorf("rows not ranked by demand at %d", i)
 		}
 	}

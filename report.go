@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 
+	"cgp/internal/cpu"
+	"cgp/internal/obs"
 	"cgp/internal/program"
 )
 
@@ -229,13 +231,9 @@ func (t *AttributionTable) Markdown() string {
 		fmt.Fprintf(&b, "Top %d of %d attributed functions, by prefetch-relevant demand fetches.\n\n",
 			len(t.Rows), t.TotalFuncs)
 	}
-	b.WriteString("| function | fetches | misses | pref hits | delayed | coverage | issued | useful | accuracy | timeliness (cyc) |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+	writeAttrHeader(&b, "function")
 	for i := range t.Rows {
-		r := &t.Rows[i]
-		fmt.Fprintf(&b, "| %s | %d | %d | %d | %d | %.2f | %d | %d | %.2f | %.1f |\n",
-			r.Name, r.LineFetches, r.Misses, r.PrefHits, r.DelayedHits, r.Coverage(),
-			r.Issued, r.Useful, r.Accuracy(), r.MeanTimeliness())
+		writeAttrRow(&b, t.Rows[i].Name, &t.Rows[i].AttrCounters)
 	}
 	return b.String()
 }
@@ -248,13 +246,24 @@ func (t *AttributionTable) Markdown() string {
 func (t *QueryAttributionTable) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### Per-query prefetch attribution — %s under %s\n\n", t.Workload, t.Config)
-	b.WriteString("| trace id | fetches | misses | pref hits | delayed | coverage | issued | useful | accuracy | timeliness (cyc) |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+	writeAttrHeader(&b, "trace id")
 	for i := range t.Rows {
-		r := &t.Rows[i]
-		fmt.Fprintf(&b, "| %016x | %d | %d | %d | %d | %.2f | %d | %d | %.2f | %.1f |\n",
-			r.Query, r.LineFetches, r.Misses, r.PrefHits, r.DelayedHits, r.Coverage(),
-			r.Issued, r.Useful, r.Accuracy(), r.MeanTimeliness())
+		writeAttrRow(&b, obs.FormatTraceID(t.Rows[i].Query), &t.Rows[i].AttrCounters)
 	}
 	return b.String()
+}
+
+// writeAttrHeader writes the column header both attribution tables
+// share, under a first column named key.
+func writeAttrHeader(b *strings.Builder, key string) {
+	b.WriteString("| " + key + " | fetches | misses | pref hits | delayed | coverage | issued | useful | accuracy | timeliness (cyc) |\n")
+	b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+}
+
+// writeAttrRow writes one attribution row: the counters and derived
+// metrics of one function or query, keyed by its name or trace ID.
+func writeAttrRow(b *strings.Builder, key string, c *cpu.AttrCounters) {
+	fmt.Fprintf(b, "| %s | %d | %d | %d | %d | %.2f | %d | %d | %.2f | %.1f |\n",
+		key, c.LineFetches, c.Misses, c.PrefHits, c.DelayedHits, c.Coverage(),
+		c.Issued, c.Useful, c.Accuracy(), c.MeanTimeliness())
 }
