@@ -21,7 +21,6 @@ package cgp
 // role — package cgp cannot import internal/campaign back.
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"testing"
@@ -76,8 +75,10 @@ func TestKernelThroughputGuard(t *testing.T) {
 	}
 
 	rec := kernelBenchRecording(t)
-	var raw bytes.Buffer
-	if _, err := rec.WriteTo(&raw); err != nil {
+	// The baseline arm decodes the original record format, re-encoded
+	// here outside the timed region.
+	raw, err := refsim.EncodeV1(rec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	const iters = 3
@@ -91,7 +92,7 @@ func TestKernelThroughputGuard(t *testing.T) {
 	})
 	reference := guardBest(t, iters, func() error {
 		c := refsim.New(cpu.DefaultConfig(), prefetch.NewNL(4))
-		if err := refsim.Replay(raw.Bytes(), c); err != nil {
+		if err := refsim.Replay(raw, c); err != nil {
 			return err
 		}
 		c.Finish()

@@ -160,7 +160,12 @@ func info(args []string) error {
 	if err := r.Replay(&st); err != nil {
 		return err
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("events          %d\n", st.Events)
+	fmt.Printf("encoded         %d bytes (%.2f B/event)\n", fi.Size(), float64(fi.Size())/float64(max(st.Events, 1)))
 	fmt.Printf("instructions    %d\n", st.Instructions)
 	fmt.Printf("calls/returns   %d / %d\n", st.Calls, st.Returns)
 	fmt.Printf("branches        %d (taken %d)\n", st.Branches, st.TakenBrs)

@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,17 +15,21 @@ import (
 	"cgp/internal/program"
 )
 
+// codecTestEvents covers every address-level kind, a data reference
+// far from the code, a record with no address, and a negative FuncID.
+var codecTestEvents = []Event{
+	{Kind: KindRun, Addr: 0x400000, N: 12, Fn: 3},
+	{Kind: KindCall, Addr: 0x400030, Target: 0x401000, Fn: 4, Caller: 3, CallerStart: 0x400000},
+	{Kind: KindBranch, Addr: 0x401010, Target: 0x401040, Taken: true, Fn: 4},
+	{Kind: KindLoop, Addr: 0x401100, N: 24, Iters: 100, Fn: 4},
+	{Kind: KindReturn, Addr: 0x401000, Target: 0x400034, Fn: 4, Caller: 3, CallerStart: 0x400000},
+	{Kind: KindData, Addr: 0x40000000, N: 260, Taken: true},
+	{Kind: KindSwitch, N: 2},
+	{Kind: KindReturn, Fn: 0, Caller: program.NoFunc},
+}
+
 func TestCodecRoundTrip(t *testing.T) {
-	events := []Event{
-		{Kind: KindRun, Addr: 0x400000, N: 12, Fn: 3},
-		{Kind: KindCall, Addr: 0x400030, Target: 0x401000, Fn: 4, Caller: 3, CallerStart: 0x400000},
-		{Kind: KindBranch, Addr: 0x401010, Target: 0x401040, Taken: true, Fn: 4},
-		{Kind: KindLoop, Addr: 0x401100, N: 24, Iters: 100, Fn: 4},
-		{Kind: KindReturn, Addr: 0x401000, Target: 0x400034, Fn: 4, Caller: 3, CallerStart: 0x400000},
-		{Kind: KindData, Addr: 0x40000000, N: 260, Taken: true},
-		{Kind: KindSwitch, N: 2},
-		{Kind: KindReturn, Fn: 0, Caller: program.NoFunc},
-	}
+	events := codecTestEvents
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
 	if err != nil {
@@ -55,8 +63,101 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("notatrace..."))); err != ErrBadMagic {
-		t.Errorf("err = %v, want ErrBadMagic", err)
+	// A CGPTRC01 stream: the retired format's header and one run
+	// record (flags, then seven varints).
+	v1 := append(v1Magic[:], 0, 0x80, 0x80, 0x01, 0, 0, 24, 6, 0)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   error
+	}{
+		{"garbage", []byte("notatrace..."), ErrBadMagic},
+		{"retired CGPTRC01", v1, ErrRetiredFormat},
+	} {
+		if _, err := NewReader(bytes.NewReader(tc.stream)); err != tc.want {
+			t.Errorf("%s: NewReader err = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := Load(bytes.NewReader(tc.stream)); err != tc.want {
+			t.Errorf("%s: Load err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if msg := ErrRetiredFormat.Error(); !strings.Contains(msg, "CGPTRC01") || !strings.Contains(msg, "re-record") {
+		t.Errorf("retired-format error %q does not name the format and the fix", msg)
+	}
+}
+
+// record assembles one raw record: flags, presence, then each value as
+// a uvarint (callers zigzag the signed ones with zz).
+func record(flags, has byte, vals ...uint64) []byte {
+	b := []byte{flags, has}
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// zz is the zigzag encoding of v.
+func zz(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// TestLoadRejectsGarbage feeds malformed streams through both decode
+// paths, Load and the streaming Reader. Each bad record follows a good
+// one, so the failure is mid-stream, and each must fail with the
+// expected error class rather than decode.
+func TestLoadRejectsGarbage(t *testing.T) {
+	good := record(byte(KindRun)<<1, hasAddr|hasN, zz(0x400000), zz(12))
+	overflow := append([]byte{byte(KindRun) << 1, hasAddr}, bytes.Repeat([]byte{0xff}, 11)...)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   error
+	}{
+		{"not a trace", []byte("not a trace at all"), ErrBadMagic},
+		{"retired format", append(v1Magic[:], 0, 0x80, 0x80, 0x01, 0, 0, 24, 6, 0), ErrRetiredFormat},
+		{"kind 127", record(127<<1, hasN, zz(12)), ErrMalformed},
+		{"kind above KindQueryTag", record(byte(KindQueryTag+1)<<1, 0), ErrMalformed},
+		{"reserved flags bit", record(0x20|byte(KindRun)<<1, hasN, zz(12)), ErrMalformed},
+		{"reserved presence bit", record(byte(KindRun)<<1, 0x80|hasN, zz(12)), ErrMalformed},
+		{"n above int32", record(byte(KindRun)<<1, hasN, zz(1<<33+12)), ErrMalformed},
+		{"iters below int32", record(byte(KindLoop)<<1, hasN|hasIters, zz(4), zz(math.MinInt32-1)), ErrMalformed},
+		{"fn above int32", record(byte(KindCall)<<1, hasFn, zz(math.MaxInt32+1)), ErrMalformed},
+		{"caller below int32", record(byte(KindCall)<<1, hasCaller, zz(math.MinInt64)), ErrMalformed},
+		{"varint overflow", overflow, ErrMalformed},
+		{"truncated field", record(byte(KindRun)<<1, hasAddr|hasN, zz(32)), io.ErrUnexpectedEOF},
+		{"truncated varint", []byte{byte(KindRun) << 1, hasAddr, 0x80}, io.ErrUnexpectedEOF},
+		{"truncated presence", []byte{byte(KindRun) << 1}, io.ErrUnexpectedEOF},
+	} {
+		stream := tc.stream
+		if tc.want != ErrBadMagic && tc.want != ErrRetiredFormat {
+			stream = append(append(traceMagic[:], good...), tc.stream...)
+		}
+		if _, err := Load(bytes.NewReader(stream)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Load err = %v, want %v", tc.name, err, tc.want)
+		}
+		if err := readAll(stream, nil); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Reader err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// readAll decodes stream with a Reader, appending the events to *evs
+// when evs is non-nil, and returns the first error other than a clean
+// io.EOF.
+func readAll(stream []byte, evs *[]Event) error {
+	r, err := NewReader(bytes.NewReader(stream))
+	if err != nil {
+		return err
+	}
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if evs != nil {
+			*evs = append(*evs, ev)
+		}
 	}
 }
 
@@ -92,11 +193,14 @@ func TestReplay(t *testing.T) {
 	}
 }
 
-// Property: any event with in-range fields round-trips exactly.
+// Property: any event with in-range fields round-trips exactly, after
+// any other: the delta bases wrap, so every pair of 64-bit addresses
+// encodes.
 func TestCodecProperty(t *testing.T) {
-	f := func(kind uint8, addr, target, cs uint32, n, iters int32, fn, caller int16, taken bool) bool {
+	f := func(prev, addr, target, cs uint64, kind uint8, n, iters, fn, caller int32, taken bool) bool {
+		first := Event{Kind: KindCall, Addr: isa.Addr(prev), CallerStart: isa.Addr(^prev)}
 		ev := Event{
-			Kind:        Kind(kind % 7),
+			Kind:        Kind(kind) % (KindQueryTag + 1),
 			Addr:        isa.Addr(addr),
 			Target:      isa.Addr(target),
 			CallerStart: isa.Addr(cs),
@@ -111,6 +215,7 @@ func TestCodecProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		w.Event(first)
 		w.Event(ev)
 		if w.Flush() != nil {
 			return false
@@ -119,8 +224,9 @@ func TestCodecProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		got0, err0 := r.Next()
 		got, err := r.Next()
-		return err == nil && got == ev
+		return err0 == nil && got0 == first && err == nil && got == ev
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -1,13 +1,8 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
-
-	"cgp/internal/isa"
-	"cgp/internal/program"
 )
 
 // Record/replay: capture a workload's event stream once, in memory, and
@@ -89,16 +84,19 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 // Recorder is a Consumer that captures an event stream into a compact
 // chunked buffer using the binary trace codec. It simultaneously
 // accumulates the stream's aggregate Stats so replays can copy them
-// instead of recounting.
+// instead of recounting, and the skip index sampled replays jump by.
 type Recorder struct {
 	buf   *chunkBuffer
 	w     *Writer
 	stats Stats
+	idx   []skipPoint
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	buf := newChunkBuffer(recordChunkBytes)
+func NewRecorder() *Recorder { return newRecorder(recordChunkBytes) }
+
+func newRecorder(chunkSize int) *Recorder {
+	buf := newChunkBuffer(chunkSize)
 	w, err := NewWriter(buf)
 	if err != nil {
 		// chunkBuffer writes cannot fail; a header error is a bug.
@@ -108,9 +106,23 @@ func NewRecorder() *Recorder {
 }
 
 // Event implements Consumer.
+//
+//cgplint:hotpath
 func (r *Recorder) Event(ev Event) {
 	r.stats.Event(ev)
 	r.w.Event(ev)
+	if r.stats.Events%skipIndexEvery == 0 {
+		r.checkpoint()
+	}
+}
+
+// checkpoint appends a skip-index checkpoint at the writer's current
+// position: the state a decoder has after the events recorded so far.
+//
+//cgplint:coldpath one amortized append per skipIndexEvery recorded events
+func (r *Recorder) checkpoint() {
+	r.idx = append(r.idx, skipPoint{pos: r.w.offset(), bases: r.w.bases,
+		events: r.stats.Events, instrs: int64(r.stats.Instructions)})
 }
 
 // Finish flushes buffered output and seals the recording: the chunk
@@ -126,6 +138,7 @@ func (r *Recorder) Finish() (*Recording, error) {
 		Stats:   r.stats,
 		version: RecordingVersion,
 		sums:    sealChecksums(r.buf),
+		idx:     r.idx,
 	}, nil
 }
 
@@ -140,11 +153,10 @@ type Recording struct {
 	// Stats are the aggregate statistics of the recorded stream,
 	// identical to what a Stats consumer fed by Replay would count.
 	Stats Stats
-	// idxOnce/idx lazily build the skip index used by ReplaySampled
-	// (see sample.go). The index lives only in memory — the encoded
-	// stream stays byte-compatible with the on-disk format.
-	idxOnce sync.Once
-	idx     []skipPoint
+	// idx is the skip index ReplaySampled jumps by (see sample.go),
+	// built by the Recorder or by Load's decode pass. It lives only in
+	// memory; the encoded stream is the on-disk format.
+	idx []skipPoint
 }
 
 // Events returns the number of recorded events.
@@ -152,10 +164,6 @@ func (r *Recording) Events() int64 { return r.Stats.Events }
 
 // Bytes returns the in-memory footprint of the encoded trace.
 func (r *Recording) Bytes() int64 { return r.buf.size }
-
-// maxEventRecord bounds one encoded event: the flags byte plus seven
-// varints.
-const maxEventRecord = 1 + 7*binary.MaxVarintLen64
 
 // replayBatch is how many decoded events one dispatch hands over. The
 // buffer (≈ 24 KiB) stays comfortably cache-resident while amortizing
@@ -202,12 +210,11 @@ func (r *Recording) ReplayBatch(fn func(evs []Event) error) error {
 }
 
 // decoder returns a decoder positioned just past the stream's magic
-// header, or ErrBadMagic.
+// header, or the header's error.
 func (r *Recording) decoder() (chunkDecoder, error) {
 	d := chunkDecoder{b: r.buf}
-	hdr := d.window(len(traceMagic))
-	if len(hdr) < len(traceMagic) || [8]byte(hdr[:8]) != traceMagic {
-		return d, ErrBadMagic
+	if err := checkMagic(d.window(len(traceMagic))); err != nil {
+		return d, err
 	}
 	d.advance(len(traceMagic))
 	return d, nil
@@ -229,7 +236,7 @@ func (d *chunkDecoder) fill(buf []Event) (int, error) {
 			chunk := d.b.chunks[d.ci]
 			pos := d.off
 			for pos+maxEventRecord <= len(chunk) && n < len(buf) {
-				m, err := decodeEventInto(chunk[pos:], &buf[n])
+				m, err := decodeEventInto(chunk[pos:], &buf[n], &d.bases)
 				if err != nil {
 					return n, err
 				}
@@ -247,7 +254,7 @@ func (d *chunkDecoder) fill(buf []Event) (int, error) {
 		if len(w) == 0 {
 			break
 		}
-		m, err := decodeEventInto(w, &buf[n])
+		m, err := decodeEventInto(w, &buf[n], &d.bases)
 		if err != nil {
 			return n, err
 		}
@@ -259,13 +266,26 @@ func (d *chunkDecoder) fill(buf []Event) (int, error) {
 
 // chunkDecoder walks a chunkBuffer as one logical byte stream,
 // assembling chunk-straddling records into a scratch buffer. Each
-// decoder carries its own position, so concurrent replays of one
-// recording are independent.
+// decoder carries its own position and delta bases, so concurrent
+// replays of one recording are independent.
 type chunkDecoder struct {
 	b       *chunkBuffer
 	ci      int // current chunk
 	off     int // offset within chunk ci
+	bases   bases
 	scratch [maxEventRecord]byte
+}
+
+// pos returns the decoder's stream position. Every chunk but the last
+// is full, so the position maps to (chunk, offset) and back.
+func (d *chunkDecoder) pos() int64 {
+	return int64(d.ci)*int64(d.b.chunkSize) + int64(d.off)
+}
+
+// seek resumes decoding at checkpoint p.
+func (d *chunkDecoder) seek(p skipPoint) {
+	d.ci, d.off = int(p.pos/int64(d.b.chunkSize)), int(p.pos%int64(d.b.chunkSize))
+	d.bases = p.bases
 }
 
 // window returns at least min(n, bytes remaining) contiguous bytes at
@@ -304,123 +324,22 @@ func (d *chunkDecoder) advance(n int) {
 	}
 }
 
-// decodeEventInto decodes one event from the front of b into *ev,
-// returning the encoded length. It is the slice-based twin of
-// Reader.Next. On success every field of *ev is overwritten, so the
-// caller can reuse a dirty buffer slot without zeroing it; on error the
-// slot's contents are unspecified.
-//
-// This is the hottest loop body of the whole simulator (every replayed
-// event passes through it), so the seven varint reads are open-coded
-// straight-line: most fields are zero or tiny, and the one-byte case
-// runs without a function call or loop — a helper carrying the
-// binary.Uvarint fallback costs more than the inlining budget allows,
-// and a fields loop pays a dispatch switch per field. The multi-byte
-// fallback is the standard library decoder.
-//
-//cgplint:hotpath
-func decodeEventInto(b []byte, ev *Event) (int, error) {
-	flags := b[0]
-	ev.Kind = Kind(flags >> 1)
-	ev.Taken = flags&1 != 0
-	pos := 1
-	var u uint64
-	var n int
-	if pos < len(b) && b[pos] < 0x80 {
-		u = uint64(b[pos])
-		pos++
-	} else if u, n = binary.Uvarint(b[pos:]); n <= 0 {
-		return 0, decodeErr("addr")
-	} else {
-		pos += n
-	}
-	ev.Addr = isa.Addr(u)
-	if pos < len(b) && b[pos] < 0x80 {
-		u = uint64(b[pos])
-		pos++
-	} else if u, n = binary.Uvarint(b[pos:]); n <= 0 {
-		return 0, decodeErr("target")
-	} else {
-		pos += n
-	}
-	ev.Target = isa.Addr(u)
-	if pos < len(b) && b[pos] < 0x80 {
-		u = uint64(b[pos])
-		pos++
-	} else if u, n = binary.Uvarint(b[pos:]); n <= 0 {
-		return 0, decodeErr("callerStart")
-	} else {
-		pos += n
-	}
-	ev.CallerStart = isa.Addr(u)
-	var v int64
-	if pos < len(b) && b[pos] < 0x80 {
-		x := b[pos]
-		v = int64(x>>1) ^ -int64(x&1)
-		pos++
-	} else if v, n = binary.Varint(b[pos:]); n <= 0 {
-		return 0, decodeErr("n")
-	} else {
-		pos += n
-	}
-	ev.N = int32(v)
-	if pos < len(b) && b[pos] < 0x80 {
-		x := b[pos]
-		v = int64(x>>1) ^ -int64(x&1)
-		pos++
-	} else if v, n = binary.Varint(b[pos:]); n <= 0 {
-		return 0, decodeErr("iters")
-	} else {
-		pos += n
-	}
-	ev.Iters = int32(v)
-	if pos < len(b) && b[pos] < 0x80 {
-		x := b[pos]
-		v = int64(x>>1) ^ -int64(x&1)
-		pos++
-	} else if v, n = binary.Varint(b[pos:]); n <= 0 {
-		return 0, decodeErr("fn")
-	} else {
-		pos += n
-	}
-	ev.Fn = program.FuncID(v)
-	if pos < len(b) && b[pos] < 0x80 {
-		x := b[pos]
-		v = int64(x>>1) ^ -int64(x&1)
-		pos++
-	} else if v, n = binary.Varint(b[pos:]); n <= 0 {
-		return 0, decodeErr("caller")
-	} else {
-		pos += n
-	}
-	ev.Caller = program.FuncID(v)
-	return pos, nil
-}
-
-// decodeErr builds the error for a truncated field.
-//
-//cgplint:coldpath error construction runs only on corrupt or truncated input, never in steady-state replay
-func decodeErr(field string) error {
-	return fmt.Errorf("trace: decode %s: %w", field, io.ErrUnexpectedEOF)
-}
-
 // Load reads an entire encoded trace stream (the cgptrace on-disk
 // format, header included) into a sealed Recording, so file-backed
 // traces get the same replay machinery as in-memory ones — including
 // sampled replay, which needs random access the streaming Reader
 // cannot provide. The stream is decoded once to rebuild the aggregate
-// Stats a Recorder would have counted.
+// Stats and the skip index a Recorder would have built.
 func Load(src io.Reader) (*Recording, error) {
 	buf := newChunkBuffer(recordChunkBytes)
 	if _, err := io.Copy(buf, src); err != nil {
 		return nil, fmt.Errorf("trace: load: %w", err)
 	}
 	rec := &Recording{buf: buf, version: RecordingVersion, sums: sealChecksums(buf)}
-	var st Stats
-	if err := rec.Replay(&st); err != nil {
+	var err error
+	if rec.Stats, rec.idx, err = rec.scan(); err != nil {
 		return nil, err
 	}
-	rec.Stats = st
 	return rec, nil
 }
 

@@ -10,14 +10,14 @@ import (
 // Sampled replay: walk a recording according to a span plan, decoding
 // only the stretches a sampled simulation actually needs. Three tiers:
 //
-//   - SpanSkip stretches are not decoded at all. A lazily-built index
-//     over the sealed recording (one position checkpoint every
-//     skipIndexEvery events, with cumulative event/instruction counts)
-//     lets the replayer jump near the end of a skip and decode only the
-//     sub-checkpoint remainder. This tier is what makes ≥10x speedups
-//     possible: decoding alone costs a substantial fraction of full
-//     simulation, so a fast-forward that decodes everything cannot get
-//     far past ~5x.
+//   - SpanSkip stretches are not decoded at all. A skip index over
+//     the sealed recording (one decoder checkpoint every skipIndexEvery
+//     events, with cumulative event/instruction counts), built as the
+//     stream is recorded or loaded, lets the replayer jump near the end
+//     of a skip and decode only the sub-checkpoint remainder. This tier
+//     is what makes ≥10x speedups possible: decoding alone costs a
+//     substantial fraction of full simulation, so a fast-forward that
+//     decodes everything cannot get far past ~5x.
 //   - SpanFunctionalWarm / SpanDetailWarm stretches are decoded and
 //     delivered; the consumer warms architectural state (functionally
 //     or in full detail) without measuring.
@@ -78,56 +78,51 @@ type SampledConsumer interface {
 }
 
 // skipIndexEvery is the event spacing of skip-index checkpoints. At
-// ~11 bytes/event a checkpoint every 4096 events indexes a 1 GiB trace
-// in ~0.4 MB, and bounds the decoded remainder of any skip to under
+// ~5.5 bytes/event a checkpoint every 4096 events indexes a 1 GiB trace
+// in ~1.9 MB, and bounds the decoded remainder of any skip to under
 // 4096 events.
 const skipIndexEvery = 4096
 
-// skipPoint is one skip-index checkpoint: the decoder position
-// immediately after cumulative event number `events`, along with the
-// cumulative instruction count up to that point.
+// skipPoint is one skip-index checkpoint: the decoder state (stream
+// position and delta bases) immediately after cumulative event number
+// `events`, along with the cumulative instruction count up to that
+// point.
 type skipPoint struct {
-	ci     int
-	off    int
+	pos    int64
+	bases  bases
 	events int64
 	instrs int64
 }
 
-// skipIndex returns the recording's skip index, building it on first
-// use (one decode pass over the stream, amortized across the many
-// sampled replays of a memoized recording). Safe for concurrent use.
-// A recording that fails to decode gets a nil index; ReplaySampled
-// then surfaces the decode error on its own pass.
-//
-//cgplint:coldpath built once per recording, not per replayed event
-func (r *Recording) skipIndex() []skipPoint {
-	r.idxOnce.Do(func() {
-		d, err := r.decoder()
+// scan is Load's one decode pass: it counts the stream's Stats and
+// takes a skip-index checkpoint every skipIndexEvery events, exactly
+// the checkpoints a Recorder takes as it encodes.
+func (r *Recording) scan() (Stats, []skipPoint, error) {
+	var st Stats
+	var idx []skipPoint
+	d, err := r.decoder()
+	if err != nil {
+		return st, nil, err
+	}
+	// skipIndexEvery is a multiple of the batch size, so every
+	// checkpoint falls on a batch boundary.
+	buf := make([]Event, replayBatch)
+	for {
+		n, err := d.fill(buf)
 		if err != nil {
-			return
+			return st, nil, err
 		}
-		pts := []skipPoint{{ci: d.ci, off: d.off}}
-		// skipIndexEvery is a multiple of the batch size, so every
-		// checkpoint falls on a batch boundary.
-		buf := make([]Event, replayBatch)
-		var events, instrs int64
-		for {
-			n, err := d.fill(buf)
-			if err != nil {
-				return
-			}
-			events += int64(n)
-			instrs += countInstrs(buf[:n])
-			if n < len(buf) {
-				break
-			}
-			if events%skipIndexEvery == 0 {
-				pts = append(pts, skipPoint{ci: d.ci, off: d.off, events: events, instrs: instrs})
-			}
+		for i := range buf[:n] {
+			st.Event(buf[i])
 		}
-		r.idx = pts
-	})
-	return r.idx
+		if n < len(buf) {
+			return st, idx, nil
+		}
+		if st.Events%skipIndexEvery == 0 {
+			idx = append(idx, skipPoint{pos: d.pos(), bases: d.bases,
+				events: st.Events, instrs: int64(st.Instructions)})
+		}
+	}
 }
 
 // countInstrs sums the instructions a batch of events carries.
@@ -140,8 +135,7 @@ func countInstrs(evs []Event) int64 {
 }
 
 // wholeStream is the full-detail plan: one measured span that only the
-// end of the stream ends. It does not consult Events(), which Load
-// replays through before the recording's Stats exist.
+// end of the stream ends, whatever count the recording's Stats hold.
 var wholeStream = []Span{{Kind: SpanMeasure, Events: math.MaxInt64}}
 
 // ReplaySampled is the one walk every replay takes: it follows spans,
@@ -185,7 +179,7 @@ func (r *Recording) ReplaySampled(spans []Span,
 			continue
 		}
 		if sp.Kind == SpanSkip {
-			idx := r.skipIndex()
+			idx := r.idx
 			target := consumed + sp.Events
 			startEvents, startInstrs := consumed, instrs
 			// Jump to the last checkpoint at or before the target,
@@ -193,7 +187,7 @@ func (r *Recording) ReplaySampled(spans []Span,
 			i := sort.Search(len(idx), func(i int) bool { return idx[i].events > target }) - 1 //cgplint:ignore allocfree one index search per skipped span, not per event
 			if i >= 0 && idx[i].events > consumed {
 				p := idx[i]
-				d.ci, d.off = p.ci, p.off
+				d.seek(p)
 				consumed, instrs = p.events, p.instrs
 			}
 			// Decode the sub-checkpoint remainder, counting only

@@ -131,9 +131,9 @@ func TestReplaySampledMatchesFullReplay(t *testing.T) {
 }
 
 func TestReplaySampledConcurrent(t *testing.T) {
-	// The lazy skip index must be safe to build from concurrent
-	// replays of one recording (the runner replays a memoized
-	// recording from many worker goroutines).
+	// Concurrent sampled replays of one recording share its skip
+	// index and must not share decoder state (the runner replays a
+	// memoized recording from many worker goroutines).
 	rec, _ := recordSampleTest(t, 30000)
 	spans := []Span{
 		{Kind: SpanSkip, Events: 20000},
@@ -195,8 +195,51 @@ func TestLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a trace at all"))); err == nil {
-		t.Fatal("Load accepted garbage")
+// TestRecorderSkipIndexMatchesDecodePass: the checkpoints a Recorder
+// takes while encoding (stream position, events, instructions, delta
+// bases) must be exactly the decoder state a decode pass over the
+// sealed stream reaches, with records straddling many chunks, and Load
+// must rebuild the same index from the same bytes.
+func TestRecorderSkipIndexMatchesDecodePass(t *testing.T) {
+	const n = 5*skipIndexEvery + 17
+	r := newRecorder(1000)
+	for _, ev := range recordTestEvents(n) {
+		r.Event(ev)
+	}
+	rec, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.buf.chunks) < 100 {
+		t.Fatalf("only %d chunks; the test needs a multi-chunk recording", len(rec.buf.chunks))
+	}
+	if len(rec.idx) != n/skipIndexEvery {
+		t.Fatalf("recorder took %d checkpoints, want %d", len(rec.idx), n/skipIndexEvery)
+	}
+	for i, p := range rec.idx {
+		if p.events != int64(i+1)*skipIndexEvery || p.bases == (bases{}) {
+			t.Fatalf("checkpoint %d = %+v", i, p)
+		}
+	}
+	st, idx, err := rec.scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != rec.Stats {
+		t.Fatalf("decode pass counts %+v, recorder %+v", st, rec.Stats)
+	}
+	if !reflect.DeepEqual(idx, rec.idx) {
+		t.Fatalf("decode pass checkpoints\n%+v\nrecorder checkpoints\n%+v", idx, rec.idx)
+	}
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.idx, rec.idx) {
+		t.Fatal("Load built a different skip index")
 	}
 }
