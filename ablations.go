@@ -120,20 +120,29 @@ func ablDegreeConfigs() []Config {
 // citing Franklin et al.) is that frequent context switches inflate
 // database I-cache miss rates; the sweep makes that mechanism visible:
 // smaller quanta mean more switches and more misses per instruction.
+// Each quantum is a workload parameter (quantumWorkload), so the
+// sweep's cells are ordinary RunAll jobs: the cell at the runner's own
+// quantum is its wisc-large-2 O5+OM cell, and every cell gets the
+// campaign's checkpoints, observability and attribution.
 func (r *Runner) QuantumSweep(ctx context.Context) (*Figure, error) {
 	fig := &Figure{ID: "abl-quantum", Title: "Context-switch quantum sensitivity (wisc-large-2, OM)", Baseline: "quantum-2"}
-	var base int64
-	for i, q := range QuantumSweepQuanta() {
-		res, err := r.RunQuantumCell(ctx, q)
-		if err != nil {
-			return nil, err
-		}
+	// abl-quantum is not in the default sampled set, but an explicit
+	// SampledFigures entry is honored.
+	cfg := Config{Layout: LayoutOM, Sampling: r.opts.samplingFor(fig.ID)}
+	quanta := QuantumSweepQuanta()
+	jobs := make([]Job, len(quanta))
+	for i, q := range quanta {
+		jobs[i] = Job{Workload: r.quantumWorkload(q), Config: cfg}
+	}
+	results, err := r.RunAll(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+	base, _, _ := resultCycles(results[0])
+	for i, res := range results {
 		cycles, estimated, relCI := resultCycles(res)
-		if i == 0 {
-			base = cycles
-		}
 		fig.Rows = append(fig.Rows, Row{
-			Workload: "wisc-large-2", Config: fmt.Sprintf("quantum-%d", q),
+			Workload: "wisc-large-2", Config: fmt.Sprintf("quantum-%d", quanta[i]),
 			Cycles: cycles, Misses: rowMisses(res),
 			Speedup:   float64(base) / float64(cycles),
 			Estimated: estimated, CyclesCI: relCI, Result: res,
@@ -146,35 +155,9 @@ func (r *Runner) QuantumSweep(ctx context.Context) (*Figure, error) {
 // figure order.
 func QuantumSweepQuanta() []int { return []int{2, 7, 28, 112} }
 
-// RunQuantumCell simulates one quantum-sweep cell: wisc-large-2 on the
-// OM binary with the scheduler quantum overridden to q. Each quantum
-// is a distinct workload configuration, so a fresh sub-runner keeps
-// the result cache honest while sharing this runner's feedback
-// profile, checkpoint directory and record stream. The parent profile
-// is forced first so the sweep sees the same OM layout whether it runs
-// alone or concurrently with other figure generators. It is exported
-// (separately from QuantumSweep) so a campaign worker can compute a
-// single quantum cell — the sub-runner's checkpoint scope embeds the
-// overridden quantum, which is how the cells of different quanta stay
-// distinct on disk even though they share a run key.
-func (r *Runner) RunQuantumCell(ctx context.Context, q int) (*Result, error) {
-	parentProf, err := r.profilesFor(ctx, r.DBWorkloads()[0])
-	if err != nil {
-		return nil, err
-	}
-	// abl-quantum is not in the default sampled set (each quantum is a
-	// one-off workload, so there is no campaign to amortize over), but
-	// an explicit SampledFigures entry is honored.
-	scfg := r.opts.samplingFor("abl-quantum")
-	opts := r.opts.DB
-	opts.Quantum = q
-	// Each sub-runner performs a single simulation, so recording a
-	// trace it would replay zero times is pure overhead: re-execute.
-	// (A sampled cell records regardless — skipping needs a sealed
-	// recording.)
-	sub := NewRunner(RunnerOptions{DB: opts, Seed: r.opts.Seed, Log: r.opts.Log,
-		Workers: 1, NoRecord: true, CheckpointDir: r.opts.CheckpointDir,
-		OnRecord: r.opts.OnRecord})
-	sub.seed(dbProfilesKey, parentProf)
-	return sub.Run(ctx, workload.WiscLarge2(opts), Config{Layout: LayoutOM, Sampling: scfg})
+// quantumWorkload returns wisc-large-2 at scheduler quantum q and this
+// runner's scale: the runner's own wisc-large-2 at its own quantum,
+// else the distinct workload "wisc-large-2/q<q>".
+func (r *Runner) quantumWorkload(q int) *Workload {
+	return workload.WiscLarge2Quantum(r.opts.DB, q)
 }

@@ -1,8 +1,11 @@
 package cgp
 
 import (
+	"bytes"
 	"context"
 	"testing"
+
+	"cgp/internal/obs"
 )
 
 func TestSoftwareCGPAblation(t *testing.T) {
@@ -161,5 +164,108 @@ func TestQuantumSweep(t *testing.T) {
 	last := fig.Rows[3]
 	if last.Speedup < 1.0 {
 		t.Errorf("quantum-112 slower than quantum-2: %.3f", last.Speedup)
+	}
+}
+
+// TestQuantumSweepObserved: with Obs and Attribution set, every cell of
+// the quantum sweep settles in the run log and in progress, and carries
+// attribution rows — the sweep runs on the runner itself, not beside it.
+func TestQuantumSweepObserved(t *testing.T) {
+	var logBuf bytes.Buffer
+	opts := harnessOpts(2)
+	opts.Obs = obs.New().AttachLog(&logBuf)
+	opts.Attribution = true
+	r := NewRunner(opts)
+	fig, err := r.QuantumSweep(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := obs.ValidateRunLog(bytes.NewReader(logBuf.Bytes()))
+	if err != nil {
+		t.Fatalf("run log fails validation: %v", err)
+	}
+	settled := func(state string) bool {
+		switch obs.JobState(state) {
+		case obs.JobExecuted, obs.JobReplayed, obs.JobResumed:
+			return true
+		}
+		return false
+	}
+	logged := map[string]bool{}
+	for _, e := range entries {
+		if settled(e.Event) {
+			logged[e.Workload+"/"+e.Config] = true
+		}
+	}
+	progress := map[string]string{}
+	for _, jp := range opts.Obs.Progress.Snapshot().Jobs {
+		progress[jp.Workload+"/"+jp.Config] = jp.State
+	}
+	for i, q := range QuantumSweepQuanta() {
+		key := r.quantumWorkload(q).Name + "/O5+OM"
+		if !logged[key] {
+			t.Errorf("quantum-%d cell %s never settled in the run log", q, key)
+		}
+		if !settled(progress[key]) {
+			t.Errorf("quantum-%d cell %s in progress state %q", q, key, progress[key])
+		}
+		if len(fig.Rows[i].Result.CPU.Attribution) == 0 {
+			t.Errorf("quantum-%d cell carries no attribution rows", q)
+		}
+	}
+}
+
+// TestQuantumSweepSharesDefaultCell: at the runner's default quantum,
+// the sweep's quantum-7 row is the runner's own wisc-large-2 O5+OM cell,
+// one Result rather than a second simulation of it.
+func TestQuantumSweepSharesDefaultCell(t *testing.T) {
+	opts := harnessOpts(2)
+	opts.DB.Quantum = 0 // the default, 7
+	r := NewRunner(opts)
+	fig, err := r.QuantumSweep(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := r.Run(context.Background(), WiscLarge2(r.opts.DB), Config{Layout: LayoutOM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range fig.Rows {
+		if row.Config == "quantum-7" && row.Result != own {
+			t.Fatal("quantum-7 row holds a second simulation of the runner's wisc-large-2 O5+OM cell")
+		}
+	}
+}
+
+// TestCampaignWorkloadsResolve: every workload name CampaignCells emits
+// resolves through WorkloadByName to a workload of that name, at the
+// default quantum and at another, so a campaign worker can rebuild
+// every cell it is sent. Quantum names resolve only in their one
+// canonical form.
+func TestCampaignWorkloadsResolve(t *testing.T) {
+	for _, quantum := range []int{0, 5} {
+		opts := harnessOpts(1)
+		opts.DB.Quantum = quantum
+		r := NewRunner(opts)
+		seen := map[string]bool{}
+		for _, c := range r.CampaignCells() {
+			if seen[c.Workload] {
+				continue
+			}
+			seen[c.Workload] = true
+			w, err := r.WorkloadByName(c.Workload)
+			if err != nil || w.Name != c.Workload {
+				t.Errorf("quantum %d: cell workload %q resolves to %v, %v", quantum, c.Workload, w, err)
+			}
+		}
+		if !seen["wisc-large-2/q2"] || !seen["wisc-large-2/q112"] {
+			t.Errorf("quantum %d: campaign cells lack the quantum-sweep workloads: %v", quantum, seen)
+		}
+	}
+	r := NewRunner(RunnerOptions{DB: DBOptions{WiscN: 400}})
+	for _, name := range []string{"wisc-large-2/q7", "wisc-large-2/q02", "wisc-large-2/q0", "wisc-large-2/q-3", "wisc-large-2/q"} {
+		if w, err := r.WorkloadByName(name); err == nil {
+			t.Errorf("non-canonical name %q resolved to %q", name, w.Name)
+		}
 	}
 }

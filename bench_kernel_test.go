@@ -92,7 +92,7 @@ var (
 func kernelBenchRecording(b testing.TB) *trace.Recording {
 	b.Helper()
 	kernelRecordingOnce.Do(func() {
-		opts := harnessBenchOpts(1, true)
+		opts := harnessBenchOpts(1)
 		w := WiscLarge1(opts.DB)
 		img := program.LayoutO5(w.NewRegistry())
 		r := trace.NewRecorder()

@@ -70,7 +70,7 @@ var (
 func samplingBenchRecording(b *testing.B) *trace.Recording {
 	b.Helper()
 	samplingRecordingOnce.Do(func() {
-		opts := harnessBenchOpts(1, true)
+		opts := harnessBenchOpts(1)
 		opts.DB.WiscN = samplingBenchWiscN
 		w := WiscLarge1(opts.DB)
 		img := program.LayoutO5(w.NewRegistry())

@@ -188,8 +188,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	var instrs units.Instrs
 	for i := 0; i < b.N; i++ {
-		pf, _ := (Config{Layout: LayoutO5, Prefetcher: PrefCGP, Degree: 4}).buildPrefetcher()
-		c := cpu.New(cpu.DefaultConfig(), pf)
+		c, _ := (Config{Layout: LayoutO5, Prefetcher: PrefCGP, Degree: 4}).NewCPU(nil)
 		if err := w.Run(img, c); err != nil {
 			b.Fatal(err)
 		}
@@ -252,15 +251,14 @@ func BenchmarkCPUConsume(b *testing.B) {
 
 // harnessBenchOpts is a small scale so a full AllFigures suite fits in
 // one benchmark iteration.
-func harnessBenchOpts(workers int, noRecord bool) RunnerOptions {
+func harnessBenchOpts(workers int) RunnerOptions {
 	return RunnerOptions{
 		DB: DBOptions{
 			WiscN: 800, Quantum: 7, Seed: 42, BufferFrames: 8192,
 			TPCH: workload.TPCHScale{Suppliers: 12, Customers: 60, Parts: 90, Orders: 240, MaxLines: 4},
 		},
-		Seed:     42,
-		Workers:  workers,
-		NoRecord: noRecord,
+		Seed:    42,
+		Workers: workers,
 	}
 }
 
@@ -303,10 +301,10 @@ func figureEvents(figs []*Figure) int64 {
 	return events
 }
 
-func benchAllFigures(b *testing.B, name string, workers int, noRecord bool) {
+func benchAllFigures(b *testing.B, name string, workers int) {
 	var events int64
 	for i := 0; i < b.N; i++ {
-		r := NewRunner(harnessBenchOpts(workers, noRecord))
+		r := NewRunner(harnessBenchOpts(workers))
 		figs, err := r.AllFigures(context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -318,28 +316,27 @@ func benchAllFigures(b *testing.B, name string, workers int, noRecord bool) {
 	b.ReportMetric(float64(events)/wall.Seconds()/1e6, "Mevents/s")
 }
 
-// BenchmarkAllFiguresSequential runs one pass at a time with nothing
-// recorded: each drain executes its (workload, layout) live — the DB
-// engine / CPU2000 generators — and feeds every cell queued on that
-// hub from the one execution.
+// BenchmarkAllFiguresSequential runs one pass at a time. The figures
+// are full detail, so each drain executes its (workload, layout) live —
+// the DB engine / CPU2000 generators — and feeds every cell queued on
+// that hub from the one execution.
 func BenchmarkAllFiguresSequential(b *testing.B) {
-	benchAllFigures(b, "allfigures_sequential_reexecute", 1, true)
+	benchAllFigures(b, "allfigures_sequential", 1)
 }
 
-// BenchmarkAllFiguresParallel is the full two-layer harness: traces
-// recorded once per (workload, layout) and replayed into each config,
-// with GOMAXPROCS simulations in flight.
+// BenchmarkAllFiguresParallel is the same campaign with GOMAXPROCS
+// passes in flight.
 func BenchmarkAllFiguresParallel(b *testing.B) {
-	benchAllFigures(b, "allfigures_parallel_replay", 0, false)
+	benchAllFigures(b, "allfigures_parallel", 0)
 }
 
 // benchFig4Workload runs one workload through the six Figure-4 configs
 // as a single RunAll batch — the harness's actual execution path — so
 // the replay arm coalesces all configs into one decode pass.
-func benchFig4Workload(b *testing.B, name string, noRecord bool) {
+func benchFig4Workload(b *testing.B, name string, opts RunnerOptions) {
 	var events int64
 	for i := 0; i < b.N; i++ {
-		r := NewRunner(harnessBenchOpts(1, noRecord))
+		r := NewRunner(opts)
 		w := WiscLarge1(r.opts.DB)
 		jobs := make([]Job, 0, len(fig4Configs()))
 		for _, cfg := range fig4Configs() {
@@ -362,13 +359,14 @@ func benchFig4Workload(b *testing.B, name string, noRecord bool) {
 // BenchmarkFig4RowReexecute executes wisc-large-1 live once per
 // layout, each execution feeding that layout's three configs.
 func BenchmarkFig4RowReexecute(b *testing.B) {
-	benchFig4Workload(b, "fig4row_reexecute", true)
+	benchFig4Workload(b, "fig4row_reexecute", harnessBenchOpts(1))
 }
 
 // BenchmarkFig4RowReplay records wisc-large-1 once per layout and
-// replays it into each config.
+// replays it into each config: its runner has a sampling schedule,
+// which its full-detail jobs do not use, so its passes replay.
 func BenchmarkFig4RowReplay(b *testing.B) {
-	benchFig4Workload(b, "fig4row_replay", false)
+	benchFig4Workload(b, "fig4row_replay", recorded(harnessBenchOpts(1)))
 }
 
 // TestMain writes BENCH_harness.json after a harness benchmark run
@@ -386,8 +384,8 @@ func TestMain(m *testing.M) {
 			"gomaxprocs": runtime.GOMAXPROCS(0),
 			"bench":      harnessBench.entries,
 		}
-		if seq, ok := harnessBench.entries["allfigures_sequential_reexecute"]; ok {
-			if par, ok := harnessBench.entries["allfigures_parallel_replay"]; ok {
+		if seq, ok := harnessBench.entries["allfigures_sequential"]; ok {
+			if par, ok := harnessBench.entries["allfigures_parallel"]; ok {
 				out["allfigures_speedup"] = seq.WallSeconds / par.WallSeconds
 			}
 		}

@@ -1,6 +1,10 @@
 package cgp
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Campaign cell enumeration (DESIGN.md §15).
 //
@@ -16,28 +20,16 @@ import "fmt"
 // either way, distribution is purely a wall-clock optimization.
 
 // CampaignCell is one enumerated cell of the figure campaign: a
-// workload under a config on behalf of a figure. Quantum, when
-// nonzero, marks an abl-quantum cell instead: it runs on a sub-runner
-// whose DB options override the scheduler quantum (see RunQuantumCell)
-// and its Workload/Config describe that sub-scope's single cell.
+// workload under a config on behalf of a figure.
 type CampaignCell struct {
 	Figure   string
 	Workload string
 	Config   Config
-	Quantum  int
 }
 
 // Key identifies the cell for deduplication and coordinator
-// bookkeeping: the run cache key, extended with the quantum for
-// sub-scope cells (whose run keys alone collide across quanta — the
-// quantum lives in the sub-runner's scope, not the config).
-func (c CampaignCell) Key() string {
-	k := CellKey(c.Workload, c.Config)
-	if c.Quantum != 0 {
-		k += fmt.Sprintf("|q%d", c.Quantum)
-	}
-	return k
-}
+// bookkeeping: its run cache key.
+func (c CampaignCell) Key() string { return CellKey(c.Workload, c.Config) }
 
 // CellKey returns the run cache key for a (workload name, config)
 // pair — the key checkpoint records embed. Exported for the campaign
@@ -48,9 +40,9 @@ func CellKey(workloadName string, cfg Config) string {
 
 // WorkloadByName resolves one of the campaign's workloads at this
 // runner's scale: the four database workloads, the seven CPU2000
-// stand-ins, or (when a capture is configured) the "captured" live
-// traffic. Campaign workers use it to reify wire-format job specs,
-// which carry workload names, back into runnable jobs.
+// stand-ins, or a quantum-sweep workload ("wisc-large-2/q<N>", see
+// quantumWorkload). Campaign workers use it to reify wire-format job
+// specs, which carry workload names, back into runnable jobs.
 func (r *Runner) WorkloadByName(name string) (*Workload, error) {
 	for _, w := range r.DBWorkloads() {
 		if w.Name == name {
@@ -62,8 +54,14 @@ func (r *Runner) WorkloadByName(name string) (*Workload, error) {
 			return w, nil
 		}
 	}
-	if name == "captured" && r.opts.CapturePath != "" {
-		return r.CapturedWorkload()
+	if q, ok := strings.CutPrefix(name, "wisc-large-2/q"); ok {
+		// Only the canonical name of a quantum other than the runner's
+		// own resolves, so each workload has exactly one name.
+		if n, err := strconv.Atoi(q); err == nil && n > 0 {
+			if w := r.quantumWorkload(n); w.Name == name {
+				return w, nil
+			}
+		}
 	}
 	return nil, fmt.Errorf("cgp: unknown workload %q", name)
 }
@@ -110,14 +108,9 @@ func (r *Runner) CampaignCells() []CampaignCell {
 			}
 		}
 	}
-	qscfg := r.opts.samplingFor("abl-quantum")
+	qcfg := Config{Layout: LayoutOM, Sampling: r.opts.samplingFor("abl-quantum")}
 	for _, q := range QuantumSweepQuanta() {
-		cells = append(cells, CampaignCell{
-			Figure:   "abl-quantum",
-			Workload: "wisc-large-2",
-			Config:   Config{Layout: LayoutOM, Sampling: qscfg},
-			Quantum:  q,
-		})
+		cells = append(cells, CampaignCell{Figure: "abl-quantum", Workload: r.quantumWorkload(q).Name, Config: qcfg})
 	}
 	return cells
 }

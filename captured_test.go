@@ -81,26 +81,24 @@ func sealScriptedCapture(t *testing.T) string {
 	return path
 }
 
-func capturedRunnerOpts(path string) RunnerOptions {
+func capturedRunnerOpts() RunnerOptions {
 	return RunnerOptions{
-		DB:          DBOptions{WiscN: 300, Seed: 11, BufferFrames: 2048},
-		Seed:        11,
-		CapturePath: path,
+		DB:   DBOptions{WiscN: 300, Seed: 11, BufferFrames: 2048},
+		Seed: 11,
 	}
 }
 
 func TestCapturedWorkloadRoundTrip(t *testing.T) {
 	path := sealScriptedCapture(t)
 
-	// The capture registers by name alongside the synthetic workloads,
-	// and synthesizes a stable address-level stream.
-	r := NewRunner(capturedRunnerOpts(path))
-	w, err := r.WorkloadByName("captured")
+	// The capture loads as a workload like any other, and synthesizes
+	// a stable address-level stream.
+	w, err := Captured(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Family != "captured" {
-		t.Fatalf("family = %q, want captured", w.Family)
+	if w.Name != "captured" || w.Family != "captured" {
+		t.Fatalf("workload %q of family %q, want captured/captured", w.Name, w.Family)
 	}
 	img := program.LayoutO5(w.NewRegistry())
 	statsOnce := func() trace.Stats {
@@ -119,17 +117,17 @@ func TestCapturedWorkloadRoundTrip(t *testing.T) {
 	}
 
 	// A figure row over the capture is byte-identical across two
-	// independent runners (fresh caches, fresh recordings).
+	// independent runners (fresh caches, fresh loads).
 	configs := []Config{
 		{Layout: LayoutO5},
 		{Layout: LayoutO5, Prefetcher: PrefCGP, Degree: 4},
 	}
 	row := func() string {
-		rr := NewRunner(capturedRunnerOpts(path))
-		cw, err := rr.CapturedWorkload()
+		cw, err := Captured(path, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rr := NewRunner(capturedRunnerOpts())
 		fig, err := rr.runGrid(context.Background(), "captured", "Live traffic replay", []*Workload{cw}, configs)
 		if err != nil {
 			t.Fatal(err)
@@ -142,15 +140,5 @@ func TestCapturedWorkloadRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(first, "captured") {
 		t.Fatalf("figure row missing workload name:\n%s", first)
-	}
-}
-
-func TestCapturedWorkloadRequiresPath(t *testing.T) {
-	r := NewRunner(RunnerOptions{DB: DBOptions{WiscN: 100, Seed: 11}})
-	if _, err := r.WorkloadByName("captured"); err == nil {
-		t.Fatal("captured resolved without a CapturePath")
-	}
-	if _, err := r.CapturedWorkload(); err == nil {
-		t.Fatal("CapturedWorkload succeeded without a CapturePath")
 	}
 }

@@ -181,8 +181,8 @@ func (r *Runner) storeCheckpoint(w *Workload, cfg Config, res *Result) {
 // dictate. It is how a campaign coordinator merges records streamed
 // from worker processes: the payload is checked (version, CRC-32C,
 // decodable Result) before anything touches disk, the path derivation
-// is scope-agnostic (a worker running a quantum-sweep sub-scope files
-// its records where that scope's reader looks), and the write is
+// is scope-agnostic (a record files itself under the scope it
+// carries, where that scope's reader looks), and the write is
 // first-writer-wins — if two workers race on the same cell, whichever
 // record lands first stays, which is sound because records for a cell
 // are byte-identical across workers (simulations are deterministic).

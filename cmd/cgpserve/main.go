@@ -6,8 +6,8 @@
 //	cgpserve -addr 127.0.0.1:7744 -http 127.0.0.1:7745 -capture live.cgptrc
 //
 // A capture, when requested, records every served query at the probe
-// level and seals on graceful shutdown; the sealed file registers as
-// the "captured" workload (experiments -capture live.cgptrc).
+// level and seals on graceful shutdown; cgptrace replays the sealed
+// file, and cgp.Captured loads it as the "captured" workload.
 //
 // Drive (hammer a serving process, report queries/sec):
 //

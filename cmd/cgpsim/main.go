@@ -78,11 +78,9 @@ func main() {
 			Seed:                 uint64(*seed),
 		}
 	}
-	// One workload under one config: a recorded trace would be replayed
-	// zero times, so re-execute directly.
 	opts := cgp.RunnerOptions{
 		DB: cgp.DBOptions{WiscN: *wiscN, Seed: *seed}, Seed: *seed,
-		NoRecord: true, Attribution: *attribution,
+		Attribution: *attribution,
 	}
 	if *verbose {
 		opts.Log = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }

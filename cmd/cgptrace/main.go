@@ -14,12 +14,17 @@
 // traces carry no symbol registry, so functions are identified by
 // start address.
 //
-// replay -sample runs a sampled replay: the trace is loaded into a
-// sealed in-memory recording (skipping needs its event index), most of
-// the stream is skipped undecoded or functionally warmed, and only
-// periodic windows are simulated in detail. The report shows estimated
-// cycles/misses ±95% CI plus the per-tier event accounting (skipped /
-// fast-forwarded / detailed).
+// Every subcommand but record loads the file whole into a sealed
+// in-memory recording (trace.Load) and works on that; at ~5.4 bytes
+// per event a capture fits in memory. replay builds its machine the
+// way the library builds a cell's (cgp.Config.NewCPU), so -prefetch,
+// -n and -perfect mean what they mean to cgpsim and the figures.
+//
+// replay -sample runs a sampled replay: most of the stream is skipped
+// undecoded (through the recording's event index) or functionally
+// warmed, and only periodic windows are simulated in detail. The
+// report shows estimated cycles/misses ±95% CI plus the per-tier event
+// accounting (skipped / fast-forwarded / detailed).
 //
 // Probe-level captures (live traffic sealed by cgpserve -capture) are
 // detected automatically: info and dump show the probe events as-is,
@@ -38,17 +43,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"cgp"
-	"cgp/internal/core"
 	"cgp/internal/cpu"
 	"cgp/internal/db"
 	"cgp/internal/obs"
-	"cgp/internal/prefetch"
 	"cgp/internal/program"
 	"cgp/internal/sample"
 	"cgp/internal/trace"
@@ -132,17 +135,14 @@ func record(args []string) error {
 	return nil
 }
 
-func openTrace(path string) (*trace.Reader, *os.File, error) {
+// load reads a trace file whole into a sealed recording.
+func load(path string) (*trace.Recording, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	r, err := trace.NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return r, f, nil
+	defer f.Close()
+	return trace.Load(f)
 }
 
 func info(args []string) error {
@@ -151,21 +151,13 @@ func info(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("info needs a trace file")
 	}
-	r, f, err := openTrace(fs.Arg(0))
+	rec, err := load(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	var st trace.Stats
-	if err := r.Replay(&st); err != nil {
-		return err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
+	st := rec.Stats
 	fmt.Printf("events          %d\n", st.Events)
-	fmt.Printf("encoded         %d bytes (%.2f B/event)\n", fi.Size(), float64(fi.Size())/float64(max(st.Events, 1)))
+	fmt.Printf("encoded         %d bytes (%.2f B/event)\n", rec.Bytes(), float64(rec.Bytes())/float64(max(st.Events, 1)))
 	fmt.Printf("instructions    %d\n", st.Instructions)
 	fmt.Printf("calls/returns   %d / %d\n", st.Calls, st.Returns)
 	fmt.Printf("branches        %d (taken %d)\n", st.Branches, st.TakenBrs)
@@ -184,6 +176,9 @@ func info(args []string) error {
 	return nil
 }
 
+// errDumped stops dump's walk once it has printed its events.
+var errDumped = errors.New("dumped")
+
 func dump(args []string) error {
 	fs := flag.NewFlagSet("dump", flag.ExitOnError)
 	n := fs.Int("n", 20, "events to print")
@@ -192,58 +187,59 @@ func dump(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("dump needs a trace file")
 	}
-	r, f, err := openTrace(fs.Arg(0))
+	rec, err := load(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	for i := 0; i < *skip+*n; i++ {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if i < *skip {
-			continue
-		}
-		switch ev.Kind {
-		case trace.KindRun:
-			fmt.Printf("%-6s %#x +%d\n", ev.Kind, ev.Addr, ev.N)
-		case trace.KindLoop:
-			fmt.Printf("%-6s %#x body=%d iters=%d\n", ev.Kind, ev.Addr, ev.N, ev.Iters)
-		case trace.KindBranch:
-			fmt.Printf("%-6s %#x taken=%v -> %#x\n", ev.Kind, ev.Addr, ev.Taken, ev.Target)
-		case trace.KindCall:
-			fmt.Printf("%-6s %#x -> fn%d@%#x (from fn%d)\n", ev.Kind, ev.Addr, ev.Fn, ev.Target, ev.Caller)
-		case trace.KindReturn:
-			fmt.Printf("%-6s fn%d -> %#x\n", ev.Kind, ev.Fn, ev.Target)
-		case trace.KindData:
-			rw := "r"
-			if ev.Taken {
-				rw = "w"
+	i := 0
+	err = rec.ReplayBatch(func(evs []trace.Event) error {
+		for _, ev := range evs {
+			if i == *skip+*n {
+				return errDumped
 			}
-			fmt.Printf("%-6s %#x %dB %s\n", ev.Kind, ev.Addr, ev.N, rw)
-		case trace.KindSwitch:
-			fmt.Printf("%-6s thread %d\n", ev.Kind, ev.N)
-		case trace.KindProbeEnter:
-			fmt.Printf("%-6s fn%d\n", ev.Kind, ev.Fn)
-		case trace.KindProbeExit:
-			fmt.Printf("%-6s\n", ev.Kind)
-		case trace.KindProbeWork:
-			fmt.Printf("%-6s +%d\n", ev.Kind, ev.N)
-		case trace.KindProbeData:
-			rw := "r"
-			if ev.Taken {
-				rw = "w"
+			if i >= *skip {
+				printEvent(ev)
 			}
-			fmt.Printf("%-6s %#x %dB %s\n", ev.Kind, ev.Addr, ev.N, rw)
-		case trace.KindQueryTag:
-			fmt.Printf("%-6s %016x\n", ev.Kind, uint64(ev.Addr))
+			i++
 		}
+		return nil
+	})
+	if err == errDumped {
+		return nil
 	}
-	return nil
+	return err
+}
+
+// printEvent prints one event as a dump line.
+func printEvent(ev trace.Event) {
+	switch ev.Kind {
+	case trace.KindRun:
+		fmt.Printf("%-6s %#x +%d\n", ev.Kind, ev.Addr, ev.N)
+	case trace.KindLoop:
+		fmt.Printf("%-6s %#x body=%d iters=%d\n", ev.Kind, ev.Addr, ev.N, ev.Iters)
+	case trace.KindBranch:
+		fmt.Printf("%-6s %#x taken=%v -> %#x\n", ev.Kind, ev.Addr, ev.Taken, ev.Target)
+	case trace.KindCall:
+		fmt.Printf("%-6s %#x -> fn%d@%#x (from fn%d)\n", ev.Kind, ev.Addr, ev.Fn, ev.Target, ev.Caller)
+	case trace.KindReturn:
+		fmt.Printf("%-6s fn%d -> %#x\n", ev.Kind, ev.Fn, ev.Target)
+	case trace.KindData, trace.KindProbeData:
+		rw := "r"
+		if ev.Taken {
+			rw = "w"
+		}
+		fmt.Printf("%-6s %#x %dB %s\n", ev.Kind, ev.Addr, ev.N, rw)
+	case trace.KindSwitch:
+		fmt.Printf("%-6s thread %d\n", ev.Kind, ev.N)
+	case trace.KindProbeEnter:
+		fmt.Printf("%-6s fn%d\n", ev.Kind, ev.Fn)
+	case trace.KindProbeExit:
+		fmt.Printf("%-6s\n", ev.Kind)
+	case trace.KindProbeWork:
+		fmt.Printf("%-6s +%d\n", ev.Kind, ev.N)
+	case trace.KindQueryTag:
+		fmt.Printf("%-6s %016x\n", ev.Kind, uint64(ev.Addr))
+	}
 }
 
 func replay(args []string) error {
@@ -266,34 +262,21 @@ func replay(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay needs a trace file")
 	}
-	var pf prefetch.Prefetcher
+	cfg := cgp.Config{Degree: *degree, PerfectICache: *perfect}
 	switch *pref {
 	case "none", "":
-		pf = prefetch.None{}
+		cfg.Prefetcher = cgp.PrefNone
 	case "nl":
-		pf = prefetch.NewNL(*degree)
+		cfg.Prefetcher = cgp.PrefNL
 	case "ranl":
-		pf = prefetch.NewRunAheadNL(*degree, *degree)
+		cfg.Prefetcher = cgp.PrefRunAheadNL
 	case "cgp":
-		pf = core.New(core.Config{Lines: *degree, L1Bytes: 2048, L2Bytes: 32 * 1024})
+		cfg.Prefetcher = cgp.PrefCGP
 	default:
 		return fmt.Errorf("unknown prefetcher %q", *pref)
 	}
-	cfg := cpu.DefaultConfig()
-	cfg.PerfectICache = *perfect
-	c := cpu.New(cfg, pf)
-	if *attrTop > 0 || *byQuery {
-		c.EnableAttribution()
-	}
-	probe, err := isProbeFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
 	if *sampled {
-		if probe {
-			return fmt.Errorf("-sample needs an address-level trace; %s is a probe-level capture (replay it unsampled, or record the synthesized stream first)", fs.Arg(0))
-		}
-		scfg := sample.Config{
+		cfg.Sampling = sample.Config{
 			PeriodEvents:         *samplePeriod,
 			FunctionalWarmEvents: *sampleFWarm,
 			DetailWarmEvents:     *sampleWarm,
@@ -301,24 +284,35 @@ func replay(args []string) error {
 			RandomOffset:         *sampleRand,
 			Seed:                 uint64(*sampleSeed),
 		}.WithDefaults()
-		return replaySampled(fs.Arg(0), c, pf, scfg)
 	}
-	if probe {
-		if err := replayProbeInto(fs.Arg(0), c, *seed); err != nil {
-			return err
+	rec, err := load(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	c, _ := cfg.NewCPU(nil)
+	if *attrTop > 0 || *byQuery {
+		c.EnableAttribution()
+	}
+	if trace.IsProbeRecording(rec) {
+		if *sampled {
+			return fmt.Errorf("-sample needs an address-level trace; %s is a probe-level capture (replay it unsampled, or record the synthesized stream first)", fs.Arg(0))
 		}
+		// Probe captures carry the engine's own function IDs, so the
+		// engine's registry is the only one that resolves them.
+		reg, _ := db.BuildRegistry()
+		err = trace.ReplayProbe(rec, program.LayoutO5(reg), c, *seed)
 	} else {
-		r, f, err := openTrace(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.Replay(c); err != nil {
-			return err
-		}
+		err = rec.ReplaySampledInto(cfg.Sampling.Plan(rec.Events()), c)
+	}
+	if err != nil {
+		return err
 	}
 	s := c.Finish()
-	fmt.Printf("prefetcher      %s\n", pf.Name())
+	fmt.Printf("prefetcher      %s\n", c.Prefetcher().Name())
+	if *sampled {
+		printSampled(s, cfg.Sampling, rec)
+		return nil
+	}
 	fmt.Printf("cycles          %d (IPC %.3f)\n", s.Cycles, s.IPC())
 	fmt.Printf("I-cache misses  %d (%.2f/kinst)\n", s.ICacheMisses, s.IMissPerKInstr())
 	tp := s.TotalPrefetch()
@@ -403,76 +397,10 @@ func stageSummary(stages map[string]int64) string {
 	return out
 }
 
-// isProbeFile sniffs whether path holds a probe-level capture by
-// reading its first few events: a probe capture's payload events are
-// all KindProbe*, so any probe kind among the first events (skipping
-// session-tag switches) identifies one, and any address-level kind
-// rules it out.
-func isProbeFile(path string) (bool, error) {
-	r, f, err := openTrace(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	for i := 0; i < 4; i++ {
-		ev, err := r.Next()
-		if err == io.EOF {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		switch ev.Kind {
-		case trace.KindSwitch, trace.KindQueryTag:
-			continue
-		case trace.KindProbeEnter, trace.KindProbeExit, trace.KindProbeWork, trace.KindProbeData:
-			return true, nil
-		default:
-			return false, nil
-		}
-	}
-	return false, nil
-}
-
-// replayProbeInto loads a probe-level capture and synthesizes its
-// address-level stream into c over the database system's O5 image —
-// probe captures carry the engine's own function IDs, so the engine's
-// registry is the only one that resolves them.
-func replayProbeInto(path string, c *cpu.CPU, seed int64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	rec, err := trace.Load(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	reg, _ := db.BuildRegistry()
-	return trace.ReplayProbe(rec, program.LayoutO5(reg), c, seed)
-}
-
-// replaySampled loads the trace file into a sealed recording (the skip
-// tier jumps via the recording's event index, which a streaming reader
-// cannot provide) and drives the CPU through the three-tier sampled
-// replay.
-func replaySampled(path string, c *cpu.CPU, pf prefetch.Prefetcher, scfg sample.Config) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	rec, err := trace.Load(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	c.EnableSampling()
-	if err := rec.ReplaySampledInto(scfg.Plan(rec.Events()), c); err != nil {
-		return err
-	}
-	s := c.Finish()
+// printSampled reports a sampled replay: the whole-run estimates with
+// their 95% CIs and the per-tier event accounting.
+func printSampled(s *cpu.Stats, scfg sample.Config, rec *trace.Recording) {
 	sm := s.Sample
-	fmt.Printf("prefetcher      %s\n", pf.Name())
 	fmt.Printf("sampling        %s\n", scfg)
 	fmt.Printf("est cycles      ~%d ±%.1f%% (95%% CI, %d windows)\n",
 		int64(sm.EstCycles), 100*sm.CycleRelCI, sm.Windows)
@@ -486,7 +414,6 @@ func replaySampled(path string, c *cpu.CPU, pf prefetch.Prefetcher, scfg sample.
 		sm.WarmupEvents, sm.MeasuredEvents)
 	fmt.Printf("instructions    %d (exact; %d skipped undecoded)\n", s.Instructions, sm.SkippedInstrs)
 	fmt.Printf("events/kinst    %.1f\n", rec.Stats.EventsPerKInstr())
-	return nil
 }
 
 // printAttribution renders the top-n per-function rows in the same

@@ -67,7 +67,6 @@ func main() {
 		wiscN      = flag.Int("wisc-n", 10000, "Wisconsin big-relation cardinality")
 		seed       = flag.Int64("seed", 42, "workload seed")
 		workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential)")
-		noReplay   = flag.Bool("no-replay", false, "execute workloads live in each full-detail pass instead of recording and replaying their traces")
 		checkpoint = flag.String("checkpoint", "", "directory persisting completed simulations; re-runs skip them")
 		failFast   = flag.Bool("fail-fast", false, "cancel the remaining jobs after the first failure")
 		timeout    = flag.Duration("timeout", 0, "overall campaign deadline (0 = none)")
@@ -132,8 +131,7 @@ func main() {
 
 	opts := cgp.RunnerOptions{
 		DB: cgp.DBOptions{WiscN: *wiscN, Seed: *seed}, Seed: *seed,
-		Workers: *workers, NoRecord: *noReplay,
-		CheckpointDir: *checkpoint, FailFast: *failFast,
+		Workers: *workers, CheckpointDir: *checkpoint, FailFast: *failFast,
 		Obs: o, Attribution: *attribution,
 	}
 	// A sharded campaign meets in the checkpoint directory: workers
@@ -299,9 +297,8 @@ func runSharded(ctx context.Context, r *cgp.Runner, opts cgp.RunnerOptions, shar
 		Workers: shards,
 		Spec: campaign.RunnerSpec{
 			DB: opts.DB, Seed: opts.Seed, Workers: opts.Workers,
-			NoRecord: opts.NoRecord, CheckpointDir: opts.CheckpointDir,
-			Attribution: opts.Attribution, Sampling: opts.Sampling,
-			SampledFigures: opts.SampledFigures,
+			CheckpointDir: opts.CheckpointDir, Attribution: opts.Attribution,
+			Sampling: opts.Sampling, SampledFigures: opts.SampledFigures,
 		},
 		Log: opts.Log,
 		Obs: o,

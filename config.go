@@ -182,35 +182,33 @@ func (c Config) fingerprint() string {
 	return fp
 }
 
-// cpuConfig resolves the machine model.
-func (c Config) cpuConfig() cpu.Config {
-	var cfg cpu.Config
-	if c.CPU != nil {
-		cfg = *c.CPU
-	} else {
-		cfg = cpu.DefaultConfig()
-	}
-	cfg.PerfectICache = c.PerfectICache
-	cfg.DemandPriority = c.DemandPriority
-	cfg.PrefetchIntoL2Only = c.PrefetchIntoL2Only
-	return cfg
-}
-
-// buildPrefetcher instantiates the configured prefetch engine; the
-// second result exposes the CGP core when present (for Figure 9's
-// portion accounting).
-func (c Config) buildPrefetcher() (prefetch.Prefetcher, *core.CGP) {
+// NewCPU builds the machine the config describes: the CPU model (the
+// Table-1 machine unless CPU overrides it) with its prefetch engine
+// attached, ready for a sampling plan when the config is sampled. The
+// second result is the CGP core when the prefetcher is CGP, for Figure
+// 9's portion split. The software-CGP variant prefetches from sw, its
+// profiled call-sequence table bound to one image's addresses; a nil
+// sw leaves it without prefetching. Every cell the runner simulates is
+// built here, and so is cgptrace's replay machine.
+func (c Config) NewCPU(sw *core.Software) (*cpu.CPU, *core.CGP) {
 	c = c.withDefaults()
-	if c.PerfectICache {
-		return prefetch.None{}, nil
+	mc := cpu.DefaultConfig()
+	if c.CPU != nil {
+		mc = *c.CPU
 	}
-	switch c.Prefetcher {
-	case PrefNL:
-		return prefetch.NewNL(c.Degree), nil
-	case PrefRunAheadNL:
-		return prefetch.NewRunAheadNL(c.Degree, c.RunAheadM), nil
-	case PrefCGP:
-		g := core.New(core.Config{
+	mc.PerfectICache = c.PerfectICache
+	mc.DemandPriority = c.DemandPriority
+	mc.PrefetchIntoL2Only = c.PrefetchIntoL2Only
+	var pf prefetch.Prefetcher = prefetch.None{}
+	var gp *core.CGP
+	switch {
+	case c.PerfectICache:
+	case c.Prefetcher == PrefNL:
+		pf = prefetch.NewNL(c.Degree)
+	case c.Prefetcher == PrefRunAheadNL:
+		pf = prefetch.NewRunAheadNL(c.Degree, c.RunAheadM)
+	case c.Prefetcher == PrefCGP:
+		gp = core.New(core.Config{
 			Lines:    c.Degree,
 			L1Bytes:  c.CGHC.L1Bytes,
 			L2Bytes:  c.CGHC.L2Bytes,
@@ -218,14 +216,15 @@ func (c Config) buildPrefetcher() (prefetch.Prefetcher, *core.CGP) {
 			Ways:     c.CGHC.Ways,
 			Slots:    c.CGHC.Slots,
 		})
-		return g, g
-	case PrefSoftwareCGP:
-		// Placeholder: Runner.Run rebinds this with the profiled call
-		// sequences for the active image.
-		return prefetch.None{}, nil
-	default:
-		return prefetch.None{}, nil
+		pf = gp
+	case c.Prefetcher == PrefSoftwareCGP && sw != nil:
+		pf = sw
 	}
+	m := cpu.New(mc, pf)
+	if c.Sampling.Enabled() {
+		m.EnableSampling()
+	}
+	return m, gp
 }
 
 // DefaultCPUConfig exposes the Table-1 machine parameters.

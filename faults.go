@@ -164,7 +164,7 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 }
 
 // cancelEvery is how many events pass between context polls while a
-// workload executes (recordings and NoRecord runs). 64k events keeps
+// workload executes (recordings and live passes). 64k events keeps
 // the poll invisible in profiles while bounding cancellation latency
 // to well under a millisecond of simulated work.
 const cancelEvery = 1 << 16

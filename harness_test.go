@@ -7,22 +7,31 @@ import (
 	"testing"
 
 	"cgp/internal/obs"
+	"cgp/internal/sample"
 	"cgp/internal/workload"
 )
 
 // harnessOpts is a reduced scale for the harness determinism tests,
-// which run the Figure-4 grid through two independent runners (one of
-// them re-executing every cell).
-func harnessOpts(workers int, noRecord bool) RunnerOptions {
+// which run the Figure-4 grid through independent runners.
+func harnessOpts(workers int) RunnerOptions {
 	return RunnerOptions{
 		DB: DBOptions{
 			WiscN: 400, Quantum: 5, Seed: 11, BufferFrames: 4096,
 			TPCH: workload.TPCHScale{Suppliers: 8, Customers: 30, Parts: 45, Orders: 100, MaxLines: 3},
 		},
-		Seed:     11,
-		Workers:  workers,
-		NoRecord: noRecord,
+		Seed:    11,
+		Workers: workers,
 	}
+}
+
+// recorded gives o's runner a sampling schedule, so every pass it makes
+// records its stream and replays the sealed recording, the way a
+// sampling campaign's full-detail cells run. Jobs submitted with
+// full-detail configs stay full detail: the schedule samples only the
+// figures in the sampled set, and RunAll jobs only by their own Config.
+func recorded(o RunnerOptions) RunnerOptions {
+	o.Sampling = sample.Default()
+	return o
 }
 
 // fig4Jobs builds the Figure-4 grid for a runner's DB workloads.
@@ -39,13 +48,13 @@ func fig4Jobs(r *Runner) []Job {
 // TestRunAllParallelMatchesSequential is the harness's headline
 // determinism property: a parallel RunAll over the Figure-4 grid with
 // trace replay must produce byte-identical Result/Stats to the
-// sequential re-executing path, in input order — and so must a
-// NoRecord RunAll, where each (workload, layout) executes live once and
-// feeds all of its configs.
+// sequential live path, in input order — and so must a live RunAll,
+// where each (workload, layout) executes once and feeds all of its
+// configs.
 func TestRunAllParallelMatchesSequential(t *testing.T) {
 	// Sequential reference: one worker, no record/replay, one Run (a
 	// one-cell live pass) per job.
-	seq := NewRunner(harnessOpts(1, true))
+	seq := NewRunner(harnessOpts(1))
 	var want []*Result
 	for _, j := range fig4Jobs(seq) {
 		res, err := seq.Run(context.Background(), j.Workload, j.Config)
@@ -93,17 +102,69 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	}
 	// Parallel replay path: many workers (even on one CPU this
 	// exercises the concurrent interleavings under -race).
-	check("parallel replay", NewRunner(harnessOpts(8, false)))
-	check("live fan-out", NewRunner(harnessOpts(2, true)))
+	check("parallel replay", NewRunner(recorded(harnessOpts(8))))
+	check("live fan-out", NewRunner(harnessOpts(2)))
+}
+
+// TestPassSourceRule pins how a pass picks its source. On a runner
+// without a sampling schedule the Figure-4 grid runs every pass live and
+// records nothing; with a schedule (its jobs still full detail) each of
+// the grid's eight (workload, layout) streams is recorded once — the
+// profile passes included — and every pass replays a recording.
+func TestPassSourceRule(t *testing.T) {
+	for _, schedule := range []bool{false, true} {
+		opts := harnessOpts(2)
+		if schedule {
+			opts = recorded(opts)
+		}
+		opts.Obs = obs.New()
+		r := NewRunner(opts)
+		if _, err := r.RunAll(context.Background(), fig4Jobs(r)); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := opts.Obs.Spans.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var parsed struct {
+			TraceEvents []struct {
+				Name string            `json:"name"`
+				Args map[string]string `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
+			t.Fatal(err)
+		}
+		records, sources := 0, map[string]int{}
+		for _, ev := range parsed.TraceEvents {
+			switch ev.Name {
+			case "record":
+				records++
+			case "replay":
+				sources[ev.Args["source"]]++
+			}
+		}
+		wantRecords, wantSource := 0, "live"
+		if schedule {
+			wantRecords, wantSource = 8, "recording"
+		}
+		if records != wantRecords || len(sources) != 1 || sources[wantSource] == 0 {
+			t.Errorf("schedule=%v: %d recordings and pass sources %v, want %d and only %q",
+				schedule, records, sources, wantRecords, wantSource)
+		}
+	}
 }
 
 // TestRunAllDeduplicates: duplicate jobs in one batch resolve to the
-// same cached *Result, computed once, in both record modes. A later
+// same cached *Result, computed once, from a recording and live. A later
 // RunAll of the same job is served from that cache — and still settles
 // in the progress tracker: every job ends in a terminal state.
 func TestRunAllDeduplicates(t *testing.T) {
-	for _, noRecord := range []bool{false, true} {
-		opts := harnessOpts(4, noRecord)
+	for _, live := range []bool{false, true} {
+		opts := harnessOpts(4)
+		if !live {
+			opts = recorded(opts)
+		}
 		opts.Obs = obs.New()
 		r := NewRunner(opts)
 		w := WiscProf(r.opts.DB)
@@ -115,7 +176,7 @@ func TestRunAllDeduplicates(t *testing.T) {
 		}
 		for i := 1; i < len(results); i++ {
 			if results[i] != results[0] {
-				t.Fatalf("noRecord=%v: duplicate job %d got a distinct result", noRecord, i)
+				t.Fatalf("live=%v: duplicate job %d got a distinct result", live, i)
 			}
 		}
 		again, err := r.RunAll(context.Background(), jobs[:1])
@@ -123,15 +184,15 @@ func TestRunAllDeduplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if again[0] != results[0] {
-			t.Fatalf("noRecord=%v: repeated job got a distinct result", noRecord)
+			t.Fatalf("live=%v: repeated job got a distinct result", live)
 		}
 		snap := opts.Obs.Progress.Snapshot()
 		for _, j := range snap.Jobs {
 			switch obs.JobState(j.State) {
 			case obs.JobExecuted, obs.JobReplayed, obs.JobResumed, obs.JobFailed:
 			default:
-				t.Errorf("noRecord=%v: job %s/%s never settled: counts=%v",
-					noRecord, j.Workload, j.Config, snap.Counts)
+				t.Errorf("live=%v: job %s/%s never settled: counts=%v",
+					live, j.Workload, j.Config, snap.Counts)
 			}
 		}
 	}
@@ -141,7 +202,7 @@ func TestRunAllDeduplicates(t *testing.T) {
 // label but differ in non-Label fields (the RunAheadM sweep) must not
 // alias in the result cache.
 func TestConfigFingerprintDisambiguates(t *testing.T) {
-	r := NewRunner(harnessOpts(1, false))
+	r := NewRunner(harnessOpts(1))
 	w := WiscProf(r.opts.DB)
 	a := Config{Layout: LayoutOM, Prefetcher: PrefRunAheadNL, Degree: 4, RunAheadM: 1}
 	b := Config{Layout: LayoutOM, Prefetcher: PrefRunAheadNL, Degree: 4, RunAheadM: 16}
@@ -172,7 +233,7 @@ func TestConcurrentFigureGenerators(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	conc := NewRunner(harnessOpts(8, false))
+	conc := NewRunner(harnessOpts(8))
 	figs, err := runFigureGens(context.Background(), []figureGen{
 		{"fig6", conc.Figure6},
 		{"fig7", conc.Figure7},
@@ -182,7 +243,7 @@ func TestConcurrentFigureGenerators(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref := NewRunner(harnessOpts(1, true))
+	ref := NewRunner(harnessOpts(1))
 	want6, err := ref.Figure6(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -291,7 +291,7 @@ func TestPartitionDeterministicAndComplete(t *testing.T) {
 			}
 		}
 	}
-	jobs = append(jobs, JobSpec{ID: id, Workload: "wisc-large-2", Quantum: 7,
+	jobs = append(jobs, JobSpec{ID: id, Workload: "wisc-large-2/q2",
 		Config: cgp.Config{Layout: cgp.LayoutOM}})
 
 	for _, n := range []int{1, 2, 3, 16} {

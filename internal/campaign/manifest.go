@@ -89,7 +89,7 @@ func Jobs(r *cgp.Runner, m *Manifest) ([]JobSpec, error) {
 			continue
 		}
 		seen[k] = true
-		jobs = append(jobs, JobSpec{ID: len(jobs), Workload: c.Workload, Config: c.Config, Quantum: c.Quantum})
+		jobs = append(jobs, JobSpec{ID: len(jobs), Workload: c.Workload, Config: c.Config})
 	}
 	for f := range want {
 		if !known[f] {

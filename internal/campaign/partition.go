@@ -10,8 +10,7 @@ import (
 // The unit of placement is not the job but the recording group: all
 // cells sharing a (workload, layout) pair replay one recorded trace, so
 // splitting a group across shards would record the same trace in every
-// shard that holds a piece — pure duplicated wall-clock. Quantum cells
-// group by quantum value instead (each is its own sub-scope workload).
+// shard that holds a piece — pure duplicated wall-clock.
 //
 // Placement is greedy least-loaded over groups sorted by descending
 // size: the classic LPT heuristic, which keeps the largest shard within
@@ -65,10 +64,7 @@ func Partition(jobs []JobSpec, n int) [][]JobSpec {
 }
 
 // groupKey is the recording-affinity key: cells with equal keys share a
-// recorded trace (or, for quantum cells, a sub-runner scope).
+// (workload, layout) event stream.
 func groupKey(j JobSpec) string {
-	if j.Quantum != 0 {
-		return fmt.Sprintf("quantum|%d", j.Quantum)
-	}
 	return fmt.Sprintf("%s|layout%d", j.Workload, j.Config.Layout)
 }

@@ -88,15 +88,10 @@ type JobSpec struct {
 	ID       int        `json:"id"`
 	Workload string     `json:"workload"`
 	Config   cgp.Config `json:"config"`
-	// Quantum, when nonzero, marks an abl-quantum sub-scope cell run
-	// via RunQuantumCell instead of the ordinary Run path.
-	Quantum int `json:"quantum,omitempty"`
 }
 
 // Key returns the cell's identity key (CampaignCell.Key's rule).
-func (j JobSpec) Key() string {
-	return cgp.CampaignCell{Workload: j.Workload, Config: j.Config, Quantum: j.Quantum}.Key()
-}
+func (j JobSpec) Key() string { return cgp.CellKey(j.Workload, j.Config) }
 
 // JobFailure is one job's deterministic failure: the same inputs would
 // fail again, so the coordinator records it instead of reassigning.
@@ -116,7 +111,6 @@ type RunnerSpec struct {
 	DB             cgp.DBOptions `json:"db"`
 	Seed           int64         `json:"seed"`
 	Workers        int           `json:"workers,omitempty"`
-	NoRecord       bool          `json:"no_record,omitempty"`
 	CheckpointDir  string        `json:"checkpoint_dir"`
 	Attribution    bool          `json:"attribution,omitempty"`
 	Sampling       sample.Config `json:"sampling,omitempty"`
@@ -124,13 +118,12 @@ type RunnerSpec struct {
 }
 
 // Options expands the spec into RunnerOptions; the caller fills the
-// process-local fields (Obs, OnRecord, Log, Verbose).
+// process-local fields (Obs, OnRecord, Log).
 func (s RunnerSpec) Options() cgp.RunnerOptions {
 	return cgp.RunnerOptions{
 		DB:             s.DB,
 		Seed:           s.Seed,
 		Workers:        s.Workers,
-		NoRecord:       s.NoRecord,
 		CheckpointDir:  s.CheckpointDir,
 		Attribution:    s.Attribution,
 		Sampling:       s.Sampling,

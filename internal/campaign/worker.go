@@ -48,7 +48,6 @@ func Serve(ctx context.Context, in io.Reader, out io.Writer, logf func(format st
 	opts := spec.Options()
 	opts.Obs = o
 	if logf != nil {
-		opts.Verbose = true
 		opts.Log = logf
 	}
 	opts.OnRecord = func(key string, record []byte) {
@@ -95,25 +94,19 @@ func Serve(ctx context.Context, in io.Reader, out io.Writer, logf func(format st
 	}
 }
 
-// runJobs executes one batch: regular cells go through RunAll (so the
-// shard gets the Runner's full parallelism and singleflight
-// coalescing), quantum cells run their sub-scope path afterwards.
-// Failures are deterministic facts about the cell, reported per job.
+// runJobs executes one batch through RunAll, so the shard gets the
+// Runner's full parallelism and singleflight coalescing. Failures are
+// deterministic facts about the cell, reported per job.
 func runJobs(ctx context.Context, r *cgp.Runner, specs []JobSpec) (done []int, failed []JobFailure) {
-	var regular []JobSpec
+	var resolved []JobSpec
 	var jobs []cgp.Job
-	var quantum []JobSpec
 	for _, js := range specs {
-		if js.Quantum != 0 {
-			quantum = append(quantum, js)
-			continue
-		}
 		w, err := r.WorkloadByName(js.Workload)
 		if err != nil {
 			failed = append(failed, JobFailure{ID: js.ID, Error: err.Error()})
 			continue
 		}
-		regular = append(regular, js)
+		resolved = append(resolved, js)
 		jobs = append(jobs, cgp.Job{Workload: w, Config: js.Config})
 	}
 	results, err := r.RunAll(ctx, jobs)
@@ -124,7 +117,7 @@ func runJobs(ctx context.Context, r *cgp.Runner, specs []JobSpec) (done []int, f
 			jobErrs[je.Index] = je.Error()
 		}
 	}
-	for i, js := range regular {
+	for i, js := range resolved {
 		if results[i] != nil {
 			done = append(done, js.ID)
 			continue
@@ -134,13 +127,6 @@ func runJobs(ctx context.Context, r *cgp.Runner, specs []JobSpec) (done []int, f
 			msg = fmt.Sprintf("job not run: %v", err)
 		}
 		failed = append(failed, JobFailure{ID: js.ID, Error: msg})
-	}
-	for _, js := range quantum {
-		if _, err := r.RunQuantumCell(ctx, js.Quantum); err != nil {
-			failed = append(failed, JobFailure{ID: js.ID, Error: err.Error()})
-			continue
-		}
-		done = append(done, js.ID)
 	}
 	return done, failed
 }

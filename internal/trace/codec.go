@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,7 +43,7 @@ var (
 	v1Magic = [8]byte{'C', 'G', 'P', 'T', 'R', 'C', '0', '1'}
 )
 
-// ErrBadMagic is returned when a reader is handed a non-trace stream.
+// ErrBadMagic is returned when Load is handed a non-trace stream.
 var ErrBadMagic = errors.New("trace: bad magic")
 
 // ErrRetiredFormat is returned for a stream in the retired CGPTRC01
@@ -241,64 +240,12 @@ func (tw *Writer) Flush() error {
 	return tw.err
 }
 
-// Reader decodes a stream written by Writer.
-type Reader struct {
-	r     *bufio.Reader
-	bases bases
-}
-
-// NewReader validates the header and returns an event reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: read header: %w", err)
-	}
-	if err := checkMagic(magic[:]); err != nil {
-		return nil, err
-	}
-	return &Reader{r: br}, nil
-}
-
-// Next decodes the next event. It returns io.EOF at a clean end of
-// stream.
-func (tr *Reader) Next() (Event, error) {
-	var ev Event
-	b, err := tr.r.Peek(maxEventRecord)
-	if err != nil && err != io.EOF {
-		return ev, err
-	}
-	if len(b) == 0 {
-		return ev, io.EOF
-	}
-	n, err := decodeEventInto(b, &ev, &tr.bases)
-	if err != nil {
-		return ev, err
-	}
-	tr.r.Discard(n) // n <= len(b), already buffered: cannot fail
-	return ev, nil
-}
-
-// Replay feeds every event in the stream to c, stopping at EOF.
-func (tr *Reader) Replay(c Consumer) error {
-	for {
-		ev, err := tr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		c.Event(ev)
-	}
-}
-
 // decodeEventInto decodes one record from the front of b into *ev,
 // advances the delta bases *s past it, and returns its length. It is
-// the one decoder: every replay's chunk decoder, Load and the
-// streaming Reader call it. On success every field of *ev is
-// overwritten, so the caller can reuse a dirty buffer slot without
-// zeroing it; on error *ev and *s are unspecified.
+// the one decoder: every replay's chunk decoder and Load's scan call
+// it. On success every field of *ev is overwritten, so the caller can
+// reuse a dirty buffer slot without zeroing it; on error *ev and *s
+// are unspecified.
 //
 // This is the hottest loop body of the whole simulator (every replayed
 // event passes through it), so the varint reads are open-coded

@@ -42,24 +42,28 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(&buf)
+	got, err := loadEvents(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
-	}
-	var got []Event
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ev)
 	}
 	if !reflect.DeepEqual(events, got) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", events, got)
 	}
+}
+
+// loadEvents reads stream through Load and returns every event a full
+// replay of the recording delivers.
+func loadEvents(stream []byte) ([]Event, error) {
+	rec, err := Load(bytes.NewReader(stream))
+	if err != nil {
+		return nil, err
+	}
+	var evs []Event
+	err = rec.ReplayBatch(func(b []Event) error {
+		evs = append(evs, b...)
+		return nil
+	})
+	return evs, err
 }
 
 func TestCodecBadMagic(t *testing.T) {
@@ -74,11 +78,11 @@ func TestCodecBadMagic(t *testing.T) {
 		{"garbage", []byte("notatrace..."), ErrBadMagic},
 		{"retired CGPTRC01", v1, ErrRetiredFormat},
 	} {
-		if _, err := NewReader(bytes.NewReader(tc.stream)); err != tc.want {
-			t.Errorf("%s: NewReader err = %v, want %v", tc.name, err, tc.want)
-		}
 		if _, err := Load(bytes.NewReader(tc.stream)); err != tc.want {
 			t.Errorf("%s: Load err = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := flatDecode(tc.stream); err != tc.want {
+			t.Errorf("%s: flat decode err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 	if msg := ErrRetiredFormat.Error(); !strings.Contains(msg, "CGPTRC01") || !strings.Contains(msg, "re-record") {
@@ -99,9 +103,9 @@ func record(flags, has byte, vals ...uint64) []byte {
 // zz is the zigzag encoding of v.
 func zz(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
-// TestLoadRejectsGarbage feeds malformed streams through both decode
-// paths, Load and the streaming Reader. Each bad record follows a good
-// one, so the failure is mid-stream, and each must fail with the
+// TestLoadRejectsGarbage feeds malformed streams through Load and
+// through flatDecode, the reference decoder. Each bad record follows a
+// good one, so the failure is mid-stream, and each must fail with the
 // expected error class rather than decode.
 func TestLoadRejectsGarbage(t *testing.T) {
 	good := record(byte(KindRun)<<1, hasAddr|hasN, zz(0x400000), zz(12))
@@ -133,32 +137,31 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		if _, err := Load(bytes.NewReader(stream)); !errors.Is(err, tc.want) {
 			t.Errorf("%s: Load err = %v, want %v", tc.name, err, tc.want)
 		}
-		if err := readAll(stream, nil); !errors.Is(err, tc.want) {
-			t.Errorf("%s: Reader err = %v, want %v", tc.name, err, tc.want)
+		if _, err := flatDecode(stream); !errors.Is(err, tc.want) {
+			t.Errorf("%s: flat decode err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }
 
-// readAll decodes stream with a Reader, appending the events to *evs
-// when evs is non-nil, and returns the first error other than a clean
-// io.EOF.
-func readAll(stream []byte, evs *[]Event) error {
-	r, err := NewReader(bytes.NewReader(stream))
-	if err != nil {
-		return err
+// flatDecode is the reference decoder: decodeEventInto walked over one
+// flat byte slice, independent of the chunked decoder Load and every
+// replay use. It returns the events decoded before the first error.
+func flatDecode(stream []byte) ([]Event, error) {
+	if err := checkMagic(stream); err != nil {
+		return nil, err
 	}
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
+	var evs []Event
+	var s bases
+	for b := stream[len(traceMagic):]; len(b) > 0; {
+		var ev Event
+		n, err := decodeEventInto(b, &ev, &s)
 		if err != nil {
-			return err
+			return evs, err
 		}
-		if evs != nil {
-			*evs = append(*evs, ev)
-		}
+		evs = append(evs, ev)
+		b = b[n:]
 	}
+	return evs, nil
 }
 
 func TestCodecTruncated(t *testing.T) {
@@ -167,11 +170,7 @@ func TestCodecTruncated(t *testing.T) {
 	w.Event(Event{Kind: KindRun, Addr: 0x400000, N: 12})
 	w.Flush()
 	raw := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(raw[:len(raw)-2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Next(); err == nil {
+	if _, err := Load(bytes.NewReader(raw[:len(raw)-2])); err == nil {
 		t.Error("truncated record decoded without error")
 	}
 }
@@ -183,9 +182,12 @@ func TestReplay(t *testing.T) {
 		w.Event(Event{Kind: KindRun, Addr: isa.Addr(0x400000 + i*32), N: 8})
 	}
 	w.Flush()
-	r, _ := NewReader(&buf)
+	rec, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st Stats
-	if err := r.Replay(&st); err != nil {
+	if err := rec.Replay(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Instructions != 80 {
@@ -220,13 +222,8 @@ func TestCodecProperty(t *testing.T) {
 		if w.Flush() != nil {
 			return false
 		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		got0, err0 := r.Next()
-		got, err := r.Next()
-		return err0 == nil && got0 == first && err == nil && got == ev
+		got, err := loadEvents(buf.Bytes())
+		return err == nil && len(got) == 2 && got[0] == first && got[1] == ev
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -247,12 +244,12 @@ func TestCodecFullTrace(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&buf)
+	rec, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var replayed Capture
-	if err := r.Replay(&replayed); err != nil {
+	if err := rec.Replay(&replayed); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(direct.Events, replayed.Events) {

@@ -56,8 +56,8 @@ func checkDecodeErr(t *testing.T, path string, err error) {
 }
 
 // FuzzDecode decodes arbitrary records through Load+ReplayBatch and
-// through the streaming Reader. Neither may panic; both must fail with
-// the same error class or decode the same events.
+// through flatDecode, the reference decoder. Neither may panic; both
+// must fail with the same error class or decode the same events.
 func FuzzDecode(f *testing.F) {
 	f.Add(encodeRecords(codecTestEvents))
 	f.Add(encodeRecords(realTraceEvents()))
@@ -76,18 +76,17 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 
-		var read []Event
-		rerr := readAll(stream, &read)
-		checkDecodeErr(t, "Reader", rerr)
+		read, rerr := flatDecode(stream)
+		checkDecodeErr(t, "flat decode", rerr)
 
 		if errors.Is(lerr, ErrMalformed) != errors.Is(rerr, ErrMalformed) || (lerr == nil) != (rerr == nil) {
-			t.Fatalf("Load error %v, Reader error %v", lerr, rerr)
+			t.Fatalf("Load error %v, flat decode error %v", lerr, rerr)
 		}
 		if lerr != nil {
 			return
 		}
 		if !slices.Equal(loaded, read) {
-			t.Fatalf("Load decoded %d events, Reader %d, and they differ", len(loaded), len(read))
+			t.Fatalf("Load decoded %d events, flat decode %d, and they differ", len(loaded), len(read))
 		}
 		var st Stats
 		for _, ev := range read {
@@ -174,8 +173,8 @@ var extremeEvents = []Event{
 	{Kind: KindRun, Addr: 4, N: math.MinInt32},
 }
 
-// FuzzRoundTrip writes the input's events through a Writer, which the
-// Reader must read back, and the events repeated well past the first
+// FuzzRoundTrip writes the input's events through a Writer, which Load
+// must read back, and the events repeated well past the first
 // skip-index checkpoint through a Recorder with small chunks, so
 // records straddle chunk boundaries. ReplayBatch and a sampled replay
 // whose skip crosses the checkpoint must return that sequence, the
@@ -205,18 +204,8 @@ func FuzzRoundTrip(f *testing.F) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		tr, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; ; i++ {
-			ev, err := tr.Next()
-			if err == io.EOF && i == len(pattern) {
-				break
-			}
-			if err != nil || i == len(pattern) || ev != pattern[i] {
-				t.Fatalf("Reader event %d of %d: %+v, %v", i, len(pattern), ev, err)
-			}
+		if got, err := loadEvents(buf.Bytes()); err != nil || !slices.Equal(got, pattern) {
+			t.Fatalf("Load returned %d of %d events: %v", len(got), len(pattern), err)
 		}
 		if len(pattern) == 0 {
 			return
@@ -279,6 +268,41 @@ func FuzzRoundTrip(f *testing.F) {
 		if !slices.Equal(got.skips, []int64{skip}) || got.skInstr != instrsOf(evs[head:head+skip]) {
 			t.Fatalf("skip reported %v events, %d instrs; want %d, %d",
 				got.skips, got.skInstr, skip, instrsOf(evs[head:head+skip]))
+		}
+	})
+}
+
+// FuzzReplayProbe feeds arbitrary records to Load and, when they form
+// a probe recording, replays them through ReplayProbe over a small
+// synthetic image: the path live captures take into the simulator.
+// Nothing may panic; Load may fail only with a decode error and
+// ReplayProbe only with a *ProbeStreamError; and a replay that
+// succeeds must synthesize the same stream again. Seeded from the
+// query-tag tests' streams.
+func FuzzReplayProbe(f *testing.F) {
+	f.Add(encodeRecords(taggedProbeEvents))
+	for _, tc := range malformedProbeStreams {
+		f.Add(encodeRecords(tc.evs))
+	}
+	img := probeTagImage()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := Load(bytes.NewReader(append(traceMagic[:len(traceMagic):len(traceMagic)], data...)))
+		checkDecodeErr(t, "Load", err)
+		if err != nil || !IsProbeRecording(rec) {
+			return
+		}
+		var st Stats
+		err = ReplayProbe(rec, img, &st, 42)
+		var pe *ProbeStreamError
+		if err != nil && !errors.As(err, &pe) {
+			t.Fatalf("ReplayProbe: untyped error %v", err)
+		}
+		if err != nil {
+			return
+		}
+		var again Stats
+		if err := ReplayProbe(rec, img, &again, 42); err != nil || again != st {
+			t.Fatalf("second replay synthesized %+v (%v), first %+v", again, err, st)
 		}
 	})
 }

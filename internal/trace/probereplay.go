@@ -44,26 +44,28 @@ func IsProbeRecording(rec *Recording) bool {
 // and seed yield a byte-identical event stream on every call.
 //
 // The stream is validated as it replays: a malformed capture (probe
-// ops at stack depth zero, an unknown kind, a negative session) fails
-// with an error instead of panicking the tracer — captures come from
-// live network traffic and are not trusted.
+// ops at stack depth zero, a function outside img, an unknown kind, a
+// negative session) fails with a *ProbeStreamError instead of
+// panicking the tracer — captures come from live network traffic and
+// are not trusted. Tracers are kept per session slot actually used, so
+// a far-out slot number costs one tracer, not a slice up to it.
 func ReplayProbe(rec *Recording, img *program.Image, out Consumer, seed int64) error {
 	if !IsProbeRecording(rec) {
 		return ErrNotProbeRecording
 	}
 	var (
-		tracers []*Tracer
+		tracers = map[int32]*Tracer{}
 		cur     *Tracer
 		n       int64
+		funcs   = img.Registry().Len()
 	)
 	tracerFor := func(slot int32) *Tracer {
-		for int(slot) >= len(tracers) {
-			tracers = append(tracers, nil)
+		t := tracers[slot]
+		if t == nil {
+			t = NewTracer(img, out, seed+int64(slot)*probeReplaySeedStride)
+			tracers[slot] = t
 		}
-		if tracers[slot] == nil {
-			tracers[slot] = NewTracer(img, out, seed+int64(slot)*probeReplaySeedStride)
-		}
-		return tracers[slot]
+		return t
 	}
 	return rec.ReplayBatch(func(evs []Event) error {
 		for i := range evs {
@@ -91,6 +93,9 @@ func ReplayProbe(rec *Recording, img *program.Image, out Consumer, seed int64) e
 				if cur == nil {
 					return probeStreamErr(n, "probe op before first session switch")
 				}
+				if ev.Fn < 0 || int(ev.Fn) >= funcs {
+					return probeStreamErr(n, fmt.Sprintf("probe enter names function %d; the image has %d", ev.Fn, funcs))
+				}
 				cur.Enter(ev.Fn)
 			case KindProbeExit:
 				if cur == nil || cur.Depth() == 0 {
@@ -115,7 +120,18 @@ func ReplayProbe(rec *Recording, img *program.Image, out Consumer, seed int64) e
 	})
 }
 
+// ProbeStreamError is ReplayProbe's one error for a malformed probe
+// capture: what was wrong, at which 1-based event.
+type ProbeStreamError struct {
+	Event int64
+	Msg   string
+}
+
+func (e *ProbeStreamError) Error() string {
+	return fmt.Sprintf("trace: probe replay: event %d: %s", e.Event, e.Msg)
+}
+
 // probeStreamErr reports a malformed probe capture at 1-based event n.
 func probeStreamErr(n int64, msg string) error {
-	return fmt.Errorf("trace: probe replay: event %d: %s", n, msg)
+	return &ProbeStreamError{Event: n, Msg: msg}
 }

@@ -222,9 +222,9 @@ func (r *Recording) decoder() (chunkDecoder, error) {
 
 // fill is the one decode loop of every replay: it decodes events into
 // buf until buf is full or the stream ends, and returns how many it
-// decoded. The varints are decoded directly from the chunk slices — the
-// generic Reader pays an interface-dispatched ReadByte per varint byte,
-// which costs as much as the simulation consuming the events.
+// decoded. The varints are decoded directly from the chunk slices: an
+// interface-dispatched ReadByte per varint byte would cost as much as
+// the simulation consuming the events.
 //
 //cgplint:hotpath
 func (d *chunkDecoder) fill(buf []Event) (int, error) {
@@ -325,11 +325,11 @@ func (d *chunkDecoder) advance(n int) {
 }
 
 // Load reads an entire encoded trace stream (the cgptrace on-disk
-// format, header included) into a sealed Recording, so file-backed
-// traces get the same replay machinery as in-memory ones — including
-// sampled replay, which needs random access the streaming Reader
-// cannot provide. The stream is decoded once to rebuild the aggregate
-// Stats and the skip index a Recorder would have built.
+// format, header included) into a sealed Recording. It is the one way
+// to read a trace file, so file-backed traces get the same replay
+// machinery as in-memory ones, sampled replay included. The stream is
+// decoded once to rebuild the aggregate Stats and the skip index a
+// Recorder would have built; a malformed record fails the load.
 func Load(src io.Reader) (*Recording, error) {
 	buf := newChunkBuffer(recordChunkBytes)
 	if _, err := io.Copy(buf, src); err != nil {

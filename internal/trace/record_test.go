@@ -260,15 +260,11 @@ func TestRecordingWriteTo(t *testing.T) {
 	if err != nil || n != rec.Bytes() {
 		t.Fatalf("WriteTo = %d, %v; want %d bytes", n, err, rec.Bytes())
 	}
-	tr, err := NewReader(&buf)
+	got, err := flatDecode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Capture
-	if err := tr.Replay(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Events, evs) {
+	if !reflect.DeepEqual(got, evs) {
 		t.Fatal("WriteTo bytes decode differently")
 	}
 }

@@ -105,7 +105,20 @@ func WiscLarge1(opts DBOptions) *Workload {
 
 // WiscLarge2 runs all eight Wisconsin queries on the full database.
 func WiscLarge2(opts DBOptions) *Workload {
-	return dbWorkload("wisc-large-2", opts, false, []int{1, 2, 3, 4, 5, 6, 7, 9})
+	return WiscLarge2Quantum(opts, opts.withDefaults().Quantum)
+}
+
+// WiscLarge2Quantum is wisc-large-2 with the scheduler quantum set to
+// q. At opts' own (defaulted) quantum it is WiscLarge2(opts). Any
+// other quantum makes a distinct workload named "wisc-large-2/q<q>",
+// so every key derived from a workload's name carries its quantum.
+func WiscLarge2Quantum(opts DBOptions, q int) *Workload {
+	name := "wisc-large-2"
+	if q != opts.withDefaults().Quantum {
+		name = fmt.Sprintf("wisc-large-2/q%d", q)
+	}
+	opts.Quantum = q
+	return dbWorkload(name, opts, false, []int{1, 2, 3, 4, 5, 6, 7, 9})
 }
 
 // WiscTPCH runs the eight Wisconsin queries and the five TPC-H queries

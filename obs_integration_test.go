@@ -14,7 +14,7 @@ import (
 // component enabled, the run log writing into logBuf, and attribution
 // collected on every CPU.
 func obsOpts(workers int, logBuf *bytes.Buffer) RunnerOptions {
-	o := harnessOpts(workers, false)
+	o := harnessOpts(workers)
 	o.Obs = obs.New().AttachLog(logBuf)
 	o.Attribution = true
 	return o
@@ -26,7 +26,7 @@ func obsOpts(workers int, logBuf *bytes.Buffer) RunnerOptions {
 // must be byte-identical to a run with observability disabled. Wall
 // facts may differ run to run; nothing in a report may.
 func TestObsDoesNotChangeFigures(t *testing.T) {
-	plain := NewRunner(harnessOpts(4, false))
+	plain := NewRunner(harnessOpts(4))
 	want, err := plain.Figure4(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +98,11 @@ func TestObsDetDomainDeterministic(t *testing.T) {
 // TestObsCampaignArtifacts: a campaign's Chrome trace export and run
 // log both pass their validators, and the log tells the full lifecycle
 // story (every job queued, every cell either executed or served from
-// the singleflight cache).
+// the singleflight cache). The runner records, so the trace carries the
+// record and verify spans of its passes.
 func TestObsCampaignArtifacts(t *testing.T) {
 	var logBuf bytes.Buffer
-	r := NewRunner(obsOpts(4, &logBuf))
+	r := NewRunner(recorded(obsOpts(4, &logBuf)))
 	jobs := fig4Jobs(r)
 	if _, err := r.RunAll(context.Background(), jobs); err != nil {
 		t.Fatal(err)
@@ -237,7 +238,7 @@ func TestAttributionTable(t *testing.T) {
 	}
 
 	// Without Attribution set the table is refused, not silently empty.
-	plain := NewRunner(harnessOpts(1, false))
+	plain := NewRunner(harnessOpts(1))
 	if _, err := plain.AttributionTable(context.Background(), w, cfg, 10); err == nil {
 		t.Error("AttributionTable without RunnerOptions.Attribution should fail")
 	}

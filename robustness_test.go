@@ -23,9 +23,12 @@ import (
 	"cgp/internal/trace"
 )
 
-// chaosOpts is the reduced scale shared by the chaos tests.
+// chaosOpts is the reduced scale shared by the chaos tests. The chaos
+// suite corrupts recordings, so its runners record: their jobs are
+// full-detail RunAll jobs and their one figure, Figure 7, is
+// full-detail, so the sampling schedule only selects the source.
 func chaosOpts(workers int) RunnerOptions {
-	o := harnessOpts(workers, false)
+	o := recorded(harnessOpts(workers))
 	o.RetryBackoff = 1 // effectively no backoff wait in tests
 	return o
 }

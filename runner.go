@@ -45,6 +45,16 @@ func CPU2000(name string, seed int64) (*Workload, error) {
 	return workload.NewCPU2000(spec, seed), nil
 }
 
+// Captured loads a sealed probe-level capture of live served traffic
+// (written by cgpserve -capture, or server.LiveCapture.Seal) as the
+// "captured" workload. It replays through per-session tracers seeded
+// from seed (0 means 42) over whatever layout a config asks for, so
+// it runs through Run and RunAll like any other workload. Its name is
+// its identity in a runner's caches: one runner takes one capture.
+func Captured(path string, seed int64) (*Workload, error) {
+	return workload.CapturedFromFile(path, seed)
+}
+
 // Result is everything one simulation run measured.
 type Result struct {
 	Workload string
@@ -73,21 +83,12 @@ type RunnerOptions struct {
 	DB DBOptions
 	// Seed drives the CPU2000 generators.
 	Seed int64
-	// Verbose enables progress lines on stderr.
-	Verbose bool
-	// Log receives progress lines when Verbose (defaults to a no-op).
-	// It may be called from multiple goroutines concurrently.
+	// Log receives progress lines (defaults to a no-op). It may be
+	// called from multiple goroutines concurrently.
 	Log func(format string, args ...any)
 	// Workers caps the number of simulations RunAll keeps in flight.
 	// 0 means GOMAXPROCS; 1 forces sequential execution.
 	Workers int
-	// NoRecord disables trace recording: a full-detail pass executes
-	// the workload live, feeding every cell drained with it, instead of
-	// replaying a recorded event stream. Slower when several drains
-	// share a (workload, layout), but holds no trace memory. Sampled
-	// cells replay a recording regardless — skipping needs one. Used by
-	// one-shot CLI runs and by benchmarks isolating the replay layer.
-	NoRecord bool
 	// CheckpointDir, when set, persists each completed Result to disk
 	// (atomic temp-file + rename) keyed by the config fingerprint and
 	// campaign scope, and serves later runs from those files — a
@@ -141,17 +142,6 @@ type RunnerOptions struct {
 	// full detail: their counters are whole-run measurements a sampled
 	// run cannot provide.
 	SampledFigures []string
-	// CapturePath, when set, registers the "captured" workload: a
-	// sealed probe-level recording of live served traffic (written by
-	// cgpserve -capture, or server.LiveCapture.Seal). The capture
-	// replays through per-session tracers over whatever layout a
-	// config asks for, so real traffic runs through the same grids as
-	// the synthetic workloads. See CapturedWorkload.
-	CapturePath string
-	// CaptureSeed seeds the capture replay tracers (0 means 42). Part
-	// of the replay's determinism contract: same capture, same seed,
-	// same synthesized stream.
-	CaptureSeed int64
 }
 
 // DefaultSampledFigures is the figure set RunnerOptions.Sampling
@@ -347,19 +337,6 @@ func (r *Runner) once(ctx context.Context, key string, fn func(context.Context) 
 	return f.wait(ctx)
 }
 
-// seed installs a precomputed value for key (used to share profiles
-// with sub-runners); it is a no-op if the key is already present.
-func (r *Runner) seed(key string, val any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.flights[key]; ok {
-		return
-	}
-	f := &flight{done: make(chan struct{}), val: val}
-	close(f.done)
-	r.flights[key] = f
-}
-
 // obsSpan starts a harness span (nil-safe; a nil Obs yields a nil
 // span whose End is a no-op).
 func (r *Runner) obsSpan(name, cat string) *obs.Span {
@@ -432,33 +409,6 @@ func (r *Runner) CPU2000Workloads() []*Workload {
 	return workload.CPU2000Workloads(r.opts.Seed)
 }
 
-// capturedKey memoizes the capture file load.
-const capturedKey = "wl|captured"
-
-// CapturedWorkload loads RunnerOptions.CapturePath as the "captured"
-// workload. The load (file read, CRC verification) is memoized like
-// every other cacheable unit, so campaign workers resolving the name
-// repeatedly share one recording in memory.
-func (r *Runner) CapturedWorkload() (*Workload, error) {
-	if r.opts.CapturePath == "" {
-		return nil, fmt.Errorf("cgp: no capture configured (RunnerOptions.CapturePath)")
-	}
-	f, owner := r.claim(capturedKey)
-	if owner {
-		w, err := workload.CapturedFromFile(r.opts.CapturePath, r.opts.CaptureSeed)
-		if err != nil {
-			f.resolve(nil, fmt.Errorf("cgp: loading capture %s: %w", r.opts.CapturePath, err))
-		} else {
-			f.resolve(w, nil)
-		}
-	}
-	<-f.done
-	if f.err != nil {
-		return nil, f.err
-	}
-	return f.val.(*Workload), nil
-}
-
 // profilesFor returns (collecting on first use) the feedback artifacts
 // a profile run produces. Database workloads share one profile, merged
 // from wisc-prof and wisc+tpch runs exactly as §5.1 describes; each
@@ -498,9 +448,10 @@ func (r *Runner) profileFor(ctx context.Context, w *Workload) (*program.Profile,
 }
 
 // collectProfiles gathers w's feedback artifacts from its O5 event
-// stream, in a pass whose only consumer is the collectors. The pass
-// replays the shared recording (unless NoRecord), so a workload that
-// is both profiled and simulated on O5 executes exactly once.
+// stream, in a pass whose only consumer is the collectors. It is a
+// full-detail pass, so its source follows pass's rule: the shared
+// recording in a sampling campaign, whose sampled O5 cells replay that
+// recording too, and a live execution otherwise.
 func (r *Runner) collectProfiles(ctx context.Context, w *Workload) (*profiles, error) {
 	var (
 		pc  *trace.ProfileCollector
@@ -656,7 +607,7 @@ func (r *Runner) Run(ctx context.Context, w *Workload, cfg Config) (*Result, err
 // ready for its sampling plan when the cell is sampled.
 func (r *Runner) prepare(ctx context.Context, w *Workload, c hubCell) (*passCell, error) {
 	cfg := c.cfg
-	pf, gp := cfg.buildPrefetcher()
+	var sw *core.Software
 	if cfg.Prefetcher == PrefSoftwareCGP && !cfg.PerfectICache {
 		// The software variant needs the profiled call sequences bound
 		// to this image's addresses.
@@ -668,14 +619,12 @@ func (r *Runner) prepare(ctx context.Context, w *Workload, c hubCell) (*passCell
 		if err != nil {
 			return nil, err
 		}
-		pf = buildSoftwareCGP(cfg, prof.seq, img)
+		sw = buildSoftwareCGP(cfg, prof.seq, img)
 	}
-	b := &passCell{cell: c, cpu: cpu.New(cfg.cpuConfig(), pf), gp: gp}
+	b := &passCell{cell: c}
+	b.cpu, b.gp = cfg.NewCPU(sw)
 	if r.opts.Attribution {
 		b.cpu.EnableAttribution()
-	}
-	if cfg.Sampling.Enabled() {
-		b.cpu.EnableSampling()
 	}
 	b.c = b.cpu
 	if r.hooks.wrapConsumer != nil {
@@ -717,9 +666,8 @@ type Job struct {
 //
 // Jobs sharing a (workload, layout) event stream are batched through
 // that stream's replay hub: each drain feeds its cells from one pass
-// over the stream per sampling schedule, so the decode (or, under
-// NoRecord, the live execution) is paid once per pass instead of once
-// per config. Batching only changes scheduling — every consumer still
+// over the stream per sampling schedule, so the decode or the live
+// execution is paid once per pass instead of once per config. Batching only changes scheduling — every consumer still
 // sees its plan's stream in order, so results are identical to running
 // each job alone.
 func (r *Runner) RunAll(ctx context.Context, jobs []Job) ([]*Result, error) {
@@ -1054,11 +1002,14 @@ func (r *Runner) runPass(ctx context.Context, w *Workload, smp sample.Config, to
 
 // pass walks w's event stream on layout once, feeding every consumer
 // build returns, and returns the stream's stats. It is the one place a
-// pass's source is chosen: the sealed recording — walked per smp's plan
-// (the whole stream for full detail) and rebuilt from source under the
-// retry budget if corrupt — or, for a full-detail pass under NoRecord,
-// the live workload execution itself. build runs once the source is
-// ready, again after a rebuild, so a retry feeds fresh consumers; a
+// pass's source is chosen, by one rule: a pass replays the sealed
+// recording when it is sampled (skipping needs the recording's index)
+// or when the runner samples at all (its sampled passes record the
+// stream anyway, so its full-detail passes share that recording); any
+// other pass executes the workload live. A recording is walked per
+// smp's plan, the whole stream for full detail, and rebuilt from
+// source under the retry budget if corrupt. build runs once the source
+// is ready, again after a rebuild, so a retry feeds fresh consumers; a
 // pass with no consumers ends there. The error is stream-level: a
 // consumer's panic lands in its own cell's err.
 func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sample.Config, build func() []*passCell) (trace.Stats, error) {
@@ -1070,7 +1021,7 @@ func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sampl
 			Arg("cells", fmt.Sprint(len(cells)))
 	}
 	var err error
-	if r.opts.NoRecord && !smp.Enabled() {
+	if !smp.Enabled() && !r.opts.Sampling.Enabled() {
 		img, ierr := r.imageFor(ctx, w, layout)
 		if ierr != nil {
 			return st, ierr
