@@ -21,11 +21,21 @@ import (
 	"cgp/internal/workload"
 )
 
-// sealScriptedCapture serves a fixed query script through a real
-// server with live capture attached and seals the recording to a temp
-// file, returning its path — the same artifact `cgpserve -capture`
-// writes on graceful shutdown.
-func sealScriptedCapture(t *testing.T) string {
+// capturedScript is the statement script the captured-workload round
+// trip serves.
+var capturedScript = []string{
+	"SELECT COUNT(*) AS n FROM big1",
+	"SELECT unique1, unique2 FROM big1 WHERE unique2 BETWEEN 10 AND 60",
+	"SELECT two, COUNT(*) AS n FROM big1 GROUP BY two",
+	"SELECT unique1 FROM small WHERE unique2 < 20",
+	"SELECT unique1 INTO TMP FROM big1 WHERE unique2 < 30",
+}
+
+// sealScriptedCapture serves script over one connection through a real
+// server with every query captured (SampleEvery=1) and seals the
+// recording to a temp file, returning its path and the recording — the
+// same artifact `cgpserve -capture` writes on graceful shutdown.
+func sealScriptedCapture(t *testing.T, script []string) (string, *trace.Recording) {
 	t.Helper()
 	e := db.NewEngine(db.Options{BufferFrames: 2048})
 	if err := (workload.WisconsinDB{N: 300}).Load(e, 42); err != nil {
@@ -42,13 +52,6 @@ func sealScriptedCapture(t *testing.T) string {
 	if err != nil {
 		cancel()
 		t.Fatal(err)
-	}
-	script := []string{
-		"SELECT COUNT(*) AS n FROM big1",
-		"SELECT unique1, unique2 FROM big1 WHERE unique2 BETWEEN 10 AND 60",
-		"SELECT two, COUNT(*) AS n FROM big1 GROUP BY two",
-		"SELECT unique1 FROM small WHERE unique2 < 20",
-		"SELECT unique1 INTO TMP FROM big1 WHERE unique2 < 30",
 	}
 	for _, q := range script {
 		if _, err := c.Query(q); err != nil {
@@ -78,7 +81,7 @@ func sealScriptedCapture(t *testing.T) string {
 	if !trace.IsProbeRecording(rec) {
 		t.Fatalf("sealed capture is not a probe recording: %+v", rec.Stats)
 	}
-	return path
+	return path, rec
 }
 
 func capturedRunnerOpts() RunnerOptions {
@@ -89,7 +92,7 @@ func capturedRunnerOpts() RunnerOptions {
 }
 
 func TestCapturedWorkloadRoundTrip(t *testing.T) {
-	path := sealScriptedCapture(t)
+	path, _ := sealScriptedCapture(t, capturedScript)
 
 	// The capture loads as a workload like any other, and synthesizes
 	// a stable address-level stream.
