@@ -14,9 +14,10 @@ package cgp
 // guard in bench_guard_test.go) enforces the capture contract from a
 // different angle than the chaos suite: attaching the recorder must
 // never make serving more than 15% slower, because the ring hand-off
-// is the only work added to the query path. Like the kernel guard it
-// compares two arms measured back-to-back in the same process, so the
-// ratio cancels host speed.
+// is the only work added to the query path. It runs the two arms in
+// alternating rounds in the same process and compares the medians of
+// their per-round qps, so the ratio cancels host speed and one
+// preempted round cannot decide the verdict.
 //
 // TestTracingOverheadGuard does the same for query tracing: clients
 // minting trace IDs plus the server recording per-stage spans must
@@ -31,6 +32,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -52,75 +54,90 @@ var serverBenchQueries = []string{
 	"SELECT unique1 FROM small WHERE unique2 < 20",
 }
 
-// serveBenchQPS serves serverBenchTotal queries split across `clients`
-// connections and returns the measured throughput. sampleEvery 0 runs
-// detached; otherwise a live capture rides along at that sampling rate
-// and is sealed (into io.Discard) after the measurement window; the
-// seal must report zero ring drops, otherwise the attached arm
-// silently measured less work than the detached one.
+// serverBenchTotal is the number of queries one measurement window
+// serves, split across the connections.
 const serverBenchTotal = 960
 
-func serveBenchQPS(t *testing.T, sampleEvery, clients int, traced bool) float64 {
+// benchServer is one serving process for the throughput measurements:
+// a loaded engine behind a server with the arm's capture and tracer,
+// and warmed client connections. sampleEvery 0 runs detached;
+// otherwise a live capture rides along at that sampling rate and is
+// sealed (into io.Discard) by stop, which requires zero ring drops,
+// otherwise the attached arm silently measured less work than the
+// detached one.
+type benchServer struct {
+	s           *server.Server
+	cancel      context.CancelFunc
+	conns       []*server.Client
+	lc          *server.LiveCapture
+	tracer      *obs.QueryTracer
+	sampleEvery int
+	served      int64 // queries served, warm-up included
+}
+
+func startBenchServer(t *testing.T, sampleEvery, clients int, traced bool) *benchServer {
 	t.Helper()
 	e := db.NewEngine(db.Options{BufferFrames: 4096})
 	if err := (workload.WisconsinDB{N: 1000}).Load(e, 42); err != nil {
 		t.Fatal(err)
 	}
-	var lc *server.LiveCapture
+	b := &benchServer{sampleEvery: sampleEvery}
 	if sampleEvery > 0 {
-		lc = server.NewLiveCapture(server.CaptureOptions{SampleEvery: sampleEvery})
+		b.lc = server.NewLiveCapture(server.CaptureOptions{SampleEvery: sampleEvery})
 	}
-	var tracer *obs.QueryTracer
 	if traced {
-		tracer = obs.NewQueryTracer(obs.QueryTraceOptions{})
+		b.tracer = obs.NewQueryTracer(obs.QueryTraceOptions{})
 	}
-	s := server.New(e, server.Options{
+	b.s = server.New(e, server.Options{
 		Addr:        "127.0.0.1:0",
 		MaxConns:    clients + 1,
 		MaxInflight: clients + 1,
-		Capture:     lc,
-		Trace:       tracer,
+		Capture:     b.lc,
+		Trace:       b.tracer,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := s.Start(ctx); err != nil {
+	if err := b.s.Start(ctx); err != nil {
 		cancel()
 		t.Fatal(err)
 	}
-	// Tear down inside the measurement, not via t.Cleanup: a bench
-	// iteration's engine and sealed recording (tens of MB for the
-	// full-capture arm) must be garbage before the next iteration
-	// starts, or accumulated heap distorts every later cell.
-	defer func() {
-		cancel()
-		s.Wait()
-	}()
-	conns := make([]*server.Client, clients)
-	for i := range conns {
-		c, err := server.Dial(s.Addr())
+	b.cancel = cancel
+	for i := 0; i < clients; i++ {
+		c, err := server.Dial(b.s.Addr())
 		if err != nil {
+			b.close()
 			t.Fatal(err)
 		}
-		defer c.Close()
 		if traced {
 			c.SetTraceBase(uint64(i+1) << 32)
 		}
-		conns[i] = c
+		b.conns = append(b.conns, c)
 	}
 
 	// Warm up before timing: the first queries pay page-cache and
 	// buffer-pool misses plus allocator growth, which on a ~100ms
 	// measurement window would swamp the capture's cost.
 	for i := 0; i < 100; i++ {
-		if _, err := conns[i%clients].Query(serverBenchQueries[i%len(serverBenchQueries)]); err != nil {
+		if _, err := b.conns[i%clients].Query(serverBenchQueries[i%len(serverBenchQueries)]); err != nil {
+			b.close()
 			t.Fatal(err)
 		}
 	}
+	b.served = 100
+	return b
+}
 
-	perClient := serverBenchTotal / clients
+// window serves serverBenchTotal queries split across the connections
+// and returns the measured throughput.
+func (b *benchServer) window(t *testing.T) float64 {
+	t.Helper()
+	// Collect earlier garbage now (a dropped engine's 4096-frame pool
+	// is 32 MB), so its collection does not land inside this window.
+	runtime.GC()
+	perClient := serverBenchTotal / len(b.conns)
 	var wg sync.WaitGroup
-	errs := make(chan error, clients)
+	errs := make(chan error, len(b.conns))
 	start := time.Now()
-	for i, c := range conns {
+	for i, c := range b.conns {
 		wg.Add(1)
 		go func(id int, c *server.Client) {
 			defer wg.Done()
@@ -138,33 +155,59 @@ func serveBenchQPS(t *testing.T, sampleEvery, clients int, traced bool) float64 
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if lc != nil {
-		if _, err := lc.Seal(io.Discard); err != nil {
+	b.served += int64(perClient * len(b.conns))
+	return float64(perClient*len(b.conns)) / elapsed.Seconds()
+}
+
+// stop checks that the arm did the work it claims, then shuts the
+// server down. Tear down inside the measurement, not via t.Cleanup: an
+// engine and sealed recording (tens of MB for the full-capture arm)
+// must be garbage before the next measurement starts, or accumulated
+// heap distorts every later one.
+func (b *benchServer) stop(t *testing.T) {
+	t.Helper()
+	defer b.close()
+	if b.lc != nil {
+		if _, err := b.lc.Seal(io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		if lc.Drops() != 0 || lc.Overflows() != 0 {
+		if b.lc.Drops() != 0 || b.lc.Overflows() != 0 {
 			t.Fatalf("capture lost batches during bench: drops=%d overflows=%d",
-				lc.Drops(), lc.Overflows())
+				b.lc.Drops(), b.lc.Overflows())
 		}
-		total := int64(100 + perClient*clients) // warmup queries sample too
-		want := (total + int64(sampleEvery) - 1) / int64(sampleEvery)
-		if lc.Committed() != want {
+		want := (b.served + int64(b.sampleEvery) - 1) / int64(b.sampleEvery)
+		if b.lc.Committed() != want {
 			t.Fatalf("capture committed %d batches, want %d (every %d of %d)",
-				lc.Committed(), want, sampleEvery, total)
+				b.lc.Committed(), want, b.sampleEvery, b.served)
 		}
 	}
-	if tracer != nil {
+	if b.tracer != nil {
 		// The traced arm must have actually traced: a span per query,
 		// warmup included, or the measurement compared tracing-off to
 		// tracing-off.
-		if want := int64(100 + perClient*clients); tracer.Traced() != want {
-			t.Fatalf("tracer saw %d queries, want %d", tracer.Traced(), want)
+		if b.tracer.Traced() != b.served {
+			t.Fatalf("tracer saw %d queries, want %d", b.tracer.Traced(), b.served)
 		}
-		if err := tracer.Close(); err != nil {
+		if err := b.tracer.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return float64(perClient*clients) / elapsed.Seconds()
+}
+
+func (b *benchServer) close() {
+	for _, c := range b.conns {
+		c.Close()
+	}
+	b.cancel()
+	b.s.Wait()
+}
+
+// serveBenchQPS measures one window on a fresh server.
+func serveBenchQPS(t *testing.T, sampleEvery, clients int, traced bool) float64 {
+	t.Helper()
+	b := startBenchServer(t, sampleEvery, clients, traced)
+	defer b.stop(t)
+	return b.window(t)
 }
 
 // bestQPS is the best of 3 serveBenchQPS runs — the same
@@ -256,15 +299,53 @@ const captureOverheadTolerance = 0.85
 // committed-batch assertion in serveBenchQPS.
 const captureDefaultSample = 64
 
+// guardRounds is how many measurement windows each overhead guard
+// serves per arm. Host speed on a shared machine drifts by a third
+// within seconds, and one ~0.1 s window can read 20% off its
+// neighbour; the guard's two servers stay up, their windows alternate,
+// and the medians move only when most windows do.
+const guardRounds = 15
+
+// guardMedians serves alternating windows from base and arm, swapping
+// which goes first each round so drift hits both alike, stops both, and
+// returns each one's median per-window qps.
+func guardMedians(t *testing.T, base, arm *benchServer) (baseQPS, armQPS float64) {
+	t.Helper()
+	defer base.stop(t)
+	defer arm.stop(t)
+	bs := make([]float64, 0, guardRounds)
+	as := make([]float64, 0, guardRounds)
+	for i := 0; i < guardRounds; i++ {
+		if i%2 == 0 {
+			bs = append(bs, base.window(t))
+			as = append(as, arm.window(t))
+		} else {
+			as = append(as, arm.window(t))
+			bs = append(bs, base.window(t))
+		}
+	}
+	return median(bs), median(as)
+}
+
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
 func TestCaptureOverheadGuard(t *testing.T) {
 	if os.Getenv("CGP_BENCH_GUARD") == "" {
 		t.Skip("set CGP_BENCH_GUARD=1 to run the capture-overhead guard")
 	}
-	detached := bestQPS(t, 0, 4, false)
-	attached := bestQPS(t, captureDefaultSample, 4, false)
+	detached, attached := guardMedians(t,
+		startBenchServer(t, 0, 4, false),
+		startBenchServer(t, captureDefaultSample, 4, false))
 	ratio := attached / detached
-	t.Logf("capture overhead: attached %.0f qps vs detached %.0f qps (ratio %.3f, floor %.2f)",
-		attached, detached, ratio, captureOverheadTolerance)
+	t.Logf("capture overhead: attached %.0f qps vs detached %.0f qps (medians of %d windows, ratio %.3f, floor %.2f)",
+		attached, detached, guardRounds, ratio, captureOverheadTolerance)
 	if ratio < captureOverheadTolerance {
 		t.Errorf("live capture costs too much: attached serving at %.1f%% of detached throughput, floor %.0f%%",
 			100*ratio, 100*captureOverheadTolerance)
@@ -280,11 +361,12 @@ func TestTracingOverheadGuard(t *testing.T) {
 	if os.Getenv("CGP_BENCH_GUARD") == "" {
 		t.Skip("set CGP_BENCH_GUARD=1 to run the tracing-overhead guard")
 	}
-	untraced := bestQPS(t, 0, 4, false)
-	traced := bestQPS(t, 0, 4, true)
+	untraced, traced := guardMedians(t,
+		startBenchServer(t, 0, 4, false),
+		startBenchServer(t, 0, 4, true))
 	ratio := traced / untraced
-	t.Logf("tracing overhead: traced %.0f qps vs untraced %.0f qps (ratio %.3f, floor %.2f)",
-		traced, untraced, ratio, tracingOverheadTolerance)
+	t.Logf("tracing overhead: traced %.0f qps vs untraced %.0f qps (medians of %d windows, ratio %.3f, floor %.2f)",
+		traced, untraced, guardRounds, ratio, tracingOverheadTolerance)
 	if ratio < tracingOverheadTolerance {
 		t.Errorf("query tracing costs too much: traced serving at %.1f%% of untraced throughput, floor %.0f%%",
 			100*ratio, 100*tracingOverheadTolerance)

@@ -4,6 +4,7 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -132,10 +133,13 @@ func (t Tuple) Int(i int) int64 {
 }
 
 // Str returns string column i with padding trimmed.
-func (t Tuple) Str(i int) string {
-	c := t.Schema.cols[i]
-	raw := t.Buf[t.Schema.offsets[i] : t.Schema.offsets[i]+c.Len]
-	return strings.TrimRight(string(raw), "\x00")
+func (t Tuple) Str(i int) string { return string(t.StrBytes(i)) }
+
+// StrBytes returns string column i with padding trimmed, aliasing the
+// tuple's buffer.
+func (t Tuple) StrBytes(i int) []byte {
+	off := t.Schema.offsets[i]
+	return bytes.TrimRight(t.Buf[off:off+t.Schema.cols[i].Len], "\x00")
 }
 
 // Copy returns a tuple with its own buffer.

@@ -95,9 +95,13 @@ type HashAggregate struct {
 	sch      *catalog.Schema
 	groupIdx []int
 
-	groups    map[string][]accum
-	groupRep  map[string]catalog.Tuple
-	keys      []string
+	// groups maps a group key to its group number g, which indexes
+	// reps and the accumulator run accs[g*len(Aggs):].
+	groups    map[string]int
+	reps      []catalog.Tuple
+	accs      []accum
+	keys      []string // every group key; sorted for output
+	key       []byte   // the current row's group key
 	pos       int
 	buf       []byte
 	tableAddr isa.Addr
@@ -133,8 +137,7 @@ func (h *HashAggregate) Open() error {
 	h.Ctx.Pr.Enter(h.Ctx.Fns.AggOpen)
 	defer h.Ctx.Pr.Exit()
 	h.Ctx.Pr.Work(36)
-	h.groups = make(map[string][]accum)
-	h.groupRep = make(map[string]catalog.Tuple)
+	h.groups = make(map[string]int)
 	h.tableAddr = h.Ctx.Arena.Alloc(64 * 1024)
 	h.buf = make([]byte, h.sch.Size())
 	childSch := h.Child.Schema()
@@ -144,19 +147,23 @@ func (h *HashAggregate) Open() error {
 			aggIdx[i] = childSch.ColIndex(a.Col)
 		}
 	}
+	n := len(h.Aggs)
 	_, err := Run(h.Child, func(t catalog.Tuple) error {
 		h.Ctx.Pr.Enter(h.Ctx.Fns.AggUpdate)
 		defer h.Ctx.Pr.Exit()
-		h.Ctx.Pr.Work(14 + 6*len(h.Aggs))
-		key := h.groupKey(t)
-		h.Ctx.Pr.Data(h.tableAddr+isa.Addr(strHash(key)%(64*1024-64)), 32, true)
-		accs := h.groups[key]
-		if accs == nil {
-			accs = make([]accum, len(h.Aggs))
-			h.groups[key] = accs
-			h.groupRep[key] = t.Copy()
+		h.Ctx.Pr.Work(14 + 6*n)
+		h.groupKey(t)
+		h.Ctx.Pr.Data(h.tableAddr+isa.Addr(strHash(h.key)%(64*1024-64)), 32, true)
+		g, ok := h.groups[string(h.key)]
+		if !ok {
+			g = len(h.reps)
+			key := string(h.key)
+			h.groups[key] = g
 			h.keys = append(h.keys, key)
+			h.reps = append(h.reps, t.Copy())
+			h.accs = append(h.accs, make([]accum, n)...)
 		}
+		accs := h.accs[g*n : (g+1)*n]
 		for i, a := range h.Aggs {
 			var v int64 = 1
 			if a.Op != Count {
@@ -164,8 +171,6 @@ func (h *HashAggregate) Open() error {
 			}
 			accs[i].update(v)
 		}
-		// map writes move the slice header; store back
-		h.groups[key] = accs
 		return nil
 	})
 	if err != nil {
@@ -176,11 +181,12 @@ func (h *HashAggregate) Open() error {
 	return nil
 }
 
-func (h *HashAggregate) groupKey(t catalog.Tuple) string {
+// groupKey builds t's group key into h.key.
+func (h *HashAggregate) groupKey(t catalog.Tuple) {
 	h.Ctx.Pr.Enter(h.Ctx.Fns.HashTuple)
 	defer h.Ctx.Pr.Exit()
 	h.Ctx.Pr.Work(8 + 4*len(h.groupIdx))
-	key := make([]byte, 0, 16)
+	key := h.key[:0]
 	for _, gi := range h.groupIdx {
 		c := t.Schema.Col(gi)
 		if c.Type == catalog.Int {
@@ -189,17 +195,17 @@ func (h *HashAggregate) groupKey(t catalog.Tuple) string {
 				key = append(key, byte(v>>s))
 			}
 		} else {
-			key = append(key, t.Str(gi)...)
+			key = append(key, t.StrBytes(gi)...)
 			key = append(key, 0)
 		}
 	}
-	return string(key)
+	h.key = key
 }
 
-func strHash(s string) uint64 {
+func strHash(b []byte) uint64 {
 	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
 		h *= 1099511628211
 	}
 	return h
@@ -213,10 +219,10 @@ func (h *HashAggregate) Next() (catalog.Tuple, bool, error) {
 	if h.pos >= len(h.keys) {
 		return catalog.Tuple{}, false, nil
 	}
-	key := h.keys[h.pos]
+	g := h.groups[h.keys[h.pos]]
 	h.pos++
-	rep := h.groupRep[key]
-	accs := h.groups[key]
+	rep := h.reps[g]
+	accs := h.accs[g*len(h.Aggs):]
 	vals := make([]catalog.Value, 0, h.sch.NumCols())
 	for i, gi := range h.groupIdx {
 		c := h.sch.Col(i)
@@ -236,7 +242,8 @@ func (h *HashAggregate) Next() (catalog.Tuple, bool, error) {
 // Close implements Iterator.
 func (h *HashAggregate) Close() error {
 	h.groups = nil
-	h.groupRep = nil
+	h.reps = nil
+	h.accs = nil
 	h.keys = nil
 	return nil
 }

@@ -3,11 +3,15 @@
 package exec_test
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"cgp/internal/db"
 	"cgp/internal/db/catalog"
 	"cgp/internal/db/exec"
+	"cgp/internal/db/probe"
 	"cgp/internal/db/txn"
 )
 
@@ -384,6 +388,279 @@ func TestNoPinLeaksAcrossOperators(t *testing.T) {
 		}
 		if n := v.e.Pool.PinnedFrames(); n != 0 {
 			t.Fatalf("plan %d leaked %d pins", i, n)
+		}
+	}
+}
+
+// refEval is the by-name reference every bound predicate is checked
+// against: each column looked up in the tuple's schema on every call.
+func refEval(p exec.Pred, t catalog.Tuple) bool {
+	col := func(name string) int64 { return t.Int(t.Schema.ColIndex(name)) }
+	switch p := p.(type) {
+	case exec.IntCmp:
+		return cmp(p.Op, col(p.Col), p.Val)
+	case exec.IntRange:
+		v := col(p.Col)
+		return v >= p.Lo && v <= p.Hi
+	case exec.StrEq:
+		return t.Str(t.Schema.ColIndex(p.Col)) == p.Val
+	case exec.ColEq:
+		return col(p.Left) == col(p.Right)
+	case exec.ColCmp:
+		return cmp(p.Op, col(p.Left), col(p.Right))
+	case exec.And:
+		for _, q := range p {
+			if !refEval(q, t) {
+				return false
+			}
+		}
+		return true
+	case exec.True:
+		return true
+	}
+	panic(fmt.Sprintf("refEval: unknown predicate %T", p))
+}
+
+func cmp(op exec.CmpOp, a, b int64) bool {
+	switch op {
+	case exec.Eq:
+		return a == b
+	case exec.Ne:
+		return a != b
+	case exec.Lt:
+		return a < b
+	case exec.Le:
+		return a <= b
+	case exec.Gt:
+		return a > b
+	case exec.Ge:
+		return a >= b
+	}
+	panic(fmt.Sprintf("cmp: unknown operator %d", op))
+}
+
+// TestBoundPredicatesMatchReference runs every predicate kind through
+// Filter (over the nums x dims cross product) and through NLJoin (as
+// the join condition), and requires both to keep exactly the tuples the
+// by-name reference keeps, in the same order.
+func TestBoundPredicatesMatchReference(t *testing.T) {
+	v := newEnv(t, 20)
+	ops := []exec.CmpOp{exec.Eq, exec.Ne, exec.Lt, exec.Le, exec.Gt, exec.Ge}
+	var preds []exec.Pred
+	for _, op := range ops {
+		preds = append(preds,
+			exec.IntCmp{Col: "k", Op: op, Val: 7},
+			exec.ColCmp{Left: "grp", Right: "r_k", Op: op})
+	}
+	preds = append(preds,
+		exec.IntRange{Col: "v", Lo: 30, Hi: 120},
+		exec.StrEq{Col: "label", Val: "c"}, // stored NUL-padded to 8 bytes
+		exec.StrEq{Col: "label", Val: "c\x00"},
+		exec.StrEq{Col: "label", Val: ""},
+		exec.ColEq{Left: "grp", Right: "r_k"},
+		exec.And{
+			exec.IntCmp{Col: "k", Op: exec.Ge, Val: 3},
+			exec.And{exec.StrEq{Col: "label", Val: "b"}, exec.ColCmp{Left: "grp", Right: "r_k", Op: exec.Le}},
+		},
+		exec.And{},
+		exec.True{},
+	)
+	keys := func(rows []catalog.Tuple) [][2]int64 {
+		var out [][2]int64
+		for _, r := range rows {
+			out = append(out, [2]int64{r.Int(r.Schema.ColIndex("k")), r.Int(r.Schema.ColIndex("r_k"))})
+		}
+		return out
+	}
+	cross, err := exec.Collect(exec.NewNLJoin(v.ctx, v.scanNums(), v.scanDims(), exec.True{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cross) != 200 {
+		t.Fatalf("cross product has %d rows", len(cross))
+	}
+	for _, p := range preds {
+		var want []catalog.Tuple
+		for _, r := range cross {
+			if refEval(p, r) {
+				want = append(want, r)
+			}
+		}
+		filtered, err := exec.Collect(exec.NewFilter(v.ctx,
+			exec.NewNLJoin(v.ctx, v.scanNums(), v.scanDims(), exec.True{}), p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined, err := exec.Collect(exec.NewNLJoin(v.ctx, v.scanNums(), v.scanDims(), p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := fmt.Sprint(keys(want))
+		if got := fmt.Sprint(keys(filtered)); got != w {
+			t.Errorf("Filter %#v:\n got  %s\n want %s", p, got, w)
+		}
+		if got := fmt.Sprint(keys(joined)); got != w {
+			t.Errorf("NLJoin %#v:\n got  %s\n want %s", p, got, w)
+		}
+	}
+}
+
+// tuplesIter yields fixed tuples; with repeat set it yields the first
+// one forever.
+type tuplesIter struct {
+	rows   []catalog.Tuple
+	repeat bool
+	pos    int
+}
+
+func (it *tuplesIter) Open() error  { it.pos = 0; return nil }
+func (it *tuplesIter) Close() error { return nil }
+
+func (it *tuplesIter) Schema() *catalog.Schema { return it.rows[0].Schema }
+
+func (it *tuplesIter) Next() (catalog.Tuple, bool, error) {
+	if it.repeat {
+		return it.rows[0], true, nil
+	}
+	if it.pos >= len(it.rows) {
+		return catalog.Tuple{}, false, nil
+	}
+	it.pos++
+	return it.rows[it.pos-1], true, nil
+}
+
+func tuple(sch *catalog.Schema, vals ...catalog.Value) catalog.Tuple {
+	return catalog.Tuple{Schema: sch, Buf: sch.Encode(vals)}
+}
+
+// TestFilterRebindsOnSchemaChange feeds a Filter tuples of two schemas
+// that hold the same column names at different positions: a binding
+// kept from the first schema would read the wrong column of the second.
+func TestFilterRebindsOnSchemaChange(t *testing.T) {
+	ab := catalog.NewSchema(catalog.Column{Name: "a", Type: catalog.Int}, catalog.Column{Name: "b", Type: catalog.Int})
+	ba := catalog.NewSchema(catalog.Column{Name: "b", Type: catalog.Int}, catalog.Column{Name: "a", Type: catalog.Int})
+	child := &tuplesIter{rows: []catalog.Tuple{
+		tuple(ab, catalog.V(1), catalog.V(2)), // a=1: match
+		tuple(ba, catalog.V(1), catalog.V(2)), // a=2: no match
+		tuple(ba, catalog.V(2), catalog.V(1)), // a=1: match
+		tuple(ab, catalog.V(2), catalog.V(1)), // a=2: no match
+		tuple(ab, catalog.V(1), catalog.V(3)), // a=1: match
+	}}
+	rows, err := exec.Collect(exec.NewFilter(&exec.Context{}, child, exec.IntCmp{Col: "a", Op: exec.Eq, Val: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range rows {
+		got = append(got, fmt.Sprintf("a=%d b=%d", r.Int(r.Schema.ColIndex("a")), r.Int(r.Schema.ColIndex("b"))))
+	}
+	if want := "[a=1 b=2 a=1 b=2 a=1 b=3]"; fmt.Sprint(got) != want {
+		t.Errorf("filtered %v, want %s", got, want)
+	}
+}
+
+func TestFilterNextAllocatesNothing(t *testing.T) {
+	sch := catalog.NewSchema(
+		catalog.Column{Name: "k", Type: catalog.Int},
+		catalog.Column{Name: "s", Type: catalog.String, Len: 8},
+		catalog.Column{Name: "j", Type: catalog.Int})
+	child := &tuplesIter{rows: []catalog.Tuple{tuple(sch, catalog.V(5), catalog.SV("ab"), catalog.V(5))}, repeat: true}
+	f := exec.NewFilter(&exec.Context{}, child, exec.And{
+		exec.IntCmp{Col: "k", Op: exec.Ge, Val: 5},
+		exec.IntRange{Col: "k", Lo: 0, Hi: 9},
+		exec.StrEq{Col: "s", Val: "ab"},
+		exec.ColEq{Left: "k", Right: "j"},
+	})
+	next := func() {
+		if _, ok, err := f.Next(); !ok || err != nil {
+			t.Fatalf("Next: %v %v", ok, err)
+		}
+	}
+	next() // binds the predicate
+	if n := testing.AllocsPerRun(100, next); n != 0 {
+		t.Errorf("Filter.Next allocates %.1f times per row", n)
+	}
+}
+
+// TestHashAggregateUpdateAllocatesNothing aggregates 8 and then 808
+// rows of the same four groups: every row past a group's first updates
+// it in place, so both runs allocate exactly the same.
+func TestHashAggregateUpdateAllocatesNothing(t *testing.T) {
+	sch := catalog.NewSchema(
+		catalog.Column{Name: "g", Type: catalog.Int},
+		catalog.Column{Name: "s", Type: catalog.String, Len: 8},
+		catalog.Column{Name: "v", Type: catalog.Int})
+	allocs := func(n int) float64 {
+		child := &tuplesIter{}
+		for i := 0; i < n; i++ {
+			child.rows = append(child.rows, tuple(sch, catalog.V(int64(i%2)), catalog.SV([]string{"x", "yy"}[i/2%2]), catalog.V(int64(i))))
+		}
+		ctx := &exec.Context{Arena: probe.NewArena(0)}
+		agg := exec.NewHashAggregate(ctx, child, []string{"g", "s"}, []exec.Agg{
+			{Op: exec.Count, As: "n"}, {Op: exec.Sum, Col: "v", As: "sum"}, {Op: exec.Max, Col: "v", As: "max"},
+		})
+		return testing.AllocsPerRun(20, func() {
+			if n, err := exec.Run(agg, nil); n != 4 || err != nil {
+				t.Fatalf("aggregate: %d groups, %v", n, err)
+			}
+		})
+	}
+	if few, many := allocs(8), allocs(808); few != many {
+		t.Errorf("aggregating 8 rows allocates %.0f times, 808 rows %.0f", few, many)
+	}
+}
+
+// renderRows prints rows column by column, for golden comparisons.
+func renderRows(rows []catalog.Tuple) string {
+	var b strings.Builder
+	for _, r := range rows {
+		for i := 0; i < r.Schema.NumCols(); i++ {
+			c := r.Schema.Col(i)
+			if c.Type == catalog.Int {
+				fmt.Fprintf(&b, "%s=%d ", c.Name, r.Int(i))
+			} else {
+				fmt.Fprintf(&b, "%s=%q ", c.Name, r.Str(i))
+			}
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestHashAggregateOutputPinned pins HashAggregate's rows and their
+// order (sorted by the raw group-key bytes) on the exec fixtures, as
+// computed before its group table was rekeyed.
+func TestHashAggregateOutputPinned(t *testing.T) {
+	v := newEnv(t, 40)
+	all := []exec.Agg{
+		{Op: exec.Count, As: "n"},
+		{Op: exec.Sum, Col: "v", As: "sum_v"},
+		{Op: exec.Min, Col: "k", As: "min_k"},
+		{Op: exec.Max, Col: "k", As: "max_k"},
+		{Op: exec.Avg, Col: "v", As: "avg_v"},
+	}
+	joined := func() exec.Iterator {
+		return exec.NewNLJoin(v.ctx, v.scanNums(), v.scanDims(), exec.ColEq{Left: "grp", Right: "r_k"})
+	}
+	cases := []struct {
+		name string
+		it   exec.Iterator
+		want string
+	}{
+		{"int", exec.NewHashAggregate(v.ctx, v.scanNums(), []string{"grp"}, all), "4 rows 47fedbb9db153b42937e490f0fe001d96755cee282dc809700debc3002d4f274"},
+		{"int-wide", exec.NewHashAggregate(v.ctx, v.scanNums(), []string{"v"}, all[:2]), "40 rows 6527bb50693c601dbbca2a632fddf5080ba535bd988aa8a14360db81df27c452"},
+		{"string", exec.NewHashAggregate(v.ctx, joined(), []string{"label"}, all), "4 rows 9e06c6ceb207a8deb0448dc15618b1c92f0d3f8a87731c77a0e0b6b77c810941"},
+		{"int-string", exec.NewHashAggregate(v.ctx, joined(), []string{"label", "k"}, all[:1]), "40 rows 12b6e4df2fd2dcbc4167e30448ac5f0794f776cffed0af05fcaae4d89498cef3"},
+		{"none", exec.NewHashAggregate(v.ctx, v.scanNums(), nil, all), "1 rows acbccd91cc00159df777ee0343edfbeb90a7a28f84bc1eb177073086008c772a"},
+	}
+	for _, c := range cases {
+		rows, err := exec.Collect(c.it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := renderRows(rows)
+		if got := fmt.Sprintf("%d rows %x", len(rows), sha256.Sum256([]byte(out))); got != c.want {
+			t.Errorf("%s aggregate: %s, want %s; rows:\n%s", c.name, got, c.want, out)
 		}
 	}
 }

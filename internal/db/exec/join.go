@@ -37,6 +37,7 @@ type NLJoin struct {
 	Inner  Iterator
 	On     Pred // evaluated on the concatenated tuple
 	prefix []string
+	on     bound
 
 	out      *joinOutput
 	inner    []catalog.Tuple
@@ -99,7 +100,7 @@ func (j *NLJoin) Next() (catalog.Tuple, bool, error) {
 			cand := j.out.emit(j.curOuter, r)
 			j.Ctx.Pr.Enter(j.Ctx.Fns.EvalPred)
 			j.Ctx.Pr.Work(j.On.Cost())
-			match := j.On.Eval(cand)
+			match := j.on.eval(j.On, cand)
 			j.Ctx.Pr.Exit()
 			if match {
 				return cand, true, nil

@@ -52,10 +52,14 @@ func (op CmpOp) String() string {
 	return "?"
 }
 
-// Pred is a tuple predicate. Cost is a synthetic instruction count used
-// by the Filter operator to account evaluation work.
+// Pred is a tuple predicate over named columns. Cost is a synthetic
+// instruction count used by the operators to account evaluation work.
+// An operator evaluates a Pred through a bound form (see bound), which
+// resolves the column names once per schema rather than once per row.
 type Pred interface {
-	Eval(t catalog.Tuple) bool
+	// bind appends the predicate's conjuncts, with their columns
+	// resolved against s, to dst.
+	bind(dst []term, s *catalog.Schema) []term
 	Cost() int
 }
 
@@ -66,9 +70,8 @@ type IntCmp struct {
 	Val int64
 }
 
-// Eval implements Pred.
-func (p IntCmp) Eval(t catalog.Tuple) bool {
-	return p.Op.eval(t.Int(t.Schema.ColIndex(p.Col)), p.Val)
+func (p IntCmp) bind(dst []term, s *catalog.Schema) []term {
+	return append(dst, term{kind: intCmp, op: p.Op, col: s.ColIndex(p.Col), lo: p.Val})
 }
 
 // Cost implements Pred.
@@ -80,10 +83,8 @@ type IntRange struct {
 	Lo, Hi int64
 }
 
-// Eval implements Pred.
-func (p IntRange) Eval(t catalog.Tuple) bool {
-	v := t.Int(t.Schema.ColIndex(p.Col))
-	return v >= p.Lo && v <= p.Hi
+func (p IntRange) bind(dst []term, s *catalog.Schema) []term {
+	return append(dst, term{kind: intRange, col: s.ColIndex(p.Col), lo: p.Lo, hi: p.Hi})
 }
 
 // Cost implements Pred.
@@ -95,9 +96,8 @@ type StrEq struct {
 	Val string
 }
 
-// Eval implements Pred.
-func (p StrEq) Eval(t catalog.Tuple) bool {
-	return t.Str(t.Schema.ColIndex(p.Col)) == p.Val
+func (p StrEq) bind(dst []term, s *catalog.Schema) []term {
+	return append(dst, term{kind: strEq, col: s.ColIndex(p.Col), str: p.Val})
 }
 
 // Cost implements Pred.
@@ -106,14 +106,11 @@ func (p StrEq) Cost() int { return 20 }
 // And is a conjunction.
 type And []Pred
 
-// Eval implements Pred.
-func (p And) Eval(t catalog.Tuple) bool {
+func (p And) bind(dst []term, s *catalog.Schema) []term {
 	for _, q := range p {
-		if !q.Eval(t) {
-			return false
-		}
+		dst = q.bind(dst, s)
 	}
-	return true
+	return dst
 }
 
 // Cost implements Pred.
@@ -130,9 +127,8 @@ type ColEq struct {
 	Left, Right string
 }
 
-// Eval implements Pred.
-func (p ColEq) Eval(t catalog.Tuple) bool {
-	return t.Int(t.Schema.ColIndex(p.Left)) == t.Int(t.Schema.ColIndex(p.Right))
+func (p ColEq) bind(dst []term, s *catalog.Schema) []term {
+	return append(dst, term{kind: colCmp, op: Eq, col: s.ColIndex(p.Left), col2: s.ColIndex(p.Right)})
 }
 
 // Cost implements Pred.
@@ -144,9 +140,8 @@ type ColCmp struct {
 	Op          CmpOp
 }
 
-// Eval implements Pred.
-func (p ColCmp) Eval(t catalog.Tuple) bool {
-	return p.Op.eval(t.Int(t.Schema.ColIndex(p.Left)), t.Int(t.Schema.ColIndex(p.Right)))
+func (p ColCmp) bind(dst []term, s *catalog.Schema) []term {
+	return append(dst, term{kind: colCmp, op: p.Op, col: s.ColIndex(p.Left), col2: s.ColIndex(p.Right)})
 }
 
 // Cost implements Pred.
@@ -155,8 +150,63 @@ func (p ColCmp) Cost() int { return 10 }
 // True matches everything.
 type True struct{}
 
-// Eval implements Pred.
-func (True) Eval(catalog.Tuple) bool { return true }
+func (True) bind(dst []term, _ *catalog.Schema) []term { return dst }
 
 // Cost implements Pred.
 func (True) Cost() int { return 1 }
+
+type termKind uint8
+
+const (
+	intCmp   termKind = iota // col op lo
+	intRange                 // lo <= col <= hi
+	strEq                    // col = str, padding trimmed
+	colCmp                   // col op col2
+)
+
+// term is one conjunct of a bound predicate, its columns resolved to
+// indexes.
+type term struct {
+	kind      termKind
+	op        CmpOp
+	col, col2 int
+	lo, hi    int64
+	str       string
+}
+
+func (c *term) eval(t catalog.Tuple) bool {
+	switch c.kind {
+	case intCmp:
+		return c.op.eval(t.Int(c.col), c.lo)
+	case intRange:
+		v := t.Int(c.col)
+		return v >= c.lo && v <= c.hi
+	case strEq:
+		return string(t.StrBytes(c.col)) == c.str
+	case colCmp:
+		return c.op.eval(t.Int(c.col), t.Int(c.col2))
+	}
+	return false
+}
+
+// bound evaluates a Pred with its columns resolved against the schema
+// of the tuples it sees. It binds on the first tuple and again only
+// when the schema pointer changes, so a plan naming an unknown column
+// over an empty input never panics.
+type bound struct {
+	sch   *catalog.Schema
+	terms []term
+}
+
+func (b *bound) eval(p Pred, t catalog.Tuple) bool {
+	if t.Schema != b.sch {
+		b.terms = p.bind(b.terms[:0], t.Schema)
+		b.sch = t.Schema
+	}
+	for i := range b.terms {
+		if !b.terms[i].eval(t) {
+			return false
+		}
+	}
+	return true
+}

@@ -139,6 +139,7 @@ type Filter struct {
 	Ctx   *Context
 	Child Iterator
 	Pred  Pred
+	pred  bound
 }
 
 // NewFilter builds a selection.
@@ -163,7 +164,7 @@ func (f *Filter) Next() (catalog.Tuple, bool, error) {
 		}
 		f.Ctx.Pr.Enter(f.Ctx.Fns.EvalPred)
 		f.Ctx.Pr.Work(f.Pred.Cost())
-		match := f.Pred.Eval(t)
+		match := f.pred.eval(f.Pred, t)
 		f.Ctx.Pr.Exit()
 		if match {
 			return t, true, nil
