@@ -296,15 +296,18 @@ const captureOverheadTolerance = 0.85
 // captureDefaultSample mirrors CaptureOptions' SampleEvery default —
 // the guard measures the configuration a long-lived server actually
 // attaches. Spelled out here so a silent default change trips the
-// committed-batch assertion in serveBenchQPS.
+// committed-batch assertion in benchServer.stop.
 const captureDefaultSample = 64
 
 // guardRounds is how many measurement windows each overhead guard
 // serves per arm. Host speed on a shared machine drifts by a third
 // within seconds, and one ~0.1 s window can read 20% off its
 // neighbour; the guard's two servers stay up, their windows alternate,
-// and the medians move only when most windows do.
-const guardRounds = 15
+// and the medians move only when most windows do. On a 2-vCPU host,
+// two identical arms read within ±5% of each other at 41 windows a
+// side, too wide for the 5% tracing floor; 121 windows take about
+// 20 s per guard.
+const guardRounds = 121
 
 // guardMedians serves alternating windows from base and arm, swapping
 // which goes first each round so drift hits both alike, stops both, and
@@ -327,6 +330,7 @@ func guardMedians(t *testing.T, base, arm *benchServer) (baseQPS, armQPS float64
 	return median(bs), median(as)
 }
 
+// median returns the median of xs, sorting xs in place.
 func median(xs []float64) float64 {
 	sort.Float64s(xs)
 	n := len(xs)

@@ -71,7 +71,7 @@ type IntCmp struct {
 }
 
 func (p IntCmp) bind(dst []term, s *catalog.Schema) []term {
-	return append(dst, term{kind: intCmp, op: p.Op, col: s.ColIndex(p.Col), lo: p.Val})
+	return append(dst, term{kind: intCmp, op: p.Op, col: s.ColIndex(p.Col), val: p.Val})
 }
 
 // Cost implements Pred.
@@ -84,7 +84,10 @@ type IntRange struct {
 }
 
 func (p IntRange) bind(dst []term, s *catalog.Schema) []term {
-	return append(dst, term{kind: intRange, col: s.ColIndex(p.Col), lo: p.Lo, hi: p.Hi})
+	c := s.ColIndex(p.Col)
+	return append(dst,
+		term{kind: intCmp, op: Ge, col: c, val: p.Lo},
+		term{kind: intCmp, op: Le, col: c, val: p.Hi})
 }
 
 // Cost implements Pred.
@@ -158,10 +161,9 @@ func (True) Cost() int { return 1 }
 type termKind uint8
 
 const (
-	intCmp   termKind = iota // col op lo
-	intRange                 // lo <= col <= hi
-	strEq                    // col = str, padding trimmed
-	colCmp                   // col op col2
+	intCmp termKind = iota // col op val
+	colCmp                 // col op col2
+	strEq                  // col = str, padding trimmed
 )
 
 // term is one conjunct of a bound predicate, its columns resolved to
@@ -170,21 +172,18 @@ type term struct {
 	kind      termKind
 	op        CmpOp
 	col, col2 int
-	lo, hi    int64
+	val       int64
 	str       string
 }
 
 func (c *term) eval(t catalog.Tuple) bool {
 	switch c.kind {
 	case intCmp:
-		return c.op.eval(t.Int(c.col), c.lo)
-	case intRange:
-		v := t.Int(c.col)
-		return v >= c.lo && v <= c.hi
-	case strEq:
-		return string(t.StrBytes(c.col)) == c.str
+		return c.op.eval(t.Int(c.col), c.val)
 	case colCmp:
 		return c.op.eval(t.Int(c.col), t.Int(c.col2))
+	case strEq:
+		return string(t.StrBytes(c.col)) == c.str
 	}
 	return false
 }
