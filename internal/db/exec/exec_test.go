@@ -403,7 +403,9 @@ func refEval(p exec.Pred, t catalog.Tuple) bool {
 		v := col(p.Col)
 		return v >= p.Lo && v <= p.Hi
 	case exec.StrEq:
-		return t.Str(t.Schema.ColIndex(p.Col)) == p.Val
+		i := t.Schema.ColIndex(p.Col)
+		off := t.Schema.Offset(i)
+		return strings.TrimRight(string(t.Buf[off:off+t.Schema.Col(i).Len]), "\x00") == p.Val
 	case exec.ColEq:
 		return col(p.Left) == col(p.Right)
 	case exec.ColCmp:
