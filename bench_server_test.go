@@ -4,9 +4,11 @@ package cgp
 //
 // TestServerBench measures end-to-end queries/sec through the network
 // front-end with the probe-level live capture attached vs detached, at
-// 1, 4 and 16 client connections, and writes BENCH_server.json. Gated
-// behind CGP_SERVER_BENCH because it holds the machine for a few
-// seconds of saturated serving:
+// 1, 4 and 16 client connections, and writes BENCH_server.json. It
+// uses the guards' estimator below: the arms' windows alternate, each
+// arm reports its median qps and each overhead is taken from the median
+// per-round ratio. Gated behind CGP_SERVER_BENCH because it holds the
+// machine for about half a minute of saturated serving:
 //
 //	CGP_SERVER_BENCH=1 go test -run TestServerBench -count=1 .
 //
@@ -15,8 +17,8 @@ package cgp
 // different angle than the chaos suite: attaching the recorder must
 // never make serving more than 15% slower, because the ring hand-off
 // is the only work added to the query path. It runs the two arms in
-// alternating rounds in the same process and compares the medians of
-// their per-round qps, so the ratio cancels host speed and one
+// alternating rounds in the same process and takes the median of the
+// per-round qps ratios, so the ratio cancels host speed and one
 // preempted round cannot decide the verdict.
 //
 // TestTracingOverheadGuard does the same for query tracing: clients
@@ -29,6 +31,7 @@ package cgp
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -55,8 +58,10 @@ var serverBenchQueries = []string{
 }
 
 // serverBenchTotal is the number of queries one measurement window
-// serves, split across the connections.
-const serverBenchTotal = 960
+// serves, split across the connections. A window lasts a few tens of
+// milliseconds, so the arms' windows in one round run close together in
+// time and see the same host speed.
+const serverBenchTotal = 240
 
 // benchServer is one serving process for the throughput measurements:
 // a loaded engine behind a server with the arm's capture and tracer,
@@ -114,8 +119,9 @@ func startBenchServer(t *testing.T, sampleEvery, clients int, traced bool) *benc
 	}
 
 	// Warm up before timing: the first queries pay page-cache and
-	// buffer-pool misses plus allocator growth, which on a ~100ms
-	// measurement window would swamp the capture's cost.
+	// buffer-pool misses plus allocator growth, which on a measurement
+	// window of a few tens of milliseconds would swamp the capture's
+	// cost.
 	for i := 0; i < 100; i++ {
 		if _, err := b.conns[i%clients].Query(serverBenchQueries[i%len(serverBenchQueries)]); err != nil {
 			b.close()
@@ -130,9 +136,6 @@ func startBenchServer(t *testing.T, sampleEvery, clients int, traced bool) *benc
 // and returns the measured throughput.
 func (b *benchServer) window(t *testing.T) float64 {
 	t.Helper()
-	// Collect earlier garbage now (a dropped engine's 4096-frame pool
-	// is 32 MB), so its collection does not land inside this window.
-	runtime.GC()
 	perClient := serverBenchTotal / len(b.conns)
 	var wg sync.WaitGroup
 	errs := make(chan error, len(b.conns))
@@ -202,27 +205,48 @@ func (b *benchServer) close() {
 	b.s.Wait()
 }
 
-// serveBenchQPS measures one window on a fresh server.
-func serveBenchQPS(t *testing.T, sampleEvery, clients int, traced bool) float64 {
+// alternatingWindows serves rounds of one window from each server,
+// rotating which goes first each round so drift in host speed hits all
+// of them alike, stops them all, and returns each server's per-round
+// qps. Earlier garbage (a stopped engine's 4096-frame pool is 32 MB) is
+// collected once, after every server has started; from then on each
+// server pays for its own collections inside its windows.
+func alternatingWindows(t *testing.T, rounds int, servers ...*benchServer) [][]float64 {
 	t.Helper()
-	b := startBenchServer(t, sampleEvery, clients, traced)
-	defer b.stop(t)
-	return b.window(t)
-}
-
-// bestQPS is the best of 3 serveBenchQPS runs — the same
-// minimum-of-many estimator the kernel guard uses (max qps = min
-// time): the best run converges on what the code can sustain while
-// the mean absorbs scheduler preemptions from the shared runner.
-func bestQPS(t *testing.T, sampleEvery, clients int, traced bool) float64 {
-	t.Helper()
-	var best float64
-	for i := 0; i < 3; i++ {
-		if q := serveBenchQPS(t, sampleEvery, clients, traced); q > best {
-			best = q
+	for _, b := range servers {
+		defer b.stop(t)
+	}
+	runtime.GC()
+	qps := make([][]float64, len(servers))
+	for r := 0; r < rounds; r++ {
+		for k := range servers {
+			i := (r + k) % len(servers)
+			qps[i] = append(qps[i], servers[i].window(t))
 		}
 	}
-	return best
+	return qps
+}
+
+// medianRatio is the median over rounds of arm's qps over base's qps in
+// the same round. Each ratio compares two windows served moments apart,
+// so host drift cancels round by round rather than only on average.
+func medianRatio(arm, base []float64) float64 {
+	ratios := make([]float64, len(arm))
+	for r := range arm {
+		ratios[r] = arm[r] / base[r]
+	}
+	return median(ratios)
+}
+
+// median returns the median of xs.
+func median(xs []float64) float64 {
+	xs = append([]float64(nil), xs...)
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 type serverBenchCell struct {
@@ -251,31 +275,44 @@ type serverBenchCell struct {
 	TracingOverhead float64 `json:"tracing_overhead"`
 }
 
+// serverBenchRounds is how many rounds TestServerBench serves at each
+// client count. Fewer than the guards' guardRounds: these numbers are
+// reported, not gated.
+const serverBenchRounds = 121
+
+// fullCaptureRounds is how many windows the full-capture arm serves, on
+// its own after the other arms. It holds its whole recording in memory
+// (about 30 KB a query) until stop seals it, and the collections that
+// garbage sets off would otherwise land in its neighbours' windows.
+const fullCaptureRounds = 11
+
 func TestServerBench(t *testing.T) {
 	if os.Getenv("CGP_SERVER_BENCH") == "" {
 		t.Skip("set CGP_SERVER_BENCH=1 to run the serving-throughput benchmark")
 	}
 	var cells []serverBenchCell
 	for _, clients := range []int{1, 4, 16} {
-		detached := bestQPS(t, 0, clients, false)
-		attached := bestQPS(t, captureDefaultSample, clients, false)
-		full := bestQPS(t, 1, clients, false)
-		traced := bestQPS(t, 0, clients, true)
+		qps := alternatingWindows(t, serverBenchRounds,
+			startBenchServer(t, 0, clients, false),
+			startBenchServer(t, captureDefaultSample, clients, false),
+			startBenchServer(t, 0, clients, true))
+		full := alternatingWindows(t, fullCaptureRounds, startBenchServer(t, 1, clients, false))[0]
 		cell := serverBenchCell{
 			Clients:         clients,
-			AttachedQPS:     attached,
-			DetachedQPS:     detached,
-			FullCaptureQPS:  full,
-			Overhead:        detached/attached - 1,
-			TracedQPS:       traced,
-			TracingOverhead: detached/traced - 1,
+			DetachedQPS:     median(qps[0]),
+			AttachedQPS:     median(qps[1]),
+			FullCaptureQPS:  median(full),
+			Overhead:        1/medianRatio(qps[1], qps[0]) - 1,
+			TracedQPS:       median(qps[2]),
+			TracingOverhead: 1/medianRatio(qps[2], qps[0]) - 1,
 		}
 		t.Logf("%2d clients: detached %.0f qps, attached %.0f qps (overhead %+.1f%%), full capture %.0f qps, traced %.0f qps (overhead %+.1f%%)",
-			clients, detached, attached, 100*cell.Overhead, full, traced, 100*cell.TracingOverhead)
+			clients, cell.DetachedQPS, cell.AttachedQPS, 100*cell.Overhead, cell.FullCaptureQPS, cell.TracedQPS, 100*cell.TracingOverhead)
 		cells = append(cells, cell)
 	}
 	out := map[string]any{
-		"scale":      "WiscN=1000, 960 queries per cell, loopback TCP",
+		"scale": fmt.Sprintf("WiscN=1000, %d-query windows, %d alternating rounds per cell (%d windows for full capture), loopback TCP",
+			serverBenchTotal, serverBenchRounds, fullCaptureRounds),
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 		"bench":      cells,
 	}
@@ -299,57 +336,26 @@ const captureOverheadTolerance = 0.85
 // committed-batch assertion in benchServer.stop.
 const captureDefaultSample = 64
 
-// guardRounds is how many measurement windows each overhead guard
-// serves per arm. Host speed on a shared machine drifts by a third
-// within seconds, and one ~0.1 s window can read 20% off its
-// neighbour; the guard's two servers stay up, their windows alternate,
-// and the medians move only when most windows do. On a 2-vCPU host,
-// two identical arms read within ±5% of each other at 41 windows a
-// side, too wide for the 5% tracing floor; 121 windows take about
-// 20 s per guard.
-const guardRounds = 121
-
-// guardMedians serves alternating windows from base and arm, swapping
-// which goes first each round so drift hits both alike, stops both, and
-// returns each one's median per-window qps.
-func guardMedians(t *testing.T, base, arm *benchServer) (baseQPS, armQPS float64) {
-	t.Helper()
-	defer base.stop(t)
-	defer arm.stop(t)
-	bs := make([]float64, 0, guardRounds)
-	as := make([]float64, 0, guardRounds)
-	for i := 0; i < guardRounds; i++ {
-		if i%2 == 0 {
-			bs = append(bs, base.window(t))
-			as = append(as, arm.window(t))
-		} else {
-			as = append(as, arm.window(t))
-			bs = append(bs, base.window(t))
-		}
-	}
-	return median(bs), median(as)
-}
-
-// median returns the median of xs, sorting xs in place.
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}
+// guardRounds is how many rounds each overhead guard serves: one window
+// per arm per round, on two servers that stay up. Host speed on a
+// shared machine drifts by a third within seconds, so the guard judges
+// the median of the per-round ratios, each taken between two windows
+// served moments apart. On a 2-vCPU host, the medians of each arm's own
+// windows read between 0.954 and 1.009 for tracing over 10 runs of 484
+// rounds, too wide for its 5% floor; the median per-round ratio read
+// between 0.971 and 0.987. 484 rounds take about 20 s per guard.
+const guardRounds = 484
 
 func TestCaptureOverheadGuard(t *testing.T) {
 	if os.Getenv("CGP_BENCH_GUARD") == "" {
 		t.Skip("set CGP_BENCH_GUARD=1 to run the capture-overhead guard")
 	}
-	detached, attached := guardMedians(t,
+	qps := alternatingWindows(t, guardRounds,
 		startBenchServer(t, 0, 4, false),
 		startBenchServer(t, captureDefaultSample, 4, false))
-	ratio := attached / detached
-	t.Logf("capture overhead: attached %.0f qps vs detached %.0f qps (medians of %d windows, ratio %.3f, floor %.2f)",
-		attached, detached, guardRounds, ratio, captureOverheadTolerance)
+	ratio := medianRatio(qps[1], qps[0])
+	t.Logf("capture overhead: attached %.0f qps vs detached %.0f qps (medians of %d windows), median per-round ratio %.3f, floor %.2f",
+		median(qps[1]), median(qps[0]), guardRounds, ratio, captureOverheadTolerance)
 	if ratio < captureOverheadTolerance {
 		t.Errorf("live capture costs too much: attached serving at %.1f%% of detached throughput, floor %.0f%%",
 			100*ratio, 100*captureOverheadTolerance)
@@ -365,12 +371,12 @@ func TestTracingOverheadGuard(t *testing.T) {
 	if os.Getenv("CGP_BENCH_GUARD") == "" {
 		t.Skip("set CGP_BENCH_GUARD=1 to run the tracing-overhead guard")
 	}
-	untraced, traced := guardMedians(t,
+	qps := alternatingWindows(t, guardRounds,
 		startBenchServer(t, 0, 4, false),
 		startBenchServer(t, 0, 4, true))
-	ratio := traced / untraced
-	t.Logf("tracing overhead: traced %.0f qps vs untraced %.0f qps (medians of %d windows, ratio %.3f, floor %.2f)",
-		traced, untraced, guardRounds, ratio, tracingOverheadTolerance)
+	ratio := medianRatio(qps[1], qps[0])
+	t.Logf("tracing overhead: traced %.0f qps vs untraced %.0f qps (medians of %d windows), median per-round ratio %.3f, floor %.2f",
+		median(qps[1]), median(qps[0]), guardRounds, ratio, tracingOverheadTolerance)
 	if ratio < tracingOverheadTolerance {
 		t.Errorf("query tracing costs too much: traced serving at %.1f%% of untraced throughput, floor %.0f%%",
 			100*ratio, 100*tracingOverheadTolerance)

@@ -69,55 +69,12 @@ func RegisterFuncs(reg *program.Registry) Funcs {
 	}
 }
 
-// lockState is one locked resource. Nearly every lock has one holder,
-// so the first holder (owner, acquisition count) lives inline; further
-// shared holders go to more, allocated on first use. A state whose last
-// holder leaves returns to the Manager's free list with more cleared.
+// lockState is one locked resource. A state whose last holder leaves
+// returns, with its (then empty) holder map, to the Manager's free list.
 type lockState struct {
-	mode  Mode
-	owner Owner // the inline holder, valid when count > 0
-	count int   // the inline holder's acquisitions (reentrant)
-	more  map[Owner]int
-	next  *lockState // free-list link
-}
-
-// holds returns o's acquisition count.
-func (st *lockState) holds(o Owner) int {
-	if st.count > 0 && st.owner == o {
-		return st.count
-	}
-	return st.more[o]
-}
-
-// set records o's acquisition count n > 0.
-func (st *lockState) set(o Owner, n int) {
-	switch {
-	case st.count > 0 && st.owner == o, st.count == 0 && st.more[o] == 0:
-		st.owner, st.count = o, n
-	default:
-		if st.more == nil {
-			st.more = make(map[Owner]int)
-		}
-		st.more[o] = n
-	}
-}
-
-// drop removes o as a holder.
-func (st *lockState) drop(o Owner) {
-	if st.count > 0 && st.owner == o {
-		st.count = 0
-		return
-	}
-	delete(st.more, o)
-}
-
-// holders returns the number of distinct holders.
-func (st *lockState) holders() int {
-	n := len(st.more)
-	if st.count > 0 {
-		n++
-	}
-	return n
+	mode    Mode
+	holders map[Owner]int // owner -> acquisition count (reentrant)
+	next    *lockState    // free-list link
 }
 
 // Stats counts lock-manager activity.
@@ -194,23 +151,23 @@ func (m *Manager) acquire(o Owner, r Resource, mode Mode) error {
 	if st == nil {
 		st = m.newState()
 		st.mode = mode
-		st.set(o, 1)
+		st.holders[o] = 1
 		m.table[r] = st
 		m.record(o, r)
 		m.stats.Acquires++
 		return nil
 	}
-	if n := st.holds(o); n > 0 {
+	if n := st.holders[o]; n > 0 {
 		// Reentrant; upgrade if needed and possible.
 		if mode == Exclusive && st.mode == Shared {
-			if st.holders() > 1 {
+			if len(st.holders) > 1 {
 				m.stats.Conflicts++
 				return fmt.Errorf("lock: upgrade conflict on %#x", uint64(r))
 			}
 			st.mode = Exclusive
 			m.stats.Upgrades++
 		}
-		st.set(o, n+1)
+		st.holders[o] = n + 1
 		m.stats.Acquires++
 		return nil
 	}
@@ -218,7 +175,7 @@ func (m *Manager) acquire(o Owner, r Resource, mode Mode) error {
 		m.stats.Conflicts++
 		return fmt.Errorf("lock: %s conflict on %#x", mode, uint64(r))
 	}
-	st.set(o, 1)
+	st.holders[o] = 1
 	m.record(o, r)
 	m.stats.Acquires++
 	return nil
@@ -230,23 +187,19 @@ func (m *Manager) release(o Owner, r Resource) {
 	defer m.pr.Exit()
 	m.pr.Work(18)
 	st := m.table[r]
-	if st == nil {
-		return
-	}
-	n := st.holds(o)
-	if n == 0 {
+	if st == nil || st.holders[o] == 0 {
 		return // releasing an unheld lock is a no-op, as in SHORE
 	}
 	m.stats.Releases++
-	if n > 1 {
-		st.set(o, n-1)
+	st.holders[o]--
+	if st.holders[o] > 0 {
 		return
 	}
-	st.drop(o)
+	delete(st.holders, o)
 	if set := m.held[o]; set != nil {
 		delete(set, r)
 	}
-	if st.holders() == 0 {
+	if len(st.holders) == 0 {
 		m.freeState(r, st)
 	}
 }
@@ -255,7 +208,7 @@ func (m *Manager) release(o Owner, r Resource) {
 func (m *Manager) newState() *lockState {
 	st := m.free
 	if st == nil {
-		return &lockState{}
+		return &lockState{holders: make(map[Owner]int)}
 	}
 	m.free = st.next
 	st.next = nil
@@ -266,7 +219,6 @@ func (m *Manager) newState() *lockState {
 // for reuse.
 func (m *Manager) freeState(r Resource, st *lockState) {
 	delete(m.table, r)
-	clear(st.more)
 	st.next = m.free
 	m.free = st
 }
@@ -280,11 +232,11 @@ func (m *Manager) ReleaseAll(o Owner) {
 		if st == nil {
 			continue
 		}
-		if st.holds(o) > 0 {
+		if st.holders[o] > 0 {
 			m.stats.Releases++
 		}
-		st.drop(o)
-		if st.holders() == 0 {
+		delete(st.holders, o)
+		if len(st.holders) == 0 {
 			m.freeState(r, st)
 		}
 	}

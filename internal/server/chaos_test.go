@@ -332,11 +332,26 @@ func TestChaosKillDashNineAndRestart(t *testing.T) {
 	if !errors.As(err, &exit) {
 		t.Fatalf("child.Wait after SIGKILL = %v, want ExitError", err)
 	}
-	// The child may have answered before the kill landed; whatever it
-	// sent, the connection must then end rather than stay open.
+	// The kill can land after the child answered the in-flight query.
+	// Nothing but that one answer, whole, may precede the end of the
+	// stream, and the stream must end rather than stay open.
 	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, rerr := io.Copy(io.Discard, c.conn); errors.Is(rerr, os.ErrDeadlineExceeded) {
+	got, rerr := io.ReadAll(c.conn)
+	if errors.Is(rerr, os.ErrDeadlineExceeded) {
 		t.Fatal("connection to a SIGKILLed server stayed open")
+	}
+	if len(got) > 0 {
+		typ, n, err := parseFrameHeader(got, maxResponseFrame)
+		if err != nil || typ != msgResult || len(got) != frameHeaderLen+n {
+			t.Fatalf("SIGKILLed server sent %d bytes, not one whole result frame", len(got))
+		}
+		res, err := decodeResult(got[frameHeaderLen:])
+		if err != nil {
+			t.Fatalf("SIGKILLed server's last answer: %v", err)
+		}
+		if len(res.Rows) != 200 { // every row of the child's big1
+			t.Fatalf("SIGKILLed server's last answer has %d rows, want 200", len(res.Rows))
+		}
 	}
 	c.conn.Close()
 	// The capture was never sealed: no file may exist, and a partial
