@@ -3,9 +3,12 @@ package cgp
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 
 	"cgp/internal/obs"
+	"cgp/internal/sample"
 )
 
 func TestSoftwareCGPAblation(t *testing.T) {
@@ -266,6 +269,103 @@ func TestCampaignWorkloadsResolve(t *testing.T) {
 	for _, name := range []string{"wisc-large-2/q7", "wisc-large-2/q02", "wisc-large-2/q0", "wisc-large-2/q-3", "wisc-large-2/q"} {
 		if w, err := r.WorkloadByName(name); err == nil {
 			t.Errorf("non-canonical name %q resolved to %q", name, w.Name)
+		}
+	}
+}
+
+// TestCampaignCellsMatchGenerators: the cells CampaignCells enumerates
+// are exactly the cells AllFigures and ExtensionFigures simulate, in
+// full detail, under the default sampled set, and under an explicit set
+// naming the counter figure fig9 and the quantum sweep.
+func TestCampaignCellsMatchGenerators(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	explicit := recorded(harnessOpts(2))
+	explicit.SampledFigures = []string{"fig9", "abl-quantum"}
+	cases := []struct {
+		name string
+		opts RunnerOptions
+	}{
+		{"full detail", harnessOpts(2)},
+		{"default sampled set", recorded(harnessOpts(2))},
+		{"fig9 and abl-quantum sampled", explicit},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner(tc.opts)
+			if _, err := r.AllFigures(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.ExtensionFigures(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			ran := map[string]bool{}
+			r.mu.Lock()
+			for k := range r.flights {
+				if strings.HasPrefix(k, "run|") {
+					ran[k] = true
+				}
+			}
+			r.mu.Unlock()
+			listed := map[string]bool{}
+			for _, c := range r.CampaignCells() {
+				listed[c.Key()] = true
+				if !ran[c.Key()] {
+					t.Errorf("enumerated cell of %s never ran: %s", c.Figure, c.Key())
+				}
+			}
+			for k := range ran {
+				if !listed[k] {
+					t.Errorf("ran a cell CampaignCells does not list: %s", k)
+				}
+			}
+			t.Logf("%d cells enumerated, %d ran", len(listed), len(ran))
+		})
+	}
+}
+
+// TestParseFigureIDs: -sample-figures lists parse against the figure
+// catalogue; blank entries are skipped, "none" is the empty set, and an
+// unknown ID fails with the valid ones listed.
+func TestParseFigureIDs(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    []string
+		wantErr bool
+	}{
+		{in: "fig4", want: []string{"fig4"}},
+		{in: " fig9 , abl-quantum", want: []string{"fig9", "abl-quantum"}},
+		{in: "fig4,,sec5.6,", want: []string{"fig4", "sec5.6"}},
+		{in: " , ", want: nil},
+		{in: "none", want: []string{}},
+		{in: "fig44", wantErr: true},
+		{in: "fig4,Fig5", wantErr: true},
+		{in: "none,fig4", wantErr: true},
+	}
+	for _, tc := range cases {
+		got, err := ParseFigureIDs(tc.in)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("ParseFigureIDs(%q) = %q, want an error", tc.in, got)
+				continue
+			}
+			for _, id := range append(PaperFigureIDs(), ExtensionFigureIDs()...) {
+				if !strings.Contains(err.Error(), id) {
+					t.Errorf("ParseFigureIDs(%q) error %q does not list %s", tc.in, err, id)
+				}
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseFigureIDs(%q) = %#v, %v; want %#v", tc.in, got, err, tc.want)
+		}
+	}
+	none, _ := ParseFigureIDs("none")
+	opts := RunnerOptions{Sampling: sample.Default(), SampledFigures: none}
+	for _, id := range DefaultSampledFigures() {
+		if opts.samplingFor(lookupFigure(id)).Enabled() {
+			t.Errorf("SampledFigures none still samples %s", id)
 		}
 	}
 }

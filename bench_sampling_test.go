@@ -45,9 +45,18 @@ func samplingBenchConfig() sample.Config {
 	}
 }
 
+// samplingBenchEntry is one arm's BENCH_sampling.json entry.
+type samplingBenchEntry struct {
+	WallSeconds    float64 `json:"wall_seconds"`
+	Events         int64   `json:"events"`
+	EventsPerSec   float64 `json:"events_per_sec"`
+	NsPerEvent     float64 `json:"ns_per_event"`
+	AllocsPerEvent float64 `json:"allocs_per_event"`
+}
+
 var samplingBench = struct {
 	sync.Mutex
-	entries map[string]*kernelBenchEntry
+	entries map[string]*samplingBenchEntry
 	// Cross-arm accuracy facts recorded by the sampled arm.
 	fullCycles  int64
 	estCycles   int64
@@ -57,7 +66,7 @@ var samplingBench = struct {
 	skipped     int64
 	fastForward int64
 	detailed    int64
-}{entries: map[string]*kernelBenchEntry{}}
+}{entries: map[string]*samplingBenchEntry{}}
 
 var (
 	samplingRecordingOnce sync.Once
@@ -117,7 +126,7 @@ func samplingFullReference(b *testing.B) int64 {
 func recordSamplingBench(name string, wall time.Duration, events int64) {
 	samplingBench.Lock()
 	defer samplingBench.Unlock()
-	samplingBench.entries[name] = &kernelBenchEntry{
+	samplingBench.entries[name] = &samplingBenchEntry{
 		WallSeconds:  wall.Seconds(),
 		Events:       events,
 		EventsPerSec: float64(events) / wall.Seconds(),

@@ -337,10 +337,11 @@ func benchFig4Workload(b *testing.B, name string, opts RunnerOptions) {
 	var events int64
 	for i := 0; i < b.N; i++ {
 		r := NewRunner(opts)
-		w := WiscLarge1(r.opts.DB)
-		jobs := make([]Job, 0, len(fig4Configs()))
-		for _, cfg := range fig4Configs() {
-			jobs = append(jobs, Job{Workload: w, Config: cfg})
+		var jobs []Job
+		for _, j := range fig4Jobs(r) {
+			if j.Workload.Name == "wisc-large-1" {
+				jobs = append(jobs, j)
+			}
 		}
 		results, err := r.RunAll(context.Background(), jobs)
 		if err != nil {
@@ -369,12 +370,10 @@ func BenchmarkFig4RowReplay(b *testing.B) {
 	benchFig4Workload(b, "fig4row_replay", recorded(harnessBenchOpts(1)))
 }
 
-// TestMain writes BENCH_harness.json after a harness benchmark run
-// (see ISSUE 1) and BENCH_kernel.json after a kernel microbenchmark
-// run (see ISSUE 3, bench_kernel_test.go).
+// TestMain writes BENCH_harness.json after a harness benchmark run and
+// BENCH_sampling.json after a sampling benchmark run.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	writeKernelBench()
 	writeSamplingBench()
 	harnessBench.Lock()
 	defer harnessBench.Unlock()

@@ -131,7 +131,8 @@ func TestCapturedWorkloadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		rr := NewRunner(capturedRunnerOpts())
-		fig, err := rr.runGrid(context.Background(), "captured", "Live traffic replay", []*Workload{cw}, configs)
+		fig, err := rr.runFigure(context.Background(), &figureSpec{id: "captured", title: "Live traffic replay",
+			cells: grid(func(*Runner) []*Workload { return []*Workload{cw} }, Config.Label, configs...)})
 		if err != nil {
 			t.Fatal(err)
 		}

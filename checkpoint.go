@@ -83,7 +83,7 @@ func (r *Runner) loadCheckpoint(w *Workload, cfg Config) (*Result, bool) {
 	if r.opts.CheckpointDir == "" {
 		return nil, false
 	}
-	key := runKey(w, cfg)
+	key := CellKey(w.Name, cfg)
 	data, err := os.ReadFile(r.checkpointPath(key))
 	if err != nil {
 		return nil, false
@@ -141,7 +141,7 @@ func (r *Runner) emitRecord(w *Workload, cfg Config, res *Result, data []byte) {
 	if r.opts.OnRecord == nil || r.opts.CheckpointDir == "" {
 		return
 	}
-	key := runKey(w, cfg)
+	key := CellKey(w.Name, cfg)
 	if data == nil {
 		var err error
 		data, err = r.encodeRecord(key, res)
@@ -163,7 +163,7 @@ func (r *Runner) storeCheckpoint(w *Workload, cfg Config, res *Result) {
 	sp := r.obsSpan("checkpoint", "checkpoint").
 		Arg("workload", w.Name).Arg("config", cfg.Label())
 	defer sp.End()
-	key := runKey(w, cfg)
+	key := CellKey(w.Name, cfg)
 	data, err := r.encodeRecord(key, res)
 	if err != nil {
 		r.opts.Log("checkpoint %s/%s: encode: %v", w.Name, cfg.Label(), err)

@@ -21,7 +21,8 @@
 // simulations — periodic detailed windows over a mostly skipped or
 // functionally warmed stream — reporting estimated cycles with 95%
 // confidence intervals at a fraction of the cost. Figures whose
-// numbers are whole-run prefetch counters (fig7/8/9) stay full-detail.
+// numbers are whole-run prefetch counters (fig7/8/9) stay full-detail
+// unless -sample-figures names them.
 // Sampled rows are rendered as `~value ±CI` and bannered per figure.
 //
 // The campaign can be distributed: -shards N precomputes the campaign's
@@ -84,7 +85,7 @@ func main() {
 		sampleWarm    = flag.Int64("sample-warmup", sample.Default().DetailWarmEvents, "detailed warm-up events before each window")
 		sampleWin     = flag.Int64("sample-window", sample.Default().WindowEvents, "measured events per window")
 		sampleRand    = flag.Bool("sample-random-offset", false, "place each period's window at a seeded random offset instead of a fixed one")
-		sampleFigures = flag.String("sample-figures", "", "comma-separated figure IDs to sample (default: the cycle-comparison figures)")
+		sampleFigures = flag.String("sample-figures", "", "with -sample: comma-separated figure IDs to sample, or none (default: the cycle-comparison figures)")
 
 		shards       = flag.Int("shards", 0, "distribute the campaign across this many worker processes before rendering (0 = in-process)")
 		workerMode   = flag.Bool("worker", false, "run as a campaign worker: speak the coordinator protocol on stdin/stdout (internal; spawned by -shards)")
@@ -106,6 +107,22 @@ func main() {
 			os.Exit(1)
 		}
 		return
+	}
+
+	// A bad -sample-figures is a usage error, caught before any work
+	// starts: exit status 2, as the flag package uses.
+	var sampledFigures []string
+	if *sampleFigures != "" {
+		ids, err := cgp.ParseFigureIDs(*sampleFigures)
+		if err == nil && !*sampled {
+			err = fmt.Errorf("needs -sample (figures: %s)",
+				strings.Join(append(cgp.PaperFigureIDs(), cgp.ExtensionFigureIDs()...), ", "))
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments: -sample-figures:", err)
+			os.Exit(2)
+		}
+		sampledFigures = ids
 	}
 
 	o := obs.New()
@@ -159,13 +176,7 @@ func main() {
 			RandomOffset:         *sampleRand,
 			Seed:                 uint64(*seed),
 		}
-		if *sampleFigures != "" {
-			for _, id := range strings.Split(*sampleFigures, ",") {
-				if id = strings.TrimSpace(id); id != "" {
-					opts.SampledFigures = append(opts.SampledFigures, id)
-				}
-			}
-		}
+		opts.SampledFigures = sampledFigures
 	}
 	if *verbose {
 		opts.Log = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }

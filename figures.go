@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+
+	"cgp/internal/cpu"
 )
 
 // Row is one bar of a figure: a workload under a configuration.
@@ -110,323 +113,380 @@ func rowMisses(res *Result) int64 {
 	return res.CPU.ICacheMisses
 }
 
-// fig4Configs are the six bars of Figure 4 per workload.
-func fig4Configs() []Config {
-	return []Config{
-		{Layout: LayoutO5},
-		{Layout: LayoutOM},
-		{Layout: LayoutO5, Prefetcher: PrefCGP, Degree: 2},
-		{Layout: LayoutO5, Prefetcher: PrefCGP, Degree: 4},
-		{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 2},
-		{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4},
-	}
+// The figure catalogue is the paper's evaluation and this repository's
+// ablations as data (DESIGN.md §15): each figure's cells in row order
+// and the rule that turns them into rows. The figure generators, the
+// campaign enumeration (CampaignCells), the campaign manifests and the
+// default sampled set all read it, so none of them can drift from
+// another.
+
+// figureSpec is one figure of the catalogue.
+type figureSpec struct {
+	id, title string
+	// extension marks an ablation beyond the paper's figures: it is
+	// generated by ExtensionFigures, not AllFigures.
+	extension bool
+	// sampled puts the figure in the default sampled set: its reported
+	// quantity is total cycles, which measurement windows estimate
+	// well, not a whole-run prefetch breakdown.
+	sampled bool
+	// cells lists the figure's jobs in row order.
+	cells func(r *Runner) []figureCell
+	// portions splits each cell into Figure 9's two rows, the
+	// prefetches of its NL portion and of its CGHC portion, instead of
+	// one grid row.
+	portions bool
 }
 
-// runGrid measures every workload under every config — fanned out
-// through RunAll — computing speedups against the first config.
-func (r *Runner) runGrid(ctx context.Context, id, title string, workloads []*Workload, configs []Config) (*Figure, error) {
-	return r.runGridLabeled(ctx, id, title, workloads, configs, Config.Label)
+// figureCell is one job of a figure and the labels of its row. A grid
+// row's speedup is relative to the first cell of its workload label.
+type figureCell struct {
+	job              Job
+	workload, config string
 }
 
-// runGridLabeled is runGrid with a custom per-config display label
-// (the CGHC sweeps label rows by CGHC geometry, not config Label).
-// Rows appear in (workload, config) input order regardless of which
-// simulations finished first.
-//
-// A partially failed campaign still yields a figure: failed cells
-// become degraded rows (Err set, numbers absent) and the campaign's
-// *CampaignError is returned alongside the figure so the caller can
-// report and exit non-zero. Only a total failure returns a nil figure.
-func (r *Runner) runGridLabeled(ctx context.Context, id, title string, workloads []*Workload, configs []Config, label func(Config) string) (*Figure, error) {
-	// A figure span groups the whole grid campaign in the Chrome trace,
-	// so the Perfetto timeline shows which figure each batch served.
-	sp := r.obsSpan("figure", "figure").Arg("id", id).
-		Arg("cells", fmt.Sprint(len(workloads)*len(configs)))
-	defer sp.End()
-	// Apply the campaign's sampling schedule when this figure is in the
-	// sampled set. Configs that already carry their own schedule keep
-	// it; the input slice is never mutated.
-	if scfg := r.opts.samplingFor(id); scfg.Enabled() {
-		sampled := make([]Config, len(configs))
-		for i, cfg := range configs {
-			if !cfg.Sampling.Enabled() {
-				cfg.Sampling = scfg
+// grid is the cells rule of a grid figure: every workload under every
+// config, each row labeled by its workload's name and label(config),
+// so each workload's first config is its baseline.
+func grid(workloads func(*Runner) []*Workload, label func(Config) string, configs ...Config) func(*Runner) []figureCell {
+	return func(r *Runner) []figureCell {
+		var cells []figureCell
+		for _, w := range workloads(r) {
+			for _, cfg := range configs {
+				cells = append(cells, figureCell{Job{w, cfg}, w.Name, label(cfg)})
 			}
-			sampled[i] = cfg
 		}
-		configs = sampled
+		return cells
 	}
-	jobs := make([]Job, 0, len(workloads)*len(configs))
-	for _, w := range workloads {
-		for _, cfg := range configs {
-			jobs = append(jobs, Job{Workload: w, Config: cfg})
+}
+
+// cghcLabel labels grid rows by CGHC geometry instead of config Label.
+func cghcLabel(c Config) string { return c.CGHC.String() }
+
+// figureCatalogue lists every figure in report order: the paper's
+// Figures 4-10 and the §5.6 run-ahead result, then the ablations.
+var figureCatalogue = []figureSpec{
+	{id: "fig4", title: "Performance comparison of O5, OM and CGP", sampled: true,
+		cells: grid((*Runner).DBWorkloads, Config.Label,
+			Config{Layout: LayoutO5},
+			Config{Layout: LayoutOM},
+			Config{Layout: LayoutO5, Prefetcher: PrefCGP, Degree: 2},
+			Config{Layout: LayoutO5, Prefetcher: PrefCGP, Degree: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 2},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4})},
+	{id: "fig5", title: "Performance of five CGHC configurations", sampled: true,
+		cells: grid((*Runner).DBWorkloads, cghcLabel,
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 1 * 1024}},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 32 * 1024}},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 1 * 1024, L2Bytes: 16 * 1024}},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 2 * 1024, L2Bytes: 32 * 1024}},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{Infinite: true}})},
+	{id: "fig6", title: "Performance comparison of O5, OM, NL and CGP", sampled: true,
+		cells: grid((*Runner).DBWorkloads, Config.Label,
+			Config{Layout: LayoutO5},
+			Config{Layout: LayoutOM},
+			Config{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 2},
+			Config{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 2},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4},
+			Config{Layout: LayoutOM, PerfectICache: true})},
+	{id: "fig7", title: "I-cache miss comparison of O5, OM, NL and CGP",
+		cells: grid((*Runner).DBWorkloads, Config.Label,
+			Config{Layout: LayoutO5},
+			Config{Layout: LayoutOM},
+			Config{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4})},
+	{id: "fig8", title: "Prefetch effectiveness of NL and CGP",
+		cells: grid((*Runner).DBWorkloads, Config.Label,
+			Config{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 2},
+			Config{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 2},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4})},
+	{id: "fig9", title: "CGP_4 prefetches due to NL and CGHC", portions: true,
+		cells: grid((*Runner).DBWorkloads, Config.Label,
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4})},
+	{id: "fig10", title: "Effectiveness of CGP on CPU2000 applications", sampled: true,
+		cells: grid((*Runner).CPU2000Workloads, Config.Label,
+			Config{Layout: LayoutOM},
+			Config{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4},
+			Config{Layout: LayoutOM, PerfectICache: true})},
+	{id: "sec5.6", title: "Run-ahead NL ablation", sampled: true,
+		cells: grid((*Runner).DBWorkloads, Config.Label,
+			Config{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefRunAheadNL, Degree: 4, RunAheadM: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4})},
+	{id: "abl-ways", title: "CGHC associativity ablation (CGP_4, 1K single-level)", extension: true, sampled: true,
+		cells: grid((*Runner).DBWorkloads, cghcLabel,
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 1024, Ways: 1}},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 1024, Ways: 2}},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 1024, Ways: 4}})},
+	{id: "abl-slots", title: "CGHC entry-width ablation (CGP_4, 2K+32K)", extension: true, sampled: true,
+		cells: grid((*Runner).DBWorkloads, cghcLabel,
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 2 * 1024, L2Bytes: 32 * 1024, Slots: 2}},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 2 * 1024, L2Bytes: 32 * 1024, Slots: 4}},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 2 * 1024, L2Bytes: 32 * 1024, Slots: 8}})},
+	{id: "abl-policy", title: "L2 interface policy ablation (§3.3 choices)", extension: true, sampled: true,
+		cells: grid((*Runner).DBWorkloads, Config.Label,
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, DemandPriority: true},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, PrefetchIntoL2Only: true})},
+	{id: "abl-swcgp", title: "Software CGP (§6 variant) vs hardware CGP", extension: true, sampled: true,
+		cells: grid((*Runner).DBWorkloads, Config.Label,
+			Config{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefSoftwareCGP, Degree: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4})},
+	{id: "abl-degree", title: "CGP_N degree sweep (OM binary)", extension: true, sampled: true,
+		cells: grid((*Runner).DBWorkloads, Config.Label,
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 1},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 2},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4},
+			Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 8})},
+	{id: "abl-quantum", title: "Context-switch quantum sensitivity (wisc-large-2, OM)", extension: true,
+		cells: (*Runner).quantumCells},
+}
+
+// lookupFigure returns the catalogue entry id, or nil.
+func lookupFigure(id string) *figureSpec {
+	for i := range figureCatalogue {
+		if figureCatalogue[i].id == id {
+			return &figureCatalogue[i]
 		}
+	}
+	return nil
+}
+
+// figureIDs lists the IDs of the catalogue entries keep selects, in
+// report order.
+func figureIDs(keep func(*figureSpec) bool) []string {
+	var ids []string
+	for i := range figureCatalogue {
+		if keep(&figureCatalogue[i]) {
+			ids = append(ids, figureCatalogue[i].id)
+		}
+	}
+	return ids
+}
+
+// PaperFigureIDs lists the paper's figures in report order: the set
+// AllFigures generates.
+func PaperFigureIDs() []string {
+	return figureIDs(func(f *figureSpec) bool { return !f.extension })
+}
+
+// ExtensionFigureIDs lists the ablation studies in report order: the
+// set ExtensionFigures generates.
+func ExtensionFigureIDs() []string {
+	return figureIDs(func(f *figureSpec) bool { return f.extension })
+}
+
+// DefaultSampledFigures is the figure set RunnerOptions.Sampling
+// applies to when SampledFigures is nil: every figure whose reported
+// quantity is total cycles (well-estimated from windows), none whose
+// quantity is a whole-run prefetch breakdown.
+func DefaultSampledFigures() []string {
+	return figureIDs(func(f *figureSpec) bool { return f.sampled })
+}
+
+// ParseFigureIDs parses a comma-separated list of figure IDs, the
+// syntax of experiments -sample-figures, into a SampledFigures value.
+// Blank entries are skipped, and a list without IDs yields nil (the
+// default set); the word "none" alone names the empty set. An ID the
+// catalogue does not hold is an error that lists the valid ones.
+func ParseFigureIDs(s string) ([]string, error) {
+	if strings.TrimSpace(s) == "none" {
+		return []string{}, nil
+	}
+	var ids []string
+	for _, id := range strings.Split(s, ",") {
+		id = strings.TrimSpace(id)
+		if id == "" {
+			continue
+		}
+		if lookupFigure(id) == nil {
+			all := figureIDs(func(*figureSpec) bool { return true })
+			return nil, fmt.Errorf("cgp: unknown figure %q (figures: %s)", id, strings.Join(all, ", "))
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
+}
+
+// cellsOf lists f's cells, adding the campaign's sampling schedule to
+// each config that has none when f is in the sampled set. The figure
+// runner and CampaignCells both read it, so a campaign enumerates
+// exactly the cells, and the checkpoint keys, its figures request.
+func (r *Runner) cellsOf(f *figureSpec) []figureCell {
+	cells := f.cells(r)
+	if scfg := r.opts.samplingFor(f); scfg.Enabled() {
+		for i := range cells {
+			if !cells[i].job.Config.Sampling.Enabled() {
+				cells[i].job.Config.Sampling = scfg
+			}
+		}
+	}
+	return cells
+}
+
+// runFigure measures a figure's cells through one RunAll and builds its
+// rows in cell order, regardless of which simulations finished first.
+//
+// A partially failed campaign still yields the figure: failed cells
+// become degraded rows (Err set, numbers absent), and the campaign's
+// *CampaignError is returned alongside it so the caller can report and
+// exit non-zero.
+func (r *Runner) runFigure(ctx context.Context, f *figureSpec) (*Figure, error) {
+	cells := r.cellsOf(f)
+	// A figure span groups the figure's campaign in the Chrome trace,
+	// so the Perfetto timeline shows which figure each batch served.
+	sp := r.obsSpan("figure", "figure").Arg("id", f.id).Arg("cells", fmt.Sprint(len(cells)))
+	defer sp.End()
+	jobs := make([]Job, len(cells))
+	for i, c := range cells {
+		jobs[i] = c.job
 	}
 	results, err := r.RunAll(ctx, jobs)
 	failed := map[int]*JobError{}
-	if err != nil {
-		var camp *CampaignError
-		if !errors.As(err, &camp) {
-			return nil, err
-		}
+	var camp *CampaignError
+	if errors.As(err, &camp) {
 		for _, je := range camp.Jobs {
 			failed[je.Index] = je
 		}
 	}
-	fig := &Figure{ID: id, Title: title, Baseline: label(configs[0])}
-	i := 0
-	for _, w := range workloads {
-		base := results[i] // first config is the per-workload baseline
-		for _, cfg := range configs {
-			res := results[i]
-			je := failed[i]
-			i++
-			if res == nil {
-				fig.Rows = append(fig.Rows, Row{Workload: w.Name, Config: label(cfg), Err: rowErr(je)})
-				continue
-			}
-			cycles, estimated, relCI := resultCycles(res)
-			speedup := 0.0
-			if base != nil {
-				bc, _, _ := resultCycles(base)
-				speedup = float64(bc) / float64(cycles)
-			}
-			tp := res.CPU.TotalPrefetch()
-			fig.Rows = append(fig.Rows, Row{
-				Workload:    w.Name,
-				Config:      label(cfg),
-				Cycles:      cycles,
-				Misses:      rowMisses(res),
-				PrefHits:    tp.PrefHits,
-				DelayedHits: tp.DelayedHits,
-				Useless:     tp.Useless,
-				Speedup:     speedup,
-				Estimated:   estimated,
-				CyclesCI:    relCI,
-				Result:      res,
-			})
+	fig := &Figure{ID: f.id, Title: f.title, Baseline: cells[0].config}
+	base := map[string]*Result{}
+	for i, c := range cells {
+		if _, ok := base[c.workload]; !ok {
+			base[c.workload] = results[i]
+		}
+		if f.portions {
+			fig.Rows = append(fig.Rows, portionRows(c, results[i], failed[i])...)
+		} else {
+			fig.Rows = append(fig.Rows, gridRow(c, results[i], base[c.workload], failed[i]))
 		}
 	}
 	return fig, err
+}
+
+// gridRow is one cell's row: its cycles, I-cache misses and prefetch
+// totals, and its speedup over base, the first cell of its workload
+// (0 when either failed).
+func gridRow(c figureCell, res, base *Result, je *JobError) Row {
+	if res == nil {
+		return Row{Workload: c.workload, Config: c.config, Err: rowErr(je)}
+	}
+	cycles, estimated, relCI := resultCycles(res)
+	speedup := 0.0
+	if base != nil {
+		bc, _, _ := resultCycles(base)
+		speedup = float64(bc) / float64(cycles)
+	}
+	tp := res.CPU.TotalPrefetch()
+	return Row{
+		Workload:    c.workload,
+		Config:      c.config,
+		Cycles:      cycles,
+		Misses:      rowMisses(res),
+		PrefHits:    tp.PrefHits,
+		DelayedHits: tp.DelayedHits,
+		Useless:     tp.Useless,
+		Speedup:     speedup,
+		Estimated:   estimated,
+		CyclesCI:    relCI,
+		Result:      res,
+	}
+}
+
+// portionRows are Figure 9's two rows for one CGP_4 cell: the
+// prefetches its NL portion issued and those its CGHC portion issued.
+// A sampled cell's rows are marked Estimated, since its counters cover
+// only the measured windows.
+func portionRows(c figureCell, res *Result, je *JobError) []Row {
+	rows := []Row{
+		{Workload: c.workload, Config: "CGP_4/NL-portion", Portion: "nl"},
+		{Workload: c.workload, Config: "CGP_4/CGHC-portion", Portion: "cghc"},
+	}
+	if res == nil {
+		rows[0].Err, rows[1].Err = rowErr(je), rowErr(je)
+		return rows
+	}
+	for i, ps := range []cpu.PrefetchStats{res.CPU.NL, res.CPU.CGHC} {
+		rows[i].PrefHits, rows[i].DelayedHits, rows[i].Useless = ps.PrefHits, ps.DelayedHits, ps.Useless
+		rows[i].Estimated = res.CPU.Sample != nil
+		rows[i].Result = res
+	}
+	return rows
+}
+
+// figure generates the catalogue figure id.
+func (r *Runner) figure(ctx context.Context, id string) (*Figure, error) {
+	return r.runFigure(ctx, lookupFigure(id))
+}
+
+// runFigures generates the figures ids concurrently and returns them in
+// ids order. Figures sharing (workload, config) cells share the
+// runner's cached simulations, so concurrent generation does the same
+// work as sequential generation, just overlapped, with identical
+// results. Failures degrade rather than abort: every figure is
+// returned, partial ones with their degraded rows, and the error joins
+// every figure's failure.
+func (r *Runner) runFigures(ctx context.Context, ids []string) ([]*Figure, error) {
+	figs := make([]*Figure, len(ids))
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if figs[i], errs[i] = r.figure(ctx, id); errs[i] != nil {
+				errs[i] = fmt.Errorf("cgp: %s: %w", id, errs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return figs, errors.Join(errs...)
 }
 
 // Figure4 reproduces the O5 / OM / CGP_2 / CGP_4 cycle comparison on
 // the four database workloads.
-func (r *Runner) Figure4(ctx context.Context) (*Figure, error) {
-	return r.runGrid(ctx, "fig4", "Performance comparison of O5, OM and CGP",
-		r.DBWorkloads(), fig4Configs())
-}
-
-// fig5Configs are the five CGHC design points of Figure 5.
-func fig5Configs() []Config {
-	cghcs := []CGHCConfig{
-		{L1Bytes: 1 * 1024},
-		{L1Bytes: 32 * 1024},
-		{L1Bytes: 1 * 1024, L2Bytes: 16 * 1024},
-		{L1Bytes: 2 * 1024, L2Bytes: 32 * 1024},
-		{Infinite: true},
-	}
-	configs := make([]Config, len(cghcs))
-	for i, hc := range cghcs {
-		configs[i] = Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4, CGHC: hc}
-	}
-	return configs
-}
+func (r *Runner) Figure4(ctx context.Context) (*Figure, error) { return r.figure(ctx, "fig4") }
 
 // Figure5 reproduces the CGHC design-space sweep: CGP_4 on the OM
 // binary with five CGHC configurations.
-func (r *Runner) Figure5(ctx context.Context) (*Figure, error) {
-	return r.runGridLabeled(ctx, "fig5", "Performance of five CGHC configurations",
-		r.DBWorkloads(), fig5Configs(), func(c Config) string { return c.CGHC.String() })
-}
+func (r *Runner) Figure5(ctx context.Context) (*Figure, error) { return r.figure(ctx, "fig5") }
 
 // Figure6 reproduces the NL-vs-CGP comparison: O5, OM, OM+NL_2/4,
 // OM+CGP_2/4 and the perfect I-cache.
-func (r *Runner) Figure6(ctx context.Context) (*Figure, error) {
-	return r.runGrid(ctx, "fig6", "Performance comparison of O5, OM, NL and CGP",
-		r.DBWorkloads(), fig6Configs())
-}
-
-// fig6Configs are the seven bars of Figure 6 per workload.
-func fig6Configs() []Config {
-	return []Config{
-		{Layout: LayoutO5},
-		{Layout: LayoutOM},
-		{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 2},
-		{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
-		{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 2},
-		{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4},
-		{Layout: LayoutOM, PerfectICache: true},
-	}
-}
+func (r *Runner) Figure6(ctx context.Context) (*Figure, error) { return r.figure(ctx, "fig6") }
 
 // Figure7 reproduces the I-cache miss comparison of O5, OM, OM+NL_4 and
 // OM+CGP_4.
-func (r *Runner) Figure7(ctx context.Context) (*Figure, error) {
-	return r.runGrid(ctx, "fig7", "I-cache miss comparison of O5, OM, NL and CGP",
-		r.DBWorkloads(), fig7Configs())
-}
-
-// fig7Configs are the four bars of Figure 7 per workload.
-func fig7Configs() []Config {
-	return []Config{
-		{Layout: LayoutO5},
-		{Layout: LayoutOM},
-		{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
-		{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4},
-	}
-}
+func (r *Runner) Figure7(ctx context.Context) (*Figure, error) { return r.figure(ctx, "fig7") }
 
 // Figure8 reproduces the prefetch-effectiveness breakdown (pref hits /
 // delayed hits / useless) for NL_2, NL_4, CGP_2, CGP_4 on the OM binary.
-func (r *Runner) Figure8(ctx context.Context) (*Figure, error) {
-	return r.runGrid(ctx, "fig8", "Prefetch effectiveness of NL and CGP",
-		r.DBWorkloads(), fig8Configs())
-}
-
-// fig8Configs are the four bars of Figure 8 per workload.
-func fig8Configs() []Config {
-	return []Config{
-		{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 2},
-		{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
-		{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 2},
-		{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4},
-	}
-}
+func (r *Runner) Figure8(ctx context.Context) (*Figure, error) { return r.figure(ctx, "fig8") }
 
 // Figure9 reproduces the CGP_4 prefetch split: the NL portion vs the
 // CGHC portion, each with useful (hits+delayed) and useless counts.
-func (r *Runner) Figure9(ctx context.Context) (*Figure, error) {
-	fig := &Figure{ID: "fig9", Title: "CGP_4 prefetches due to NL and CGHC", Baseline: "O5+OM+CGP_4"}
-	ws := r.DBWorkloads()
-	jobs := make([]Job, len(ws))
-	for i, w := range ws {
-		jobs[i] = Job{Workload: w, Config: fig9Config()}
-	}
-	results, err := r.RunAll(ctx, jobs)
-	failed := map[int]*JobError{}
-	if err != nil {
-		var camp *CampaignError
-		if !errors.As(err, &camp) {
-			return nil, err
-		}
-		for _, je := range camp.Jobs {
-			failed[je.Index] = je
-		}
-	}
-	for i, w := range ws {
-		res := results[i]
-		if res == nil {
-			e := rowErr(failed[i])
-			fig.Rows = append(fig.Rows,
-				Row{Workload: w.Name, Config: "CGP_4/NL-portion", Portion: "nl", Err: e},
-				Row{Workload: w.Name, Config: "CGP_4/CGHC-portion", Portion: "cghc", Err: e})
-			continue
-		}
-		s := res.CPU
-		fig.Rows = append(fig.Rows,
-			Row{
-				Workload: w.Name, Config: "CGP_4/NL-portion", Portion: "nl",
-				PrefHits: s.NL.PrefHits, DelayedHits: s.NL.DelayedHits,
-				Useless: s.NL.Useless, Result: res,
-			},
-			Row{
-				Workload: w.Name, Config: "CGP_4/CGHC-portion", Portion: "cghc",
-				PrefHits: s.CGHC.PrefHits, DelayedHits: s.CGHC.DelayedHits,
-				Useless: s.CGHC.Useless, Result: res,
-			})
-	}
-	return fig, err
-}
+func (r *Runner) Figure9(ctx context.Context) (*Figure, error) { return r.figure(ctx, "fig9") }
 
 // Figure10 reproduces the CPU2000 study: O5+OM, OM+NL_4, OM+CGP_4 and
 // perfect I-cache on the seven SPEC stand-ins.
-func (r *Runner) Figure10(ctx context.Context) (*Figure, error) {
-	return r.runGrid(ctx, "fig10", "Effectiveness of CGP on CPU2000 applications",
-		r.CPU2000Workloads(), fig10Configs())
-}
-
-// fig9Config is Figure 9's single configuration (full detail: its
-// portion counters are whole-run measurements).
-func fig9Config() Config {
-	return Config{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4}
-}
-
-// fig10Configs are the four bars of Figure 10 per CPU2000 program.
-func fig10Configs() []Config {
-	return []Config{
-		{Layout: LayoutOM},
-		{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
-		{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4},
-		{Layout: LayoutOM, PerfectICache: true},
-	}
-}
+func (r *Runner) Figure10(ctx context.Context) (*Figure, error) { return r.figure(ctx, "fig10") }
 
 // RunAheadAblation reproduces the §5.6 experiment whose results the
 // paper describes but does not plot: run-ahead NL is much worse than
 // plain NL on the database workloads.
 func (r *Runner) RunAheadAblation(ctx context.Context) (*Figure, error) {
-	return r.runGrid(ctx, "sec5.6", "Run-ahead NL ablation", r.DBWorkloads(), sec56Configs())
+	return r.figure(ctx, "sec5.6")
 }
 
-// sec56Configs are the three bars of the §5.6 run-ahead ablation.
-func sec56Configs() []Config {
-	return []Config{
-		{Layout: LayoutOM, Prefetcher: PrefNL, Degree: 4},
-		{Layout: LayoutOM, Prefetcher: PrefRunAheadNL, Degree: 4, RunAheadM: 4},
-		{Layout: LayoutOM, Prefetcher: PrefCGP, Degree: 4},
-	}
-}
-
-// figureGen names one figure generator.
-type figureGen struct {
-	name string
-	fn   func(context.Context) (*Figure, error)
-}
-
-// runFigureGens evaluates generators concurrently, preserving input
-// order among the figures it returns. Figures sharing (workload,
-// config) cells share the cached simulations, so concurrent generation
-// does the same total work as sequential generation — just overlapped.
-//
-// Failures degrade rather than abort: a generator that produced a
-// partial figure contributes it (with degraded rows); only figures
-// that failed outright are dropped. The returned error joins every
-// generator failure, so callers get all completed work plus a full
-// account of what is missing.
-func runFigureGens(ctx context.Context, gens []figureGen) ([]*Figure, error) {
-	out := make([]*Figure, len(gens))
-	errs := make([]error, len(gens))
-	var wg sync.WaitGroup
-	for i, g := range gens {
-		wg.Add(1)
-		go func(i int, g figureGen) {
-			defer wg.Done()
-			out[i], errs[i] = g.fn(ctx)
-		}(i, g)
-	}
-	wg.Wait()
-	var figs []*Figure
-	var failures []error
-	for i := range gens {
-		if out[i] != nil {
-			figs = append(figs, out[i])
-		}
-		if errs[i] != nil {
-			failures = append(failures, fmt.Errorf("cgp: %s: %w", gens[i].name, errs[i]))
-		}
-	}
-	return figs, errors.Join(failures...)
-}
-
-// AllFigures runs every experiment in paper order. The generators run
-// concurrently; results are deterministic and identical to generating
-// each figure sequentially. On partial failure the completed figures
-// are returned alongside the joined error.
+// AllFigures runs every experiment of the paper (PaperFigureIDs) in
+// report order. The figures generate concurrently; results are
+// deterministic and identical to generating each figure sequentially.
+// On partial failure every figure is returned, with degraded rows,
+// alongside the joined error.
 func (r *Runner) AllFigures(ctx context.Context) ([]*Figure, error) {
-	return runFigureGens(ctx, []figureGen{
-		{"fig4", r.Figure4}, {"fig5", r.Figure5}, {"fig6", r.Figure6},
-		{"fig7", r.Figure7}, {"fig8", r.Figure8}, {"fig9", r.Figure9},
-		{"fig10", r.Figure10}, {"sec5.6", r.RunAheadAblation},
-	})
+	return r.runFigures(ctx, PaperFigureIDs())
 }

@@ -37,10 +37,8 @@ func recorded(o RunnerOptions) RunnerOptions {
 // fig4Jobs builds the Figure-4 grid for a runner's DB workloads.
 func fig4Jobs(r *Runner) []Job {
 	var jobs []Job
-	for _, w := range r.DBWorkloads() {
-		for _, cfg := range fig4Configs() {
-			jobs = append(jobs, Job{Workload: w, Config: cfg})
-		}
+	for _, c := range lookupFigure("fig4").cells(r) {
+		jobs = append(jobs, c.job)
 	}
 	return jobs
 }
@@ -234,11 +232,7 @@ func TestConcurrentFigureGenerators(t *testing.T) {
 		t.Skip("short mode")
 	}
 	conc := NewRunner(harnessOpts(8))
-	figs, err := runFigureGens(context.Background(), []figureGen{
-		{"fig6", conc.Figure6},
-		{"fig7", conc.Figure7},
-		{"fig8", conc.Figure8},
-	})
+	figs, err := conc.runFigures(context.Background(), []string{"fig6", "fig7", "fig8"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,18 +22,12 @@ type Manifest struct {
 const (
 	// ManifestAllFigures covers every figure and ablation.
 	ManifestAllFigures = "allfigures"
-	// ManifestPaper covers the paper's figures 4-10 and §5.6.
+	// ManifestPaper covers the paper's figures 4-10 and §5.6, the set
+	// AllFigures generates.
 	ManifestPaper = "paper"
-	// ManifestExtensions covers the ablation studies.
+	// ManifestExtensions covers the ablation studies, the set
+	// ExtensionFigures generates.
 	ManifestExtensions = "extensions"
-)
-
-// paperFigures and extensionFigures mirror AllFigures' and
-// ExtensionFigures' generator lists; TestManifestCoverage keeps them
-// honest against CampaignCells.
-var (
-	paperFigures     = []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "sec5.6"}
-	extensionFigures = []string{"abl-ways", "abl-slots", "abl-policy", "abl-swcgp", "abl-degree", "abl-quantum"}
 )
 
 // LoadManifest resolves a -campaign argument: a built-in name (empty
@@ -43,9 +37,9 @@ func LoadManifest(arg string) (*Manifest, error) {
 	case "", ManifestAllFigures:
 		return &Manifest{Name: ManifestAllFigures}, nil
 	case ManifestPaper:
-		return &Manifest{Name: ManifestPaper, Figures: paperFigures}, nil
+		return &Manifest{Name: ManifestPaper, Figures: cgp.PaperFigureIDs()}, nil
 	case ManifestExtensions:
-		return &Manifest{Name: ManifestExtensions, Figures: extensionFigures}, nil
+		return &Manifest{Name: ManifestExtensions, Figures: cgp.ExtensionFigureIDs()}, nil
 	}
 	if path, ok := strings.CutPrefix(arg, "@"); ok {
 		data, err := os.ReadFile(path)

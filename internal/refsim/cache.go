@@ -7,10 +7,11 @@
 //     internal/cpu must produce byte-identical statistics on any event
 //     stream. The tests replay randomized streams through both kernels
 //     and compare every counter.
-//   - Benchmarking: BENCH_kernel.json reports the optimized kernel's
-//     events/sec as a ratio over this baseline, so the speedup claim is
-//     re-measured on every benchmark run instead of being a stale
-//     number in a commit message.
+//   - Benchmarking: the kernel benchmarks report the optimized
+//     kernel's events/sec beside this baseline's, and the root
+//     package's TestKernelThroughputGuard holds their ratio above a
+//     floor, so the speedup is re-measured on every run instead of
+//     being a stale number in a commit message.
 //
 // Nothing outside tests and benchmarks may import this package; it is
 // deliberately not kept API-compatible beyond what those need.

@@ -24,9 +24,10 @@ var v1Magic = [8]byte{'C', 'G', 'P', 'T', 'R', 'C', '0', '1'}
 // on the contiguous branch.
 //
 // Keeping the old decode loop here, next to the old CPU kernel, is what
-// makes the benchmark baseline honest: BENCH_kernel.json's speedup is
-// measured against the whole pre-change replay→CPU path, not against a
-// baseline that quietly inherits the new decoder or record format.
+// makes the benchmark baseline honest: the kernel benchmarks and the
+// root package's TestKernelThroughputGuard measure the speedup against
+// the whole pre-change replay→CPU path, not against a baseline that
+// quietly inherits the new decoder or record format.
 func Replay(raw []byte, c trace.Consumer) error {
 	if len(raw) < len(v1Magic) || [8]byte(raw[:8]) != v1Magic {
 		return trace.ErrBadMagic

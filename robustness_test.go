@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,8 +26,9 @@ import (
 
 // chaosOpts is the reduced scale shared by the chaos tests. The chaos
 // suite corrupts recordings, so its runners record: their jobs are
-// full-detail RunAll jobs and their one figure, Figure 7, is
-// full-detail, so the sampling schedule only selects the source.
+// full-detail RunAll jobs and their figures (Figure 7, Figure 9 and the
+// quantum sweep) are outside the default sampled set, so the sampling
+// schedule only selects the source.
 func chaosOpts(workers int) RunnerOptions {
 	o := recorded(harnessOpts(workers))
 	o.RetryBackoff = 1 // effectively no backoff wait in tests
@@ -414,7 +416,7 @@ func TestCheckpointCorruptionIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := r.checkpointPath(runKey(w, cfg))
+	path := r.checkpointPath(CellKey(w.Name, cfg))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -488,41 +490,55 @@ func TestFailFastCancelsRemainder(t *testing.T) {
 }
 
 // TestFigureDegradesInsteadOfAborting: a poisoned cell leaves its
-// figure with an explicit degraded row (rendered in the markdown), not
-// a missing figure.
+// figure with explicit degraded rows (rendered in the markdown), not a
+// missing figure, under every row rule: a grid, Figure 9's NL/CGHC
+// portion split and the quantum sweep's row per quantum.
 func TestFigureDegradesInsteadOfAborting(t *testing.T) {
-	r := NewRunner(chaosOpts(4))
-	poison := r.DBWorkloads()[1].Name
-	r.hooks.wrapConsumer = func(w *Workload, cfg Config, c trace.Consumer) trace.Consumer {
-		if w.Name == poison && cfg.Label() == "O5+OM+NL_4" {
-			return faultinject.PanicAfter(c, 500, "row-poison")
-		}
-		return c
+	cases := []struct {
+		name string
+		gen  func(*Runner, context.Context) (*Figure, error)
+		// The poisoned cell, and its rows as "workload/config".
+		workload, config string
+		degraded         []string
+	}{
+		{"grid", (*Runner).Figure7, "wisc-large-1", "O5+OM+NL_4",
+			[]string{"wisc-large-1/O5+OM+NL_4"}},
+		{"portions", (*Runner).Figure9, "wisc-large-1", "O5+OM+CGP_4",
+			[]string{"wisc-large-1/CGP_4/NL-portion", "wisc-large-1/CGP_4/CGHC-portion"}},
+		{"quantum", (*Runner).QuantumSweep, "wisc-large-2/q28", "O5+OM",
+			[]string{"wisc-large-2/quantum-28"}},
 	}
-	fig, err := r.Figure7(context.Background())
-	if err == nil {
-		t.Fatal("degraded figure returned no error")
-	}
-	if fig == nil {
-		t.Fatal("partial failure dropped the whole figure")
-	}
-	if fig.Degraded() != 1 {
-		t.Fatalf("Degraded() = %d, want 1", fig.Degraded())
-	}
-	md := fig.Markdown()
-	if !strings.Contains(md, "failed: panic: row-poison") || !strings.Contains(md, "**Degraded:**") {
-		t.Fatalf("degraded row not rendered explicitly:\n%s", md)
-	}
-	healthy := 0
-	for _, row := range fig.Rows {
-		if !row.Failed() {
-			if row.Result == nil {
-				t.Fatal("healthy row lost its result")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner(chaosOpts(4))
+			r.hooks.wrapConsumer = func(w *Workload, cfg Config, c trace.Consumer) trace.Consumer {
+				if w.Name == tc.workload && cfg.Label() == tc.config {
+					return faultinject.PanicAfter(c, 500, "row-poison")
+				}
+				return c
 			}
-			healthy++
-		}
-	}
-	if healthy != len(fig.Rows)-1 {
-		t.Fatalf("%d healthy rows, want %d", healthy, len(fig.Rows)-1)
+			fig, err := tc.gen(r, context.Background())
+			if err == nil {
+				t.Fatal("degraded figure returned no error")
+			}
+			if fig == nil {
+				t.Fatal("partial failure dropped the whole figure")
+			}
+			md := fig.Markdown()
+			if !strings.Contains(md, "failed: panic: row-poison") || !strings.Contains(md, "**Degraded:**") {
+				t.Fatalf("degraded row not rendered explicitly:\n%s", md)
+			}
+			var degraded []string
+			for _, row := range fig.Rows {
+				if row.Failed() {
+					degraded = append(degraded, row.Workload+"/"+row.Config)
+				} else if row.Result == nil {
+					t.Fatal("healthy row lost its result")
+				}
+			}
+			if !slices.Equal(degraded, tc.degraded) {
+				t.Fatalf("degraded rows %q, want %q", degraded, tc.degraded)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -140,36 +141,23 @@ type RunnerOptions struct {
 	// headline numbers are run-length estimates. Figures whose numbers
 	// are prefetch-effectiveness counters (fig7, fig8, fig9) default to
 	// full detail: their counters are whole-run measurements a sampled
-	// run cannot provide.
+	// run cannot provide. An explicit entry samples any figure, these
+	// three included; its rows are then marked Estimated.
 	SampledFigures []string
-}
-
-// DefaultSampledFigures is the figure set RunnerOptions.Sampling
-// applies to when SampledFigures is nil: every figure whose reported
-// quantity is total cycles (well-estimated from windows), none whose
-// quantity is a whole-run prefetch breakdown.
-func DefaultSampledFigures() []string {
-	return []string{"fig4", "fig5", "fig6", "fig10", "sec5.6",
-		"abl-ways", "abl-slots", "abl-policy", "abl-swcgp", "abl-degree"}
 }
 
 // samplingFor resolves the sampling schedule for one figure: the
 // campaign schedule when the figure is in the sampled set, the zero
 // (full detail) config otherwise.
-func (o *RunnerOptions) samplingFor(figID string) sample.Config {
-	if !o.Sampling.Enabled() {
+func (o *RunnerOptions) samplingFor(f *figureSpec) sample.Config {
+	in := f.sampled
+	if o.SampledFigures != nil {
+		in = slices.Contains(o.SampledFigures, f.id)
+	}
+	if !in {
 		return sample.Config{}
 	}
-	figs := o.SampledFigures
-	if figs == nil {
-		figs = DefaultSampledFigures()
-	}
-	for _, id := range figs {
-		if id == figID {
-			return o.Sampling
-		}
-	}
-	return sample.Config{}
+	return o.Sampling
 }
 
 // retryBudget resolves the RetryBudget default.
@@ -244,9 +232,8 @@ type flight struct {
 // O5 recordings — so nested once() calls cannot deadlock.
 const dbProfilesKey = "prof|db"
 
-func runKey(w *Workload, cfg Config) string { return "run|" + w.Name + "|" + cfg.fingerprint() }
-func recKey(w *Workload, l Layout) string   { return fmt.Sprintf("rec|%s|%d", w.Name, l) }
-func imgKey(w *Workload, l Layout) string   { return fmt.Sprintf("img|%s|%d", w.Name, l) }
+func recKey(w *Workload, l Layout) string { return fmt.Sprintf("rec|%s|%d", w.Name, l) }
+func imgKey(w *Workload, l Layout) string { return fmt.Sprintf("img|%s|%d", w.Name, l) }
 
 func profKey(w *Workload) string {
 	if w.Family == "db" {
@@ -733,7 +720,7 @@ func groupJobs(jobs []Job) []*jobGroup {
 			groups[gk] = g
 			order = append(order, g)
 		}
-		rk := runKey(j.Workload, cfg)
+		rk := CellKey(j.Workload.Name, cfg)
 		if _, ok := g.cfgs[rk]; !ok {
 			g.keys = append(g.keys, rk)
 			g.cfgs[rk] = cfg
