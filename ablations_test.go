@@ -276,7 +276,11 @@ func TestCampaignWorkloadsResolve(t *testing.T) {
 // TestCampaignCellsMatchGenerators: the cells CampaignCells enumerates
 // are exactly the cells AllFigures and ExtensionFigures simulate, in
 // full detail, under the default sampled set, and under an explicit set
-// naming the counter figure fig9 and the quantum sweep.
+// naming the counter figure fig9 and the quantum sweep. The progress
+// tracker then holds one settled job per simulated cell, so cells that
+// share a workload and config label (fig5's CGHC geometries, abl-ways
+// and abl-slots, RANL's M, a sampled cell and its full-detail twin) are
+// counted apart and `experiments`' "cells:" line counts cells.
 func TestCampaignCellsMatchGenerators(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -293,6 +297,7 @@ func TestCampaignCellsMatchGenerators(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Obs = obs.New()
 			r := NewRunner(tc.opts)
 			if _, err := r.AllFigures(context.Background()); err != nil {
 				t.Fatal(err)
@@ -320,7 +325,18 @@ func TestCampaignCellsMatchGenerators(t *testing.T) {
 					t.Errorf("ran a cell CampaignCells does not list: %s", k)
 				}
 			}
-			t.Logf("%d cells enumerated, %d ran", len(listed), len(ran))
+			snap := tc.opts.Obs.Progress.Snapshot()
+			if len(snap.Jobs) != len(ran) {
+				t.Errorf("progress tracks %d jobs, want one per simulated cell: %d", len(snap.Jobs), len(ran))
+			}
+			for _, j := range snap.Jobs {
+				switch obs.JobState(j.State) {
+				case obs.JobExecuted, obs.JobReplayed, obs.JobResumed:
+				default:
+					t.Errorf("job %s/%s left in state %q", j.Workload, j.Config, j.State)
+				}
+			}
+			t.Logf("%d cells enumerated, %d ran, %d progress jobs", len(listed), len(ran), len(snap.Jobs))
 		})
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"cgp/internal/core"
 	"cgp/internal/cpu"
 	"cgp/internal/isa"
 	"cgp/internal/prefetch"
@@ -108,6 +109,22 @@ func benchKernelReplay(b *testing.B, consume func(rec *trace.Recording) error) {
 func BenchmarkKernelReplay(b *testing.B) {
 	benchKernelReplay(b, func(rec *trace.Recording) error {
 		c := cpu.New(cpu.DefaultConfig(), prefetch.NewNL(4))
+		if err := rec.Replay(c); err != nil {
+			return err
+		}
+		c.Finish()
+		return nil
+	})
+}
+
+// BenchmarkKernelReplayCGP is BenchmarkKernelReplay with CGP_4, the
+// paper's prefetcher: a CGHC lookup and update on every call and
+// return on top of the internal NL_4, and most of the prefetch lines it
+// requests are squashed, so it measures the squash path that
+// BenchmarkKernelReplay's cheap NL_4 keeps small.
+func BenchmarkKernelReplayCGP(b *testing.B) {
+	benchKernelReplay(b, func(rec *trace.Recording) error {
+		c := cpu.New(cpu.DefaultConfig(), core.New(core.DefaultConfig()))
 		if err := rec.Replay(c); err != nil {
 			return err
 		}

@@ -278,10 +278,10 @@ func (c *Cache[P]) Probe(line Line) (*P, bool) {
 }
 
 // Contains reports whether line is resident, like Probe without
-// materializing the payload pointer. The prefetcher's squash filter
-// probes once per candidate line — several times per fetched line —
-// so this is a bare tag scan with no calls, small enough to inline
-// into the caller (Probe's specialized scans are not).
+// materializing the payload pointer. The CPU's prefetch squash check
+// probes every requested line its squash filter cannot answer — about
+// one in ten — so this is a bare tag scan with no calls, small enough
+// to inline into the caller (Probe's specialized scans are not).
 //
 //cgplint:hotpath
 func (c *Cache[P]) Contains(line Line) bool {

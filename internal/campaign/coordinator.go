@@ -361,7 +361,7 @@ func (c *Coordinator) handleMsg(p *proc, m Message, pending map[int]JobSpec, st 
 		}
 		if o := c.o.Obs; o != nil {
 			o.Log.EmitEntry(e)
-			o.Progress.Update(obs.JobState(e.Event), e.Workload, e.Config)
+			o.Progress.Update(obs.JobState(e.Event), e.Key, e.Workload, e.Config)
 		}
 	case msgBatchDone:
 		p.noteProgress()

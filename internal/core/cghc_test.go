@@ -18,8 +18,15 @@ const (
 	fnE = isa.Addr(0x400080)
 )
 
+// issueSink records every requested line as a one-line request, so
+// the tests check the lines a prefetcher asks for, not how it groups
+// them.
 func issueSink(got *[]prefetch.Request) prefetch.Issue {
-	return func(r prefetch.Request) { *got = append(*got, r) }
+	return func(r prefetch.Request) {
+		for i := 0; i < r.Lines; i++ {
+			*got = append(*got, prefetch.Request{Addr: r.Addr + isa.Addr(i*isa.LineBytes), Lines: 1, Portion: r.Portion})
+		}
+	}
 }
 
 // targets extracts the distinct function starts prefetched (first line

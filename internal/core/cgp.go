@@ -137,8 +137,9 @@ func (p *CGP) Stats() Stats {
 }
 
 // OnFetch implements prefetch.Prefetcher: within a function body CGP
-// relies on plain next-N-line prefetching (§3.2). Requests for lines the
-// CGHC already covers are squashed downstream by the memory system.
+// relies on plain next-N-line prefetching (§3.2). Lines of the run the
+// CGHC already brought in, or that are otherwise resident or in flight,
+// are squashed one by one downstream by the memory system.
 func (p *CGP) OnFetch(line isa.Addr, issue prefetch.Issue) {
 	p.nl.OnFetch(line, issue)
 }
@@ -181,16 +182,11 @@ func (p *CGP) OnReturn(predictedCallerStart, returningStart isa.Addr, issue pref
 	}
 }
 
-// issueFunc prefetches the first cfg.Lines lines of the function at fn.
+// issueFunc prefetches the first cfg.Lines lines of the function at fn
+// as one run.
 func (p *CGP) issueFunc(fn isa.Addr, issue prefetch.Issue) {
-	base := isa.LineAddr(fn)
-	for i := 0; i < p.cfg.Lines; i++ {
-		p.cghcPrefetches++
-		issue(prefetch.Request{
-			Addr:    base + isa.Addr(i*isa.LineBytes),
-			Portion: prefetch.PortionCGHC,
-		})
-	}
+	p.cghcPrefetches += int64(p.cfg.Lines)
+	issue(prefetch.Request{Addr: isa.LineAddr(fn), Lines: p.cfg.Lines, Portion: prefetch.PortionCGHC})
 }
 
 func (p *CGP) callPrefetchLookup(target isa.Addr) (isa.Addr, bool) {

@@ -49,7 +49,7 @@ func NewSoftware(lines int, seq map[isa.Addr][]isa.Addr) *Software {
 // Name implements prefetch.Prefetcher.
 func (p *Software) Name() string { return "swcgp_" + itoa(p.lines) }
 
-// Inserted returns how many call-graph prefetches the "inserted
+// Inserted returns how many call-graph line prefetches the "inserted
 // instructions" issued.
 func (p *Software) Inserted() int64 { return p.inserted }
 
@@ -90,14 +90,8 @@ func (p *Software) OnReturn(predictedCallerStart, returningStart isa.Addr, issue
 }
 
 func (p *Software) issueFunc(fn isa.Addr, issue prefetch.Issue) {
-	base := isa.LineAddr(fn)
-	for i := 0; i < p.lines; i++ {
-		p.inserted++
-		issue(prefetch.Request{
-			Addr:    base + isa.Addr(i*isa.LineBytes),
-			Portion: prefetch.PortionCGHC,
-		})
-	}
+	p.inserted += int64(p.lines)
+	issue(prefetch.Request{Addr: isa.LineAddr(fn), Lines: p.lines, Portion: prefetch.PortionCGHC})
 }
 
 func itoa(n int) string {

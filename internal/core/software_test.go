@@ -18,7 +18,7 @@ func TestSoftwarePredictsFromStaticTable(t *testing.T) {
 	p := NewSoftware(4, swTable())
 	// Calling A prefetches A's profiled first callee B.
 	var got []prefetch.Request
-	p.OnCall(fnA, fnE, func(r prefetch.Request) { got = append(got, r) })
+	p.OnCall(fnA, fnE, issueSink(&got))
 	if len(got) != 4 || got[0].Addr != fnB {
 		t.Fatalf("call-prefetch = %v", got)
 	}
@@ -29,7 +29,7 @@ func TestSoftwarePredictsFromStaticTable(t *testing.T) {
 	// predicts C.
 	p.OnCall(fnB, fnA, func(prefetch.Request) {})
 	got = nil
-	p.OnReturn(fnA, fnB, func(r prefetch.Request) { got = append(got, r) })
+	p.OnReturn(fnA, fnB, issueSink(&got))
 	if len(got) == 0 || got[len(got)-4].Addr != fnC {
 		t.Fatalf("return-prefetch = %v, want C", got)
 	}
@@ -44,8 +44,8 @@ func TestSoftwareIndexResets(t *testing.T) {
 	// again at position 0.
 	p.OnReturn(0, fnA, sink)
 	var got []prefetch.Request
-	p.OnCall(fnB, fnA, func(r prefetch.Request) { got = append(got, r) })
-	p.OnReturn(fnA, fnB, func(r prefetch.Request) { got = append(got, r) })
+	p.OnCall(fnB, fnA, issueSink(&got))
+	p.OnReturn(fnA, fnB, issueSink(&got))
 	// After the first call post-reset, position 1 predicts C.
 	found := false
 	for _, r := range got {
@@ -61,7 +61,7 @@ func TestSoftwareIndexResets(t *testing.T) {
 func TestSoftwareUnknownFunctionSilent(t *testing.T) {
 	p := NewSoftware(4, swTable())
 	n := 0
-	p.OnCall(fnD, fnE, func(prefetch.Request) { n++ }) // D has no profile
+	p.OnCall(fnD, fnE, func(r prefetch.Request) { n += r.Lines }) // D has no profile
 	if n != 0 {
 		t.Errorf("issued %d prefetches for unprofiled function", n)
 	}
@@ -80,7 +80,7 @@ func TestSoftwareStaticTableNeverLearns(t *testing.T) {
 	// Predictions still come from the static table: calling A still
 	// prefetches B.
 	var got []prefetch.Request
-	p.OnCall(fnA, 0, func(r prefetch.Request) { got = append(got, r) })
+	p.OnCall(fnA, 0, issueSink(&got))
 	if len(got) != 1 || got[0].Addr != fnB {
 		t.Errorf("static table mutated: %v", got)
 	}
@@ -89,7 +89,7 @@ func TestSoftwareStaticTableNeverLearns(t *testing.T) {
 func TestSoftwareNLWithinFunction(t *testing.T) {
 	p := NewSoftware(2, swTable())
 	var got []prefetch.Request
-	p.OnFetch(fnA, func(r prefetch.Request) { got = append(got, r) })
+	p.OnFetch(fnA, issueSink(&got))
 	if len(got) != 2 || got[0].Portion != prefetch.PortionNL {
 		t.Errorf("NL component = %v", got)
 	}

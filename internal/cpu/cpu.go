@@ -63,6 +63,20 @@ type CPU struct {
 	// inflight.go).
 	fifo inflightRing
 
+	// present is the exact squash filter: a direct-mapped table, indexed
+	// by line number, of lines known to be resident in L1I or queued in
+	// the FIFO, so most squashed prefetch lines cost one compare instead
+	// of an L1I tag scan and a FIFO lookup. A line enters when issue
+	// finds it present or pushes it into the FIFO, and insertL1I clears
+	// an evicted line's slot. That keeps every entry true because L1I
+	// and the FIFO index are disjoint and a line leaves both only by L1I
+	// eviction: a drained or delayed-hit FIFO entry moves straight into
+	// L1I. Functional warming's prefetch sink (ffIssue) fills L1I
+	// directly, evicting lines without clearing their slots, so
+	// BeginSpan and SkipSpan clear the table. A line not in the table
+	// says nothing and is probed.
+	present [squashSlots]cache.Line
+
 	// Loop events carry their own branch accounting (the predictor is
 	// not consulted per compressed iteration).
 	loopBranches    int64
@@ -87,6 +101,18 @@ var (
 	_ trace.BatchConsumer = (*CPU)(nil)
 )
 
+const (
+	// squashSlots is the squash filter's size, a power of two: as many
+	// slots as the Table-1 L1I has lines, 8 KB per CPU. Over every
+	// figure at WiscN=2000 it answers 91% of the 172M prefetch lines
+	// without a probe, against 67% at 64 slots and 79% at 256. Only a
+	// squashed line can hit, and 94% are squashed.
+	squashSlots = 1024
+	// noLine marks an empty squash-filter slot: the all-ones line
+	// number, which no address maps to.
+	noLine = ^cache.Line(0)
+)
+
 // New builds a CPU with the given prefetcher (nil means no prefetching).
 func New(cfg Config, pf prefetch.Prefetcher) *CPU {
 	if pf == nil {
@@ -103,6 +129,7 @@ func New(cfg Config, pf prefetch.Prefetcher) *CPU {
 	}
 	c.issueFn = c.issue
 	c.fifo.init()
+	c.forgetPresent()
 	c.fetchShift = -1
 	if w := cfg.FetchWidth; w > 0 && w&(w-1) == 0 {
 		c.fetchShift = bits.TrailingZeros(uint(w))
@@ -336,10 +363,16 @@ func (c *CPU) fetchLine(line isa.Addr) {
 }
 
 // insertL1I fills a line and settles the useless-prefetch accounting for
-// the victim.
+// the victim, which also leaves the squash filter.
 func (c *CPU) insertL1I(line isa.Addr, meta lineMeta) {
 	ev, had := c.l1i.Insert(cache.Line(isa.Line(line)), meta)
-	if had && ev.Payload.prefetched && !ev.Payload.used {
+	if !had {
+		return
+	}
+	if slot := &c.present[ev.Line&(squashSlots-1)]; *slot == ev.Line {
+		*slot = noLine
+	}
+	if ev.Payload.prefetched && !ev.Payload.used {
 		c.portionStats(ev.Payload.portion).Useless++
 		if c.attr != nil {
 			c.attr.useless(ev.Payload.issuer, ev.Payload.qissuer)
@@ -347,19 +380,44 @@ func (c *CPU) insertL1I(line isa.Addr, meta lineMeta) {
 	}
 }
 
-// issue is the prefetch.Issue sink handed to the prefetcher.
-func (c *CPU) issue(req prefetch.Request) {
-	line := isa.LineAddr(req.Addr)
-	ps := c.portionStats(req.Portion)
-	if c.l1i.Contains(cache.Line(isa.Line(line))) || c.fifo.lookup(line) != nil {
-		// Already resident or already in flight.
-		ps.Squashed++
-		if c.attr != nil {
-			c.attr.squashed()
-		}
-		return
+// forgetPresent empties the squash filter.
+func (c *CPU) forgetPresent() {
+	for i := range c.present {
+		c.present[i] = noLine
 	}
-	ps.Issued++
+}
+
+// issue is the prefetch.Issue sink handed to the prefetcher. It walks
+// the run in ascending order and squashes each line already resident
+// or in flight, asking the squash filter before probing L1I and the
+// FIFO; each line counts one Squashed or Issued, exactly as if it had
+// been requested alone.
+func (c *CPU) issue(req prefetch.Request) {
+	var squashed int64
+	attr := c.attr
+	line := isa.LineAddr(req.Addr)
+	for n := req.Lines; n > 0; n, line = n-1, line+isa.LineBytes {
+		cl := cache.Line(isa.Line(line))
+		if slot := &c.present[cl&(squashSlots-1)]; *slot != cl {
+			if !c.l1i.Contains(cl) && c.fifo.lookup(line) == nil {
+				c.prefetchLine(line, req.Portion)
+				continue
+			}
+			*slot = cl
+		}
+		// Already resident or already in flight.
+		squashed++
+		if attr != nil {
+			attr.squashed()
+		}
+	}
+	c.portionStats(req.Portion).Squashed += squashed
+}
+
+// prefetchLine sends one line that is neither resident nor in flight
+// to L2.
+func (c *CPU) prefetchLine(line isa.Addr, portion prefetch.Portion) {
+	c.portionStats(portion).Issued++
 	var issuer, qissuer int32
 	if c.attr != nil {
 		issuer, qissuer = c.attr.issued()
@@ -367,13 +425,16 @@ func (c *CPU) issue(req prefetch.Request) {
 	if c.cfg.PrefetchIntoL2Only {
 		// The line is staged in L2 only: warm the L2 (paying the memory
 		// trip if absent) but never fill L1I, so the later demand fetch
-		// still costs an L2 hit.
+		// still costs an L2 hit. The line is not in flight, so it stays
+		// out of the squash filter.
 		c.l2LineAccess(line)
 		return
 	}
 	lat := c.l2LineAccess(line)
-	c.fifo.push(inflight{line: line, readyAt: c.cycle + lat, portion: req.Portion,
+	c.fifo.push(inflight{line: line, readyAt: c.cycle + lat, portion: portion,
 		issuedAt: c.cycle, issuer: issuer, qissuer: qissuer})
+	cl := cache.Line(isa.Line(line))
+	c.present[cl&(squashSlots-1)] = cl
 }
 
 // drainCompleted fills L1I with prefetches whose data has arrived. It

@@ -117,18 +117,37 @@ type kernelVariant struct {
 	pf   func() prefetch.Prefetcher
 }
 
+// swProfile builds a software-CGP call-sequence table the way the
+// profiling pass does, from a generated stream: each function's first
+// callees, in call order.
+func swProfile(seed int64) map[isa.Addr][]isa.Addr {
+	seq := map[isa.Addr][]isa.Addr{}
+	for _, ev := range genEvents(seed, 20000) {
+		if ev.Kind == trace.KindCall && len(seq[ev.CallerStart]) < core.MaxCallees {
+			seq[ev.CallerStart] = append(seq[ev.CallerStart], ev.Target)
+		}
+	}
+	return seq
+}
+
 func variants() []kernelVariant {
 	base := func() cpu.Config {
 		cfg := cpu.DefaultConfig()
 		cfg.SwitchPenalty = 24
 		return cfg
 	}
-	return []kernelVariant{
+	nl4 := func() prefetch.Prefetcher { return prefetch.NewNL(4) }
+	ranl42 := func() prefetch.Prefetcher { return prefetch.NewRunAheadNL(4, 2) }
+	cgp4 := func() prefetch.Prefetcher { return core.New(core.DefaultConfig()) }
+	profile := swProfile(99)
+	swcgp4 := func() prefetch.Prefetcher { return core.NewSoftware(4, profile) }
+	vs := []kernelVariant{
 		{"none", base, func() prefetch.Prefetcher { return prefetch.None{} }},
-		{"nl4", base, func() prefetch.Prefetcher { return prefetch.NewNL(4) }},
+		{"nl4", base, nl4},
 		{"nl8", base, func() prefetch.Prefetcher { return prefetch.NewNL(8) }},
-		{"ranl4-2", base, func() prefetch.Prefetcher { return prefetch.NewRunAheadNL(4, 2) }},
-		{"cgp4", base, func() prefetch.Prefetcher { return core.New(core.DefaultConfig()) }},
+		{"ranl4-2", base, ranl42},
+		{"cgp4", base, cgp4},
+		{"swcgp4", base, swcgp4},
 		{"nl4-demand-priority", func() cpu.Config {
 			cfg := base()
 			cfg.DemandPriority = true
@@ -143,8 +162,33 @@ func variants() []kernelVariant {
 			cfg := base()
 			cfg.FlushRASOnSwitch = true
 			return cfg
-		}, func() prefetch.Prefetcher { return core.New(core.DefaultConfig()) }},
+		}, cgp4},
 	}
+	// L1Is far smaller than genEvents' 32 KB of code, so most lines the
+	// CPU's squash filter remembers leave it by L1I eviction.
+	for _, g := range []struct {
+		name        string
+		size, assoc int
+	}{{"l1i2k-2way", 2 * 1024, 2}, {"l1i1k-dm", 1024, 1}} {
+		small := func() cpu.Config {
+			cfg := base()
+			cfg.L1I.SizeBytes, cfg.L1I.Assoc = g.size, g.assoc
+			return cfg
+		}
+		l2only := func() cpu.Config {
+			cfg := small()
+			cfg.PrefetchIntoL2Only = true
+			return cfg
+		}
+		vs = append(vs,
+			kernelVariant{"nl4-" + g.name, small, nl4},
+			kernelVariant{"ranl4-2-" + g.name, small, ranl42},
+			kernelVariant{"cgp4-" + g.name, small, cgp4},
+			kernelVariant{"swcgp4-" + g.name, small, swcgp4},
+			kernelVariant{"nl4-l2only-" + g.name, l2only, nl4},
+		)
+	}
+	return vs
 }
 
 // TestDifferentialAgainstRefsim replays identical seeded streams through
@@ -169,6 +213,43 @@ func TestDifferentialAgainstRefsim(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSquashFilterStaysExact drives sampled CPUs through every span
+// kind and checks, after every detailed event, that each line the
+// CPU's squash filter holds is resident in L1I or in flight. The
+// differential test above covers full-detail replay against the
+// oracle; this covers the span boundaries, where functional warming
+// fills and evicts L1I without consulting the filter.
+func TestSquashFilterStaysExact(t *testing.T) {
+	evs := genEvents(7, 20000)
+	kinds := []trace.SpanKind{trace.SpanDetailWarm, trace.SpanFunctionalWarm, trace.SpanMeasure,
+		trace.SpanFunctionalWarm, trace.SpanSkip}
+	for _, v := range variants() {
+		c := cpu.New(v.cfg(), v.pf())
+		c.EnableSampling()
+		kind := trace.SpanDetailWarm
+		for i, ev := range evs {
+			if i%500 == 0 {
+				kind = kinds[(i/500)%len(kinds)]
+				if kind == trace.SpanSkip {
+					// A skipped stretch delivers no events; detail
+					// resumes after it.
+					c.SkipSpan(0, 0)
+					kind = trace.SpanDetailWarm
+				}
+				c.BeginSpan(kind)
+			}
+			c.Event(ev)
+			if kind == trace.SpanFunctionalWarm {
+				continue
+			}
+			if line, stale := c.StaleSquashEntry(); stale {
+				t.Fatalf("%s: event %d: squash filter holds line %#x, neither resident nor in flight", v.name, i, line)
+			}
+		}
+		c.Finish()
 	}
 }
 

@@ -85,6 +85,7 @@ func (c *CPU) BeginSpan(kind trace.SpanKind) {
 		return
 	}
 	c.closeWindow()
+	c.forgetPresent()
 	if kind == trace.SpanFunctionalWarm && s.mode != trace.SpanFunctionalWarm {
 		c.flushInflight()
 	}
@@ -112,6 +113,7 @@ func (c *CPU) SkipSpan(events int64, instrs units.Instrs) {
 		return
 	}
 	c.flushInflight()
+	c.forgetPresent()
 	s.mode = trace.SpanSkip
 	s.skippedEvents += events
 	s.skippedInstrs += instrs
@@ -288,27 +290,28 @@ func (c *CPU) ffTouchD(ev *trace.Event) {
 	}
 }
 
-// ffIssue is the functional-mode prefetch sink: the line lands in the
-// caches immediately (the transfer would complete within the warmed
-// stretch) with no ring entry and no effectiveness accounting — the
-// fill is marked already-used so it can neither claim a PrefHit nor be
-// booked Useless, keeping the Figure 8/9 counters a detailed-span
-// measurement.
+// ffIssue is the functional-mode prefetch sink: each line of the run
+// not yet in L1I lands in the caches immediately (the transfer would
+// complete within the warmed stretch) with no ring entry and no
+// effectiveness accounting — the fill is marked already-used so it can
+// neither claim a PrefHit nor be booked Useless, keeping the Figure 8/9
+// counters a detailed-span measurement. Its fills bypass insertL1I and
+// so the squash filter, which the next span boundary clears.
 func (c *CPU) ffIssue(req prefetch.Request) {
-	line := isa.LineAddr(req.Addr)
-	cl := cache.Line(isa.Line(line))
-	if c.l1i.Contains(cl) {
-		return
+	cl := cache.Line(isa.Line(req.Addr))
+	for end := cl + cache.Line(req.Lines); cl < end; cl++ {
+		if c.l1i.Contains(cl) {
+			continue
+		}
+		if _, hit := c.l2.Access(cl); !hit {
+			c.stats.L2Misses++
+			c.l2.Insert(cl, struct{}{})
+		}
+		c.stats.L2Accesses++
+		if !c.cfg.PrefetchIntoL2Only {
+			c.l1i.Insert(cl, lineMeta{prefetched: true, used: true})
+		}
 	}
-	if _, hit := c.l2.Access(cl); !hit {
-		c.stats.L2Misses++
-		c.l2.Insert(cl, struct{}{})
-	}
-	c.stats.L2Accesses++
-	if c.cfg.PrefetchIntoL2Only {
-		return
-	}
-	c.l1i.Insert(cl, lineMeta{prefetched: true, used: true})
 }
 
 // finish derives the whole-run estimates from the closed windows.

@@ -97,11 +97,11 @@ func (o *Observability) Span(name, cat string) *Span {
 }
 
 // Job emits one job lifecycle event to the run log and the progress
-// tracker.
-func (o *Observability) Job(state JobState, workload, config, detail string) {
+// tracker. key identifies the job; workload and config label it.
+func (o *Observability) Job(state JobState, key, workload, config, detail string) {
 	if o == nil {
 		return
 	}
-	o.Log.Emit(state, workload, config, detail)
-	o.Progress.Update(state, workload, config)
+	o.Log.emit(RunLogEntry{Event: string(state), Workload: workload, Config: config, Key: key, Detail: detail})
+	o.Progress.Update(state, key, workload, config)
 }

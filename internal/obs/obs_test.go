@@ -17,7 +17,7 @@ func TestNilSafety(t *testing.T) {
 	// disabled observability is the default, and instrumented code does
 	// not guard its calls.
 	var o *Observability
-	o.Job(JobStarted, "w", "c", "")
+	o.Job(JobStarted, "w|c", "w", "c", "")
 	o.Span("x", "y").Arg("k", "v").End()
 	o.AttachLog(&bytes.Buffer{})
 
@@ -54,7 +54,7 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var p *Progress
-	p.Update(JobStarted, "w", "c")
+	p.Update(JobStarted, "w|c", "w", "c")
 	if p.Count(JobStarted) != 0 {
 		t.Fatal("nil Progress counted a job")
 	}
@@ -291,11 +291,11 @@ func TestValidateRunLogWorkerIDs(t *testing.T) {
 
 func TestProgressSnapshotAndResumeDistinction(t *testing.T) {
 	p := NewProgress()
-	p.Update(JobQueued, "w1", "c1")
-	p.Update(JobStarted, "w1", "c1")
-	p.Update(JobExecuted, "w1", "c1")
-	p.Update(JobResumed, "w1", "c2")
-	p.Update(JobQueued, "w0", "c9")
+	p.Update(JobQueued, "w1|c1", "w1", "c1")
+	p.Update(JobStarted, "w1|c1", "w1", "c1")
+	p.Update(JobExecuted, "w1|c1", "w1", "c1")
+	p.Update(JobResumed, "w1|c2", "w1", "c2")
+	p.Update(JobQueued, "w0|c9", "w0", "c9")
 
 	snap := p.Snapshot()
 	if len(snap.Jobs) != 3 {
@@ -313,6 +313,35 @@ func TestProgressSnapshotAndResumeDistinction(t *testing.T) {
 	}
 	if p.Count(JobResumed) != 1 {
 		t.Fatalf("Count(resumed) = %d", p.Count(JobResumed))
+	}
+}
+
+// TestProgressKeysJobsNotLabels: two jobs that share a workload and
+// config label (two CGHC geometries, say) are two entries, ordered by
+// key after the labels, and a job keeps one entry however often it
+// moves.
+func TestProgressKeysJobsNotLabels(t *testing.T) {
+	p := NewProgress()
+	p.Update(JobQueued, "run|w|b", "w", "cgp")
+	p.Update(JobQueued, "run|w|a", "w", "cgp")
+	p.Update(JobExecuted, "run|w|b", "w", "cgp")
+	p.Update(JobQueued, "run|v|c", "v", "nl")
+	snap := p.Snapshot()
+	if len(snap.Jobs) != 3 {
+		t.Fatalf("%d jobs, want 3: %+v", len(snap.Jobs), snap.Jobs)
+	}
+	want := []JobProgress{
+		{Workload: "v", Config: "nl", State: "queued", key: "run|v|c"},
+		{Workload: "w", Config: "cgp", State: "queued", key: "run|w|a"},
+		{Workload: "w", Config: "cgp", State: "executed", key: "run|w|b"},
+	}
+	for i := range want {
+		if snap.Jobs[i] != want[i] {
+			t.Errorf("job %d = %+v, want %+v", i, snap.Jobs[i], want[i])
+		}
+	}
+	if snap.Counts["queued"] != 2 || snap.Counts["executed"] != 1 {
+		t.Errorf("counts = %v", snap.Counts)
 	}
 }
 
@@ -344,7 +373,7 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	o := New()
 	o.Det.Counter("cgp_jobs").Add(7)
 	o.Wall.Incr("retries", 1)
-	o.Job(JobResumed, "wisconsin", "cgp4", "")
+	o.Job(JobResumed, "wisconsin|cgp4", "wisconsin", "cgp4", "")
 
 	mux := NewDebugMux(o)
 	srv := httptest.NewServer(mux)

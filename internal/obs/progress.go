@@ -16,10 +16,13 @@ type JobProgress struct {
 	// than fresh execution — the distinction the progress summary
 	// surfaces so resume effectiveness is visible.
 	Resumed bool `json:"resumed"`
+	// key identifies the job (see Progress.Update) and orders jobs
+	// that share a workload and config label.
+	key string
 }
 
 // ProgressSnapshot is the stable JSON shape of the /progress endpoint:
-// jobs sorted by (workload, config) plus per-state totals.
+// jobs sorted by (workload, config, job key) plus per-state totals.
 type ProgressSnapshot struct {
 	Jobs   []JobProgress  `json:"jobs"`
 	Counts map[string]int `json:"counts"`
@@ -38,18 +41,21 @@ func NewProgress() *Progress {
 	return &Progress{jobs: make(map[string]*JobProgress)}
 }
 
-// Update moves the (workload, config) job to state. Terminal states
-// replace in-flight ones; a resumed job stays marked resumed.
-func (p *Progress) Update(state JobState, workload, config string) {
+// Update moves the job identified by key to state; workload and
+// config are its display labels. The key, not the labels, identifies
+// the job, because distinct cells can share a config label (CGHC
+// geometries, run-ahead distances, a sampled cell and its full-detail
+// twin). Terminal states replace in-flight ones; a resumed job stays
+// marked resumed.
+func (p *Progress) Update(state JobState, key, workload, config string) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	key := workload + "\x00" + config
 	j := p.jobs[key]
 	if j == nil {
-		j = &JobProgress{Workload: workload, Config: config}
+		j = &JobProgress{Workload: workload, Config: config, key: key}
 		p.jobs[key] = j
 	}
 	j.State = string(state)
@@ -72,10 +78,14 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	}
 	p.mu.Unlock()
 	sort.Slice(snap.Jobs, func(i, k int) bool {
-		if snap.Jobs[i].Workload != snap.Jobs[k].Workload {
-			return snap.Jobs[i].Workload < snap.Jobs[k].Workload
+		a, b := &snap.Jobs[i], &snap.Jobs[k]
+		if a.Workload != b.Workload {
+			return a.Workload < b.Workload
 		}
-		return snap.Jobs[i].Config < snap.Jobs[k].Config
+		if a.Config != b.Config {
+			return a.Config < b.Config
+		}
+		return a.key < b.key
 	})
 	return snap
 }

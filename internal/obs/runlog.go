@@ -82,7 +82,11 @@ type RunLogEntry struct {
 	Event    string `json:"event"`
 	Workload string `json:"workload"`
 	Config   string `json:"config"`
-	Detail   string `json:"detail,omitempty"`
+	// Key identifies the job the event belongs to (the runner's run
+	// key); Workload and Config only label it, and distinct jobs can
+	// share a label.
+	Key    string `json:"key,omitempty"`
+	Detail string `json:"detail,omitempty"`
 	// Worker names the process that observed the event: "main" for a
 	// single-process campaign, "w1".."wN" for sharded campaign workers.
 	// Forwarded entries (a coordinator folding worker logs into its
@@ -125,22 +129,21 @@ func (l *RunLog) SetWorker(id string) {
 // Emit appends one lifecycle event. Write errors are sticky and
 // reported by Err; emission never fails the campaign.
 func (l *RunLog) Emit(state JobState, workload, config, detail string) {
+	l.emit(RunLogEntry{Event: string(state), Workload: workload, Config: config, Detail: detail})
+}
+
+// emit stamps e with this log's worker id and appends it.
+func (l *RunLog) emit(e RunLogEntry) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	worker := l.worker
-	if worker == "" {
-		worker = DefaultWorker
+	e.Worker = l.worker
+	if e.Worker == "" {
+		e.Worker = DefaultWorker
 	}
-	l.emitLocked(RunLogEntry{
-		Event:    string(state),
-		Workload: workload,
-		Config:   config,
-		Detail:   detail,
-		Worker:   worker,
-	})
+	l.emitLocked(e)
 }
 
 // EmitEntry appends a fully formed entry, preserving its worker id and

@@ -33,17 +33,23 @@ func (p Portion) String() string {
 // callers that emit per-portion metrics or table columns.
 func Portions() []Portion { return []Portion{PortionNL, PortionCGHC} }
 
-// Request is one line prefetch: the line-aligned address to fetch and
-// the component that asked for it.
+// Request is a prefetch of a run of consecutive cache lines: Lines
+// lines (at least one) starting at the line-aligned address Addr, all
+// on behalf of one component. A prefetcher asks for the lines it wants
+// at one decision point (the next N lines after a fetch, the first N
+// lines of a predicted function) as one run.
 type Request struct {
 	Addr    isa.Addr
+	Lines   int
 	Portion Portion
 }
 
 // Issue is the sink prefetchers push requests into. The memory system
-// behind it squashes requests for lines already resident or in flight.
-// The type is a hot func type: every value bound to it is invoked once
-// or more per prefetch candidate, so allocfree verifies each binding.
+// behind it resolves a run line by line in ascending address order,
+// squashing each line already resident or in flight and counting every
+// line as one squashed or issued prefetch. The type is a hot func type:
+// prefetchers call it from the simulator's per-event loop, so allocfree
+// verifies each binding.
 //
 //cgplint:hotpath
 type Issue func(Request)
@@ -111,9 +117,7 @@ func (p *NL) OnFetch(line isa.Addr, issue Issue) {
 	}
 	p.haveTrigger = true
 	p.lastTrigger = line
-	for i := 1; i <= p.N; i++ {
-		issue(Request{Addr: line + isa.Addr(i*isa.LineBytes), Portion: PortionNL})
-	}
+	issue(Request{Addr: line + isa.LineBytes, Lines: p.N, Portion: PortionNL})
 }
 
 // OnCall implements Prefetcher.
@@ -151,10 +155,7 @@ func (p *RunAheadNL) OnFetch(line isa.Addr, issue Issue) {
 	}
 	p.haveTrigger = true
 	p.lastTrigger = line
-	for i := 0; i < p.N; i++ {
-		off := isa.Addr((p.M + i) * isa.LineBytes)
-		issue(Request{Addr: line + off, Portion: PortionNL})
-	}
+	issue(Request{Addr: line + isa.Addr(p.M*isa.LineBytes), Lines: p.N, Portion: PortionNL})
 }
 
 // OnCall implements Prefetcher.

@@ -6,8 +6,14 @@ import (
 	"cgp/internal/isa"
 )
 
+// collect records every requested line as a one-line request, so the
+// tests check the lines a prefetcher asks for, not how it groups them.
 func collect(reqs *[]Request) Issue {
-	return func(r Request) { *reqs = append(*reqs, r) }
+	return func(r Request) {
+		for i := 0; i < r.Lines; i++ {
+			*reqs = append(*reqs, Request{Addr: r.Addr + isa.Addr(i*isa.LineBytes), Lines: 1, Portion: r.Portion})
+		}
+	}
 }
 
 func TestNLIssuesNextNLines(t *testing.T) {

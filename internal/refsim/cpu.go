@@ -200,12 +200,21 @@ func (c *CPU) insertL1I(line isa.Addr, meta lineMeta) {
 // prefetch.Issue type at the OnFetch/OnCall/OnReturn call sites, but
 // the reference kernel is deliberately outside the zero-alloc
 // contract: it exists as the differential-test oracle, and simplicity
-// beats allocation discipline here (see the package comment).
+// beats allocation discipline here (see the package comment). A run is
+// expanded line by line, and every line is probed in full: the oracle
+// keeps no memory of earlier probes.
 //
 //cgplint:coldpath reference-model oracle favors simplicity; it heap-allocates one inflight per issue by documented design
 func (c *CPU) issue(req prefetch.Request) {
 	line := isa.LineAddr(req.Addr)
-	ps := c.portionStats(req.Portion)
+	for i := 0; i < req.Lines; i++ {
+		c.issueLine(line+isa.Addr(i*isa.LineBytes), req.Portion)
+	}
+}
+
+// issueLine squashes or issues one prefetched line.
+func (c *CPU) issueLine(line isa.Addr, portion prefetch.Portion) {
+	ps := c.portionStats(portion)
 	if _, hit := c.l1i.Probe(cache.Line(isa.Line(line))); hit {
 		ps.Squashed++
 		return
@@ -220,7 +229,7 @@ func (c *CPU) issue(req prefetch.Request) {
 		return
 	}
 	lat := c.l2LineAccess(line)
-	inf := &inflight{line: line, readyAt: c.cycle + lat, portion: req.Portion}
+	inf := &inflight{line: line, readyAt: c.cycle + lat, portion: portion}
 	c.pending[line] = inf
 	c.queue = append(c.queue, inf)
 }

@@ -331,9 +331,14 @@ func (r *Runner) obsSpan(name, cat string) *obs.Span {
 }
 
 // obsJob emits one job lifecycle event to the run log and progress
-// tracker (nil-safe).
-func (r *Runner) obsJob(state obs.JobState, workload, config, detail string) {
-	r.opts.Obs.Job(state, workload, config, detail)
+// tracker (nil-safe). The job is the cell's run key (CellKey): the
+// workload name and config label only display it, and distinct cells
+// can share a label.
+func (r *Runner) obsJob(state obs.JobState, workload string, cfg Config, detail string) {
+	if r.opts.Obs == nil {
+		return
+	}
+	r.opts.Obs.Job(state, CellKey(workload, cfg), workload, cfg.Label(), detail)
 }
 
 // obsWall returns the wall-clock registry, nil when disabled.
@@ -661,7 +666,7 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) ([]*Result, error) {
 	results := make([]*Result, len(jobs))
 	errs := make([]error, len(jobs))
 	for _, j := range jobs {
-		r.obsJob(obs.JobQueued, j.Workload.Name, j.Config.withDefaults().Label(), "")
+		r.obsJob(obs.JobQueued, j.Workload.Name, j.Config, "")
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -687,8 +692,7 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) ([]*Result, error) {
 	for i, err := range errs {
 		if err != nil {
 			results[i] = nil
-			r.obsJob(obs.JobFailed, jobs[i].Workload.Name,
-				jobs[i].Config.withDefaults().Label(), err.Error())
+			r.obsJob(obs.JobFailed, jobs[i].Workload.Name, jobs[i].Config, err.Error())
 			failed = append(failed, jobError(jobs[i], i, err))
 		}
 	}
@@ -857,7 +861,7 @@ func (r *Runner) runGroup(ctx context.Context, g *jobGroup, results []*Result, e
 			if err == nil && !c.owner {
 				// The cell was claimed by another campaign or group task
 				// and served to this one through the singleflight cache.
-				r.obsJob(obs.JobReplayed, g.w.Name, g.cfgs[c.key].Label(), "coalesced")
+				r.obsJob(obs.JobReplayed, g.w.Name, g.cfgs[c.key], "coalesced")
 			}
 			for _, i := range g.idx[c.key] {
 				if err != nil {
@@ -923,7 +927,7 @@ func (r *Runner) runBatch(ctx context.Context, w *Workload, batch []hubCell) {
 		if res, ok := r.loadCheckpoint(w, c.cfg); ok {
 			r.opts.Log("checkpoint %-12s %-14s", w.Name, c.cfg.Label())
 			r.obsWall().Incr("checkpoint_hits", 1)
-			r.obsJob(obs.JobResumed, w.Name, c.cfg.Label(), "checkpoint")
+			r.obsJob(obs.JobResumed, w.Name, c.cfg, "checkpoint")
 			r.noteResult(res)
 			r.emitRecord(w, c.cfg, res, nil)
 			c.f.resolve(res, nil)
@@ -960,7 +964,7 @@ func (r *Runner) runPass(ctx context.Context, w *Workload, smp sample.Config, to
 				continue
 			}
 			r.opts.Log("run %-12s %-14s", w.Name, c.cfg.Label())
-			r.obsJob(obs.JobStarted, w.Name, c.cfg.Label(), "")
+			r.obsJob(obs.JobStarted, w.Name, c.cfg, "")
 			cells = append(cells, b)
 			left = append(left, c)
 		}
@@ -981,7 +985,7 @@ func (r *Runner) runPass(ctx context.Context, w *Workload, smp sample.Config, to
 		}
 		res := b.result(w, st)
 		r.storeCheckpoint(w, b.cell.cfg, res)
-		r.obsJob(obs.JobExecuted, w.Name, b.cell.cfg.Label(), "")
+		r.obsJob(obs.JobExecuted, w.Name, b.cell.cfg, "")
 		r.noteResult(res)
 		r.resolveCell(b.cell, res, nil)
 	}
