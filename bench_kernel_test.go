@@ -1,7 +1,7 @@
 package cgp
 
 // Kernel microbenchmarks: the steady-state simulation path from trace
-// replay through CPU.Event to the cache model, measured in isolation
+// replay through CPU.EventBatch to the cache model, measured in isolation
 // from the DB engine. The baseline arm is internal/refsim — the frozen
 // pre-optimization kernel (map-indexed prefetch queue, AoS tick-LRU
 // caches, per-event replay dispatch) — so every benchmark run
@@ -27,7 +27,22 @@ import (
 	"cgp/internal/program"
 	"cgp/internal/refsim"
 	"cgp/internal/trace"
+	"cgp/internal/workload"
 )
+
+// harnessBenchOpts is the scale the kernel and sampling benchmarks
+// record at: WiscN=800, small enough that one recorded wisc-large-1
+// replays in well under a second.
+func harnessBenchOpts(workers int) RunnerOptions {
+	return RunnerOptions{
+		DB: DBOptions{
+			WiscN: 800, Quantum: 7, Seed: 42, BufferFrames: 8192,
+			TPCH: workload.TPCHScale{Suppliers: 12, Customers: 60, Parts: 90, Orders: 240, MaxLines: 4},
+		},
+		Seed:    42,
+		Workers: workers,
+	}
+}
 
 // kernelRecording memoizes one recorded wisc-large-1 trace (O5 layout)
 // shared by every kernel benchmark, so the arms replay byte-identical
@@ -172,14 +187,17 @@ func BenchmarkKernelDecode(b *testing.B) {
 // one hot path: its ns/op is ns/event, and it reports allocs/event.
 func benchKernelEvents(b *testing.B, next func(i int) trace.Event) {
 	c := cpu.New(cpu.DefaultConfig(), prefetch.NewNL(4))
+	ev := make([]trace.Event, 1)
 	for i := 0; i < 4096; i++ { // warm caches, ring, and index
-		c.Event(next(i))
+		ev[0] = next(i)
+		c.EventBatch(ev)
 	}
 	runtime.GC()
 	m0 := mallocCount()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Event(next(i))
+		ev[0] = next(i)
+		c.EventBatch(ev)
 	}
 	b.StopTimer()
 	allocs := mallocCount() - m0

@@ -221,7 +221,6 @@ func relErr(est, full int64) float64 {
 // the skip index.
 type discardSampled struct{}
 
-func (discardSampled) Event(trace.Event)        {}
 func (discardSampled) EventBatch([]trace.Event) {}
 func (discardSampled) BeginSpan(trace.SpanKind) {}
 func (discardSampled) SkipSpan(int64, units.Instrs) {

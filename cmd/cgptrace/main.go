@@ -120,18 +120,18 @@ func record(args []string) error {
 		return err
 	}
 	defer f.Close()
-	tw, err := trace.NewWriter(f)
+	r := trace.NewRecorder()
+	if err := w.Run(img, r); err != nil {
+		return err
+	}
+	rec, err := r.Finish()
 	if err != nil {
 		return err
 	}
-	var st trace.Stats
-	if err := w.Run(img, trace.Tee(&st, tw)); err != nil {
+	if _, err := rec.WriteTo(f); err != nil {
 		return err
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %s: %d events, %d instructions -> %s\n", w.Name, st.Events, st.Instructions, *out)
+	fmt.Printf("recorded %s: %d events, %d instructions -> %s\n", w.Name, rec.Stats.Events, rec.Stats.Instructions, *out)
 	return nil
 }
 

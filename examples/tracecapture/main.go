@@ -23,24 +23,26 @@ func main() {
 	path := flag.String("trace", "/tmp/wisc-prof.cgptrc", "trace file path")
 	flag.Parse()
 
-	// Capture: run wisc-prof once on the O5 image, teeing events into a
-	// trace file and a stats counter.
+	// Capture: run wisc-prof once on the O5 image into a recorder, which
+	// counts the stream's stats as it encodes, and save the sealed
+	// recording as a trace file.
 	w := workload.WiscProf(workload.DBOptions{WiscN: 1000})
 	img := program.LayoutO5(w.NewRegistry())
 
+	r := trace.NewRecorder()
+	if err := w.Run(img, r); err != nil {
+		log.Fatal(err)
+	}
+	captured, err := r.Finish()
+	if err != nil {
+		log.Fatal(err)
+	}
+	st := captured.Stats
 	f, err := os.Create(*path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tw, err := trace.NewWriter(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var st trace.Stats
-	if err := w.Run(img, trace.Tee(&st, tw)); err != nil {
-		log.Fatal(err)
-	}
-	if err := tw.Flush(); err != nil {
+	if _, err := captured.WriteTo(f); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -163,41 +163,17 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// cancelEvery is how many events pass between context polls while a
-// workload executes (recordings and live passes). 64k events keeps
-// the poll invisible in profiles while bounding cancellation latency
-// to well under a millisecond of simulated work.
-const cancelEvery = 1 << 16
-
-// abortRun carries a cancellation out of a workload's event stream.
-// Workload.Run has no context parameter, so the consumer panics with
-// this sentinel and runWorkload recovers it into a plain error; any
-// other panic value passes through to the singleflight guard.
+// abortRun carries a cancellation or a pass's abort out of a workload's
+// event stream. Workload.Run has no context parameter, so the consumer
+// panics with this sentinel and runWorkload recovers it into a plain
+// error; any other panic value passes through to the singleflight guard.
 type abortRun struct{ err error }
 
-// cancelConsumer forwards events to inner, polling ctx every
-// cancelEvery events.
-type cancelConsumer struct {
-	ctx   context.Context
-	inner trace.Consumer
-	n     int
-}
-
-// Event implements trace.Consumer.
-func (c *cancelConsumer) Event(ev trace.Event) {
-	if c.n++; c.n >= cancelEvery {
-		c.n = 0
-		if err := c.ctx.Err(); err != nil {
-			panic(abortRun{err})
-		}
-	}
-	c.inner.Event(ev)
-}
-
-// runWorkload executes w against img with cancellation support: the
-// event stream is aborted at the next poll once ctx is done, and the
-// context's error is returned.
-func runWorkload(ctx context.Context, w *Workload, img *program.Image, out trace.Consumer) (err error) {
+// runWorkload executes w against img, handing each batch of its stream
+// to fn. It polls ctx once per batch, before fn sees it: once ctx is
+// done the execution is aborted at the next batch and the context's
+// error is returned, and an error from fn aborts it the same way.
+func runWorkload(ctx context.Context, w *Workload, img *program.Image, fn func([]trace.Event) error) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -210,5 +186,13 @@ func runWorkload(ctx context.Context, w *Workload, img *program.Image, out trace
 			err = a.err
 		}
 	}()
-	return w.Run(img, &cancelConsumer{ctx: ctx, inner: out})
+	return w.Run(img, trace.ConsumerFunc(func(evs []trace.Event) {
+		err := ctx.Err()
+		if err == nil {
+			err = fn(evs)
+		}
+		if err != nil {
+			panic(abortRun{err})
+		}
+	}))
 }

@@ -33,7 +33,7 @@ type dataMeta struct {
 }
 
 // CPU consumes a trace and accounts execution cycles. It implements
-// trace.Consumer and trace.BatchConsumer.
+// trace.Consumer.
 type CPU struct {
 	cfg Config
 
@@ -96,11 +96,6 @@ type CPU struct {
 	stats Stats
 }
 
-var (
-	_ trace.Consumer      = (*CPU)(nil)
-	_ trace.BatchConsumer = (*CPU)(nil)
-)
-
 const (
 	// squashSlots is the squash filter's size, a power of two: as many
 	// slots as the Table-1 L1I has lines, 8 KB per CPU. Over every
@@ -159,25 +154,13 @@ func (c *CPU) AttributionEnabled() bool { return c.attr != nil }
 // Cycle returns the current cycle count.
 func (c *CPU) Cycle() units.Cycles { return c.cycle }
 
-// Event implements trace.Consumer. It is the simulator's per-event
-// entry point: the whole subtree below it (cache scans, predictor
-// updates, prefetcher hooks, ring bookkeeping) must stay free of heap
+// EventBatch implements trace.Consumer. It is the simulator's entry
+// point: the whole subtree below it (cache scans, predictor updates,
+// prefetcher hooks, ring bookkeeping) must stay free of heap
 // allocation, which allocfree verifies statically and
-// TestEventLoopDoesNotAllocate re-checks at runtime.
-//
-//cgplint:hotpath
-func (c *CPU) Event(ev trace.Event) {
-	if c.smp != nil {
-		c.sampledEvent(ev)
-		return
-	}
-	c.event(ev)
-}
-
-// EventBatch implements trace.BatchConsumer: the batched replay path
-// hands over a decoded chunk at a time, so the per-event dynamic
-// dispatch of the Consumer interface is paid once per batch. Like
-// Event it anchors the zero-alloc hot path.
+// TestEventLoopDoesNotAllocate re-checks at runtime. A sampled CPU
+// routes the batch by the current span's kind; span boundaries fall
+// between batches.
 //
 //cgplint:hotpath
 func (c *CPU) EventBatch(evs []trace.Event) {
@@ -314,8 +297,10 @@ func (c *CPU) fetchLine(line isa.Addr) {
 	if c.attr != nil {
 		c.attr.fetched()
 	}
-	// drainCompleted's guard, hoisted by hand: the whole wrapper is past
-	// the inlining budget, and this runs on every fetched line.
+	// Fill L1I with prefetches whose data has arrived. The
+	// nothing-to-do case — empty FIFO, or an oldest entry still in
+	// transit — is checked here so it costs no call on every fetched
+	// line; the drain itself is split out.
 	if c.fifo.head != c.fifo.tail {
 		if inf := &c.fifo.buf[c.fifo.head&uint64(len(c.fifo.buf)-1)]; inf.done || inf.readyAt <= c.cycle {
 			c.drainLoop()
@@ -435,21 +420,6 @@ func (c *CPU) prefetchLine(line isa.Addr, portion prefetch.Portion) {
 		issuedAt: c.cycle, issuer: issuer, qissuer: qissuer})
 	cl := cache.Line(isa.Line(line))
 	c.present[cl&(squashSlots-1)] = cl
-}
-
-// drainCompleted fills L1I with prefetches whose data has arrived. It
-// runs on every fetched line, so the nothing-to-do case — empty FIFO,
-// or an oldest entry still in transit — stays small enough to inline
-// into fetchLine; the actual drain loop is split out.
-func (c *CPU) drainCompleted() {
-	if c.fifo.head == c.fifo.tail {
-		return
-	}
-	inf := &c.fifo.buf[c.fifo.head&uint64(len(c.fifo.buf)-1)]
-	if !inf.done && inf.readyAt > c.cycle {
-		return
-	}
-	c.drainLoop()
 }
 
 // drainLoop pops every front entry whose data has arrived. The ring

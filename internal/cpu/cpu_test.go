@@ -19,11 +19,14 @@ func run(addr isa.Addr, n int32) trace.Event {
 	return trace.Event{Kind: trace.KindRun, Addr: addr, N: n}
 }
 
+// feed hands c the events as one batch.
+func feed(c *CPU, evs ...trace.Event) { c.EventBatch(evs) }
+
 func TestThroughputOnly(t *testing.T) {
 	c := New(testConfig(), nil)
 	// 64 instructions, all hitting after first-line misses; the
 	// throughput component is 64/4 = 16 cycles.
-	c.Event(run(0x400000, 64))
+	feed(c, run(0x400000, 64))
 	s := c.Finish()
 	if s.Instructions != 64 {
 		t.Errorf("instructions = %d", s.Instructions)
@@ -42,7 +45,7 @@ func TestFetchCarryAccumulates(t *testing.T) {
 	// 2 instructions per event, 4 events: exactly 2 cycles of
 	// throughput, not 4 (the carry must accumulate across events).
 	for i := 0; i < 4; i++ {
-		c.Event(run(0x400000, 2))
+		feed(c, run(0x400000, 2))
 	}
 	s := c.Finish()
 	base := s.Cycles - s.IMissStallCycles
@@ -54,7 +57,7 @@ func TestFetchCarryAccumulates(t *testing.T) {
 func TestMissLatency(t *testing.T) {
 	cfg := testConfig()
 	c := New(cfg, nil)
-	c.Event(run(0x400000, 8)) // one line, cold: L2 miss -> memory
+	feed(c, run(0x400000, 8)) // one line, cold: L2 miss -> memory
 	s := c.Finish()
 	wantStall := cfg.L2Latency + cfg.MemLatency
 	if s.IMissStallCycles != wantStall {
@@ -63,9 +66,9 @@ func TestMissLatency(t *testing.T) {
 
 	// Second access to the same line: no stall.
 	c2 := New(cfg, nil)
-	c2.Event(run(0x400000, 8))
+	feed(c2, run(0x400000, 8))
 	before := c2.Finish().IMissStallCycles
-	c2.Event(run(0x400000, 8))
+	feed(c2, run(0x400000, 8))
 	after := c2.Finish().IMissStallCycles
 	if after != before {
 		t.Errorf("re-fetch of resident line stalled (%d -> %d)", before, after)
@@ -75,14 +78,14 @@ func TestMissLatency(t *testing.T) {
 func TestL2HitCheaperThanMemory(t *testing.T) {
 	cfg := testConfig()
 	c := New(cfg, nil)
-	c.Event(run(0x400000, 8))
+	feed(c, run(0x400000, 8))
 	first := c.Finish().IMissStallCycles
 	// Evict from L1I by filling its sets; 32KB 2-way with 32B lines =
 	// 512 sets; lines mapping to set of 0x400000 are 512 lines apart.
 	for i := 1; i <= 2; i++ {
-		c.Event(run(0x400000+isa.Addr(i*512*isa.LineBytes), 8))
+		feed(c, run(0x400000+isa.Addr(i*512*isa.LineBytes), 8))
 	}
-	c.Event(run(0x400000, 8)) // L1 miss, L2 hit
+	feed(c, run(0x400000, 8)) // L1 miss, L2 hit
 	s := c.Finish()
 	total := s.IMissStallCycles
 	// The refetch must cost ~L2Latency, far below the memory trip.
@@ -96,7 +99,7 @@ func TestPerfectICache(t *testing.T) {
 	cfg := testConfig()
 	cfg.PerfectICache = true
 	c := New(cfg, prefetch.NewNL(4))
-	c.Event(run(0x400000, 800))
+	feed(c, run(0x400000, 800))
 	s := c.Finish()
 	if s.ICacheMisses != 0 || s.IMissStallCycles != 0 {
 		t.Errorf("perfect I-cache missed: %+v", s)
@@ -115,9 +118,9 @@ func TestPrefetchHitAccounting(t *testing.T) {
 	// Fetch line 0: NL prefetches lines 1 and 2. Burn enough cycles
 	// (via an already-resident loop) for them to arrive, then fetch
 	// line 1: a pref hit.
-	c.Event(run(0x400000, 8))
-	c.Event(trace.Event{Kind: trace.KindLoop, Addr: 0x400000, N: 8, Iters: 100})
-	c.Event(run(0x400020, 8))
+	feed(c, run(0x400000, 8))
+	feed(c, trace.Event{Kind: trace.KindLoop, Addr: 0x400000, N: 8, Iters: 100})
+	feed(c, run(0x400020, 8))
 	s := c.Finish()
 	// line 0 issues {1,2}; the later fetch of line 1 issues {2,3} of
 	// which 2 squashes: 3 issued in total.
@@ -137,8 +140,8 @@ func TestDelayedHitAccounting(t *testing.T) {
 	c := New(cfg, prefetch.NewNL(2))
 	// Fetch line 0 then line 1 immediately: the prefetch is still in
 	// flight -> delayed hit with a partial stall.
-	c.Event(run(0x400000, 8))
-	c.Event(run(0x400020, 8))
+	feed(c, run(0x400000, 8))
+	feed(c, run(0x400020, 8))
 	s := c.Finish()
 	if s.NL.DelayedHits != 1 {
 		t.Errorf("delayed hits = %d, want 1 (%+v)", s.NL.DelayedHits, s.NL)
@@ -153,13 +156,13 @@ func TestUselessPrefetchAccounting(t *testing.T) {
 	c := New(cfg, prefetch.NewNL(1))
 	// Prefetch line 1 (via fetching line 0), never touch it, then force
 	// its eviction by filling its set (512-set 2-way).
-	c.Event(run(0x400000, 8))
+	feed(c, run(0x400000, 8))
 	conflict := isa.Addr(0x400020)
 	for i := 1; i <= 4; i++ {
 		// Touch conflicting lines in set 1 without triggering more NL
 		// into that set... NL prefetches follow each fetch, so drain
 		// the queue by spacing sets widely: lines at set 1 + k*512.
-		c.Event(run(conflict+isa.Addr(i*512*isa.LineBytes), 8))
+		feed(c, run(conflict+isa.Addr(i*512*isa.LineBytes), 8))
 	}
 	s := c.Finish()
 	if s.NL.Useless == 0 {
@@ -172,7 +175,7 @@ func TestSquashResident(t *testing.T) {
 	c := New(cfg, prefetch.NewNL(2))
 	// Lines 0,1,2: the NL windows overlap, so the requests for lines
 	// already in flight must squash (2 of them).
-	c.Event(run(0x400000, 24))
+	feed(c, run(0x400000, 24))
 	s := c.Finish()
 	if s.NL.Squashed != 2 {
 		t.Errorf("squashed = %d, want 2 (%+v)", s.NL.Squashed, s.NL)
@@ -184,8 +187,8 @@ func TestCallReturnRAS(t *testing.T) {
 	c := New(cfg, nil)
 	call := trace.Event{Kind: trace.KindCall, Addr: 0x400010, Target: 0x402000, CallerStart: 0x400000}
 	ret := trace.Event{Kind: trace.KindReturn, Addr: 0x402000, Target: 0x400014, CallerStart: 0x400000}
-	c.Event(call)
-	c.Event(ret)
+	feed(c, call)
+	feed(c, ret)
 	s := c.Finish()
 	if s.Calls != 1 || s.Returns != 1 {
 		t.Fatalf("calls/returns = %d/%d", s.Calls, s.Returns)
@@ -196,7 +199,7 @@ func TestCallReturnRAS(t *testing.T) {
 
 	// A return with no matching call mispredicts.
 	c2 := New(cfg, nil)
-	c2.Event(ret)
+	feed(c2, ret)
 	if c2.Finish().RASMispredicts != 1 {
 		t.Error("unmatched return not counted as mispredict")
 	}
@@ -207,9 +210,9 @@ func TestContextSwitchFlushesRAS(t *testing.T) {
 	c := New(cfg, nil)
 	call := trace.Event{Kind: trace.KindCall, Addr: 0x400010, Target: 0x402000, CallerStart: 0x400000}
 	ret := trace.Event{Kind: trace.KindReturn, Addr: 0x402000, Target: 0x400014, CallerStart: 0x400000}
-	c.Event(call)
-	c.Event(trace.Event{Kind: trace.KindSwitch})
-	c.Event(ret)
+	feed(c, call)
+	feed(c, trace.Event{Kind: trace.KindSwitch})
+	feed(c, ret)
 	s := c.Finish()
 	if s.RASMispredicts != 1 {
 		t.Errorf("RAS survived a context switch: %+v", s.RASMispredicts)
@@ -225,11 +228,11 @@ func TestBranchPenalty(t *testing.T) {
 	// An always-taken branch: after warmup no penalty.
 	br := trace.Event{Kind: trace.KindBranch, Addr: 0x400010, Target: 0x400080, Taken: true}
 	for i := 0; i < 10; i++ {
-		c.Event(br)
+		feed(c, br)
 	}
 	cyclesAfterWarmup := c.Cycle()
 	for i := 0; i < 10; i++ {
-		c.Event(br)
+		feed(c, br)
 	}
 	steady := c.Cycle() - cyclesAfterWarmup
 	if steady != 10*cfg.TakenBranchBubble {
@@ -240,13 +243,13 @@ func TestBranchPenalty(t *testing.T) {
 func TestDataSideAccounting(t *testing.T) {
 	cfg := testConfig()
 	c := New(cfg, nil)
-	c.Event(trace.Event{Kind: trace.KindData, Addr: 0x40000000, N: 64, Taken: true})
+	feed(c, trace.Event{Kind: trace.KindData, Addr: 0x40000000, N: 64, Taken: true})
 	s := c.Finish()
 	if s.DLineAccesses != 2 || s.DCacheMisses != 2 {
 		t.Fatalf("data accesses/misses = %d/%d, want 2/2", s.DLineAccesses, s.DCacheMisses)
 	}
 	// Resident now.
-	c.Event(trace.Event{Kind: trace.KindData, Addr: 0x40000000, N: 64})
+	feed(c, trace.Event{Kind: trace.KindData, Addr: 0x40000000, N: 64})
 	s = c.Finish()
 	if s.DCacheMisses != 2 {
 		t.Errorf("re-access missed: %d", s.DCacheMisses)
@@ -258,10 +261,10 @@ func TestDirtyWritebackTraffic(t *testing.T) {
 	c := New(cfg, nil)
 	// Write a line, then evict it with 2 conflicting reads (2-way):
 	// the writeback shows up as an extra L2 transfer.
-	c.Event(trace.Event{Kind: trace.KindData, Addr: 0x40000000, N: 8, Taken: true})
-	c.Event(trace.Event{Kind: trace.KindData, Addr: 0x40000000 + 512*32, N: 8})
-	c.Event(trace.Event{Kind: trace.KindData, Addr: 0x40000000 + 2*512*32, N: 8})
-	c.Event(trace.Event{Kind: trace.KindData, Addr: 0x40000000 + 3*512*32, N: 8})
+	feed(c, trace.Event{Kind: trace.KindData, Addr: 0x40000000, N: 8, Taken: true})
+	feed(c, trace.Event{Kind: trace.KindData, Addr: 0x40000000 + 512*32, N: 8})
+	feed(c, trace.Event{Kind: trace.KindData, Addr: 0x40000000 + 2*512*32, N: 8})
+	feed(c, trace.Event{Kind: trace.KindData, Addr: 0x40000000 + 3*512*32, N: 8})
 	s := c.Finish()
 	if s.L2Accesses != 5 { // 4 fills + 1 writeback
 		t.Errorf("L2 accesses = %d, want 5", s.L2Accesses)
@@ -271,7 +274,7 @@ func TestDirtyWritebackTraffic(t *testing.T) {
 func TestLoopAccounting(t *testing.T) {
 	cfg := testConfig()
 	c := New(cfg, nil)
-	c.Event(trace.Event{Kind: trace.KindLoop, Addr: 0x400000, N: 16, Iters: 50})
+	feed(c, trace.Event{Kind: trace.KindLoop, Addr: 0x400000, N: 16, Iters: 50})
 	s := c.Finish()
 	if s.Instructions != 800 {
 		t.Errorf("instructions = %d, want 800", s.Instructions)
@@ -289,12 +292,12 @@ func TestFIFONoPriorityDelaysDemand(t *testing.T) {
 	// demand miss (the §3.3 no-priority FIFO).
 	cfg := testConfig()
 	quiet := New(cfg, nil)
-	quiet.Event(run(0x400000, 8))
+	feed(quiet, run(0x400000, 8))
 	baseline := quiet.Finish().IMissStallCycles
 
 	busy := New(cfg, prefetch.NewNL(8))
-	busy.Event(run(0x500000, 8)) // miss + 8 prefetches queued
-	busy.Event(run(0x400000, 8)) // demand miss queues behind them
+	feed(busy, run(0x500000, 8)) // miss + 8 prefetches queued
+	feed(busy, run(0x400000, 8)) // demand miss queues behind them
 	total := busy.Finish().IMissStallCycles
 	// The second demand miss alone must have cost more than an
 	// uncontended one.
@@ -309,8 +312,8 @@ func TestCGPOnCallWiring(t *testing.T) {
 	cfg := testConfig()
 	rec := &recordingPrefetcher{}
 	c := New(cfg, rec)
-	c.Event(trace.Event{Kind: trace.KindCall, Addr: 0x400010, Target: 0x402000, CallerStart: 0x400000})
-	c.Event(trace.Event{Kind: trace.KindReturn, Addr: 0x402000, Target: 0x400014, CallerStart: 0x400000})
+	feed(c, trace.Event{Kind: trace.KindCall, Addr: 0x400010, Target: 0x402000, CallerStart: 0x400000})
+	feed(c, trace.Event{Kind: trace.KindReturn, Addr: 0x402000, Target: 0x400014, CallerStart: 0x400000})
 	if len(rec.calls) != 1 || rec.calls[0] != 0x402000 {
 		t.Errorf("OnCall targets = %#v", rec.calls)
 	}
@@ -339,13 +342,13 @@ func TestDemandPriorityBypassesQueue(t *testing.T) {
 	cfg := testConfig()
 	cfg.DemandPriority = true
 	quiet := New(cfg, nil)
-	quiet.Event(run(0x400000, 8))
+	feed(quiet, run(0x400000, 8))
 	baseline := quiet.Finish().IMissStallCycles
 
 	busy := New(cfg, prefetch.NewNL(8))
-	busy.Event(run(0x500000, 8))
+	feed(busy, run(0x500000, 8))
 	firstStall := busy.Finish().IMissStallCycles
-	busy.Event(run(0x400000, 8))
+	feed(busy, run(0x400000, 8))
 	secondStall := busy.Finish().IMissStallCycles - firstStall
 	if secondStall > baseline {
 		t.Errorf("prioritized demand miss stalled %d > uncontended %d", secondStall, baseline)
@@ -358,9 +361,9 @@ func TestPrefetchIntoL2Only(t *testing.T) {
 	c := New(cfg, prefetch.NewNL(2))
 	// Fetch line 0; the prefetches for lines 1,2 warm L2 only. Burn
 	// time, then fetch line 1: it must MISS in L1I but hit in L2.
-	c.Event(run(0x400000, 8))
-	c.Event(trace.Event{Kind: trace.KindLoop, Addr: 0x400000, N: 8, Iters: 200})
-	c.Event(run(0x400020, 8))
+	feed(c, run(0x400000, 8))
+	feed(c, trace.Event{Kind: trace.KindLoop, Addr: 0x400000, N: 8, Iters: 200})
+	feed(c, run(0x400020, 8))
 	s := c.Finish()
 	if s.NL.PrefHits != 0 || s.NL.DelayedHits != 0 {
 		t.Errorf("L2-only prefetch produced L1 hits: %+v", s.NL)
@@ -390,7 +393,7 @@ func TestPrefetchQueueCompaction(t *testing.T) {
 		line := isa.Addr(0x400000 + i*isa.LineBytes)
 		c.fifo.push(inflight{line: line, readyAt: units.Cycles(i + lat)})
 		c.cycle = units.Cycles(i)
-		c.drainCompleted()
+		c.drainLoop()
 		if len(c.fifo.buf) > maxLen {
 			maxLen = len(c.fifo.buf)
 		}
@@ -404,7 +407,7 @@ func TestPrefetchQueueCompaction(t *testing.T) {
 	// Let everything complete: the FIFO must empty and every line must
 	// have been filled exactly once (no entries lost).
 	c.cycle = steps + lat
-	c.drainCompleted()
+	c.drainLoop()
 	if !c.fifo.empty() || c.fifo.live != 0 {
 		t.Errorf("FIFO not drained: depth=%d live=%d", c.fifo.tail-c.fifo.head, c.fifo.live)
 	}

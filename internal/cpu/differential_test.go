@@ -203,8 +203,8 @@ func TestDifferentialAgainstRefsim(t *testing.T) {
 				evs := genEvents(seed, 20000)
 				opt := cpu.New(v.cfg(), v.pf())
 				ref := refsim.New(v.cfg(), v.pf())
+				opt.EventBatch(evs)
 				for _, ev := range evs {
-					opt.Event(ev)
 					ref.Event(ev)
 				}
 				so, sr := opt.Finish(), ref.Finish()
@@ -230,7 +230,7 @@ func TestSquashFilterStaysExact(t *testing.T) {
 		c := cpu.New(v.cfg(), v.pf())
 		c.EnableSampling()
 		kind := trace.SpanDetailWarm
-		for i, ev := range evs {
+		for i := range evs {
 			if i%500 == 0 {
 				kind = kinds[(i/500)%len(kinds)]
 				if kind == trace.SpanSkip {
@@ -241,7 +241,7 @@ func TestSquashFilterStaysExact(t *testing.T) {
 				}
 				c.BeginSpan(kind)
 			}
-			c.Event(ev)
+			c.EventBatch(evs[i : i+1])
 			if kind == trace.SpanFunctionalWarm {
 				continue
 			}
@@ -254,16 +254,17 @@ func TestSquashFilterStaysExact(t *testing.T) {
 }
 
 // TestEventBatchMatchesPerEvent pins the batch entry point's contract:
-// EventBatch over arbitrary batch boundaries must equal per-event Event
-// calls exactly.
+// EventBatch over arbitrary batch boundaries must equal per-event
+// delivery (batches of one) exactly.
 func TestEventBatchMatchesPerEvent(t *testing.T) {
 	evs := genEvents(11, 20000)
-	for _, batch := range []int{1, 7, 512, 4096} {
-		perEvent := cpu.New(cpu.DefaultConfig(), prefetch.NewNL(4))
+	perEvent := cpu.New(cpu.DefaultConfig(), prefetch.NewNL(4))
+	for i := range evs {
+		perEvent.EventBatch(evs[i : i+1])
+	}
+	want := perEvent.Finish()
+	for _, batch := range []int{7, 512, 4096, len(evs)} {
 		batched := cpu.New(cpu.DefaultConfig(), prefetch.NewNL(4))
-		for _, ev := range evs {
-			perEvent.Event(ev)
-		}
 		for i := 0; i < len(evs); i += batch {
 			end := i + batch
 			if end > len(evs) {
@@ -271,7 +272,7 @@ func TestEventBatchMatchesPerEvent(t *testing.T) {
 			}
 			batched.EventBatch(evs[i:end])
 		}
-		if !reflect.DeepEqual(perEvent.Finish(), batched.Finish()) {
+		if !reflect.DeepEqual(want, batched.Finish()) {
 			t.Fatalf("batch size %d: EventBatch diverged from per-event delivery", batch)
 		}
 	}

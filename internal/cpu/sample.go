@@ -153,22 +153,6 @@ func (c *CPU) flushInflight() {
 	}
 }
 
-// sampledEvent routes one event according to the current span mode.
-func (c *CPU) sampledEvent(ev trace.Event) {
-	s := c.smp
-	switch s.mode {
-	case trace.SpanFunctionalWarm:
-		s.ffEvents++
-		c.ffEvent(&ev)
-	case trace.SpanMeasure:
-		s.measuredEvents++
-		c.event(ev)
-	default:
-		s.warmEvents++
-		c.event(ev)
-	}
-}
-
 // ---- functional fast-forward ----
 
 // ffEvent is the functional twin of event: it performs every

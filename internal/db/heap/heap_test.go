@@ -172,7 +172,8 @@ func TestFigure2CallSequence(t *testing.T) {
 	img := program.LayoutO5(reg)
 
 	var rec trace.Capture
-	tr := trace.NewTracer(img, &rec, 1)
+	b := trace.NewBatcher(&rec)
+	tr := trace.NewTracer(img, b, 1)
 	pr := probe.New(tr)
 
 	d := storage.NewDisk()
@@ -189,10 +190,12 @@ func TestFigure2CallSequence(t *testing.T) {
 	if _, err := f.CreateRec(tx, []byte("warmup")); err != nil {
 		t.Fatal(err)
 	}
+	b.Flush()
 	rec.Events = nil
 	if _, err := f.CreateRec(tx, []byte("traced")); err != nil {
 		t.Fatal(err)
 	}
+	b.Flush()
 
 	// Extract the sequence of direct callees of Create_rec.
 	createRec := hfns.CreateRec

@@ -41,16 +41,19 @@ type queryThread struct {
 // trace.Discard for correctness-only runs). Each thread gets its own
 // tracer over img; the scheduler switches threads every quantum root
 // tuples, emitting a context-switch event, exactly the shape of the
-// paper's concurrently executing query workloads (§4.1).
+// paper's concurrently executing query workloads (§4.1). The tracers
+// and the switch events append into one Batcher, which keeps them in
+// stream order and hands out full batches. A nil img traces nothing.
 func (e *Engine) RunConcurrent(queries []Query, img *program.Image, out trace.Consumer, quantum int, seed int64) ([]QueryResult, error) {
 	if quantum <= 0 {
 		quantum = 7
 	}
+	b := trace.NewBatcher(out)
 	threads := make([]*queryThread, len(queries))
 	for i, q := range queries {
 		var tr *trace.Tracer
 		if img != nil {
-			tr = trace.NewTracer(img, out, seed+int64(i)*7919)
+			tr = trace.NewTracer(img, b, seed+int64(i)*7919)
 		}
 		threads[i] = &queryThread{q: q, tracer: tr}
 	}
@@ -63,19 +66,21 @@ func (e *Engine) RunConcurrent(queries []Query, img *program.Image, out trace.Co
 			}
 			e.Pr.SetTracer(th.tracer)
 			if th.tracer != nil {
-				out.Event(trace.Event{Kind: trace.KindSwitch, N: int32(i)})
+				b.Add(trace.Event{Kind: trace.KindSwitch, N: int32(i)})
 			}
 			e.runSlice(th, quantum)
 			if th.done {
 				active--
 				if th.err != nil {
 					e.Pr.SetTracer(nil)
+					b.Flush()
 					return nil, fmt.Errorf("db: query %s: %w", th.q.Name, th.err)
 				}
 			}
 		}
 	}
 	e.Pr.SetTracer(nil)
+	b.Flush()
 
 	results := make([]QueryResult, len(threads))
 	for i, th := range threads {

@@ -30,7 +30,9 @@ func FireAt(n int64, fire func()) func() {
 }
 
 // counter forwards events to inner and invokes fire exactly once, when
-// the n-th event (1-based) arrives and before it is forwarded.
+// the n-th event (1-based) arrives and before it is forwarded: a batch
+// holding it is forwarded up to the event, fire runs, then the rest
+// follows.
 type counter struct {
 	inner trace.Consumer
 	fire  func()
@@ -38,12 +40,17 @@ type counter struct {
 	seen  int64
 }
 
-// Event implements trace.Consumer.
-func (c *counter) Event(ev trace.Event) {
-	if c.seen++; c.seen == c.n {
-		c.fire()
+// EventBatch implements trace.Consumer.
+func (c *counter) EventBatch(evs []trace.Event) {
+	k := c.n - c.seen - 1 // events of this batch before the n-th
+	c.seen += int64(len(evs))
+	if k < 0 || k >= int64(len(evs)) {
+		c.inner.EventBatch(evs)
+		return
 	}
-	c.inner.Event(ev)
+	c.inner.EventBatch(evs[:k])
+	c.fire()
+	c.inner.EventBatch(evs[k:])
 }
 
 // PanicAfter returns a consumer that forwards to inner and panics with

@@ -16,21 +16,28 @@ func events(n int) []trace.Event {
 	return evs
 }
 
-func TestPanicAfterFiresAtExactEvent(t *testing.T) {
-	var st trace.Stats
-	c := PanicAfter(&st, 5, "boom")
-	fired := func() (v any) {
-		defer func() { v = recover() }()
-		for _, ev := range events(10) {
-			c.Event(ev)
-		}
-		return nil
-	}()
-	if fired != "boom" {
-		t.Fatalf("recovered %v, want boom", fired)
+// feedBatches hands c evs in batches of size, the last one partial.
+func feedBatches(c trace.Consumer, evs []trace.Event, size int) {
+	for i := 0; i < len(evs); i += size {
+		c.EventBatch(evs[i:min(i+size, len(evs))])
 	}
-	if st.Events != 4 {
-		t.Fatalf("forwarded %d events before panic, want 4", st.Events)
+}
+
+func TestPanicAfterFiresAtExactEvent(t *testing.T) {
+	for _, size := range []int{1, 3, 4, 5, 10} {
+		var st trace.Stats
+		c := PanicAfter(&st, 5, "boom")
+		fired := func() (v any) {
+			defer func() { v = recover() }()
+			feedBatches(c, events(10), size)
+			return nil
+		}()
+		if fired != "boom" {
+			t.Fatalf("batches of %d: recovered %v, want boom", size, fired)
+		}
+		if st.Events != 4 {
+			t.Fatalf("batches of %d: forwarded %d events before panic, want 4", size, st.Events)
+		}
 	}
 }
 
@@ -38,9 +45,7 @@ func TestCancelAfterInvokesOnce(t *testing.T) {
 	var st trace.Stats
 	calls := 0
 	c := CancelAfter(&st, 3, func() { calls++ })
-	for _, ev := range events(10) {
-		c.Event(ev)
-	}
+	feedBatches(c, events(10), 2)
 	if calls != 1 {
 		t.Fatalf("cancel invoked %d times, want 1", calls)
 	}
@@ -52,9 +57,7 @@ func TestCancelAfterInvokesOnce(t *testing.T) {
 func TestCorruptIsDeterministicAndDetected(t *testing.T) {
 	build := func() *trace.Recording {
 		r := trace.NewRecorder()
-		for _, ev := range events(5000) {
-			r.Event(ev)
-		}
+		r.EventBatch(events(5000))
 		rg, err := r.Finish()
 		if err != nil {
 			t.Fatal(err)

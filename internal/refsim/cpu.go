@@ -61,7 +61,7 @@ type CPU struct {
 	stats cpu.Stats
 }
 
-var _ trace.Consumer = (*CPU)(nil)
+var _ Consumer = (*CPU)(nil)
 
 // New builds a reference CPU with the given prefetcher (nil means no
 // prefetching).
@@ -81,8 +81,8 @@ func New(cfg cpu.Config, pf prefetch.Prefetcher) *CPU {
 	}
 }
 
-// Event implements trace.Consumer. Deliberately no EventBatch: the
-// reference kernel replays through the per-event interface path.
+// Event implements Consumer: the reference kernel replays through the
+// per-event interface path.
 func (c *CPU) Event(ev trace.Event) {
 	switch ev.Kind {
 	case trace.KindRun:

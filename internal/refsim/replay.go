@@ -14,6 +14,12 @@ import (
 // decoder reads.
 var v1Magic = [8]byte{'C', 'G', 'P', 'T', 'R', 'C', '0', '1'}
 
+// Consumer is the frozen per-event consumer interface Replay dispatches
+// through. It is refsim's own: the live trace.Consumer takes batches.
+type Consumer interface {
+	Event(ev trace.Event)
+}
+
 // Replay is the frozen pre-optimization replay loop: per-event Consumer
 // dispatch and a decoder that calls binary.Varint for every signed
 // field (the live trace.Recording decoder batches dispatch and inlines
@@ -28,7 +34,7 @@ var v1Magic = [8]byte{'C', 'G', 'P', 'T', 'R', 'C', '0', '1'}
 // root package's TestKernelThroughputGuard measure the speedup against
 // the whole pre-change replay→CPU path, not against a baseline that
 // quietly inherits the new decoder or record format.
-func Replay(raw []byte, c trace.Consumer) error {
+func Replay(raw []byte, c Consumer) error {
 	if len(raw) < len(v1Magic) || [8]byte(raw[:8]) != v1Magic {
 		return trace.ErrBadMagic
 	}

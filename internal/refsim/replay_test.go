@@ -9,6 +9,12 @@ import (
 	"cgp/internal/trace"
 )
 
+// capture stores the events Replay dispatches one at a time.
+type capture []trace.Event
+
+// Event implements Consumer.
+func (c *capture) Event(ev trace.Event) { *c = append(*c, ev) }
+
 // TestEncodeV1RoundTrip: the frozen encoder and decoder must carry a
 // recording's exact event stream, so the kernel baseline replays the
 // same events the optimized path does.
@@ -19,8 +25,8 @@ func TestEncodeV1RoundTrip(t *testing.T) {
 		ev := trace.Event{Kind: trace.Kind(i % 7), Addr: isa.Addr(0x400000 + 4*i), N: int32(i % 40),
 			Target: isa.Addr(0x500000 + i), Fn: program.FuncID(i % 300), Caller: program.NoFunc, Taken: i%3 == 0}
 		want = append(want, ev)
-		r.Event(ev)
 	}
+	r.EventBatch(want)
 	rec, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -29,11 +35,11 @@ func TestEncodeV1RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got trace.Capture
+	var got capture
 	if err := Replay(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Events, want) {
+	if !reflect.DeepEqual([]trace.Event(got), want) {
 		t.Fatal("V1 round trip changed the event stream")
 	}
 }

@@ -106,9 +106,7 @@ func NewLiveCapture(opts CaptureOptions) *LiveCapture {
 func (lc *LiveCapture) drain() {
 	defer close(lc.done)
 	for buf := range lc.batches {
-		for i := range buf {
-			lc.rec.Event(buf[i])
-		}
+		lc.rec.EventBatch(buf)
 		lc.committed.Add(1)
 		lc.recycle(buf)
 	}

@@ -126,9 +126,11 @@ func TestTracePropagationTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotTags := map[uint64]bool{}
-	if err := rec.Replay(trace.ConsumerFunc(func(ev trace.Event) {
-		if ev.Kind == trace.KindQueryTag {
-			gotTags[uint64(ev.Addr)] = true
+	if err := rec.Replay(trace.ConsumerFunc(func(evs []trace.Event) {
+		for _, ev := range evs {
+			if ev.Kind == trace.KindQueryTag {
+				gotTags[uint64(ev.Addr)] = true
+			}
 		}
 	})); err != nil {
 		t.Fatal(err)

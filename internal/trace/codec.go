@@ -128,38 +128,33 @@ func (s *bases) next(ev *Event) {
 	}
 }
 
-// writerBuffer is how many encoded bytes a Writer holds before handing
-// them to its io.Writer.
+// writerBuffer is how many encoded bytes a writer holds before handing
+// them to its chunk buffer.
 const writerBuffer = 1 << 16
 
-// Writer encodes events to an io.Writer.
-type Writer struct {
-	w       io.Writer
-	buf     []byte // encoded bytes not yet handed to w
+// writer encodes events into a chunk buffer. The Recorder is its one
+// user, so Recorder and Recording.WriteTo are the one way to write a
+// trace file, as Load is the one way to read one.
+type writer struct {
+	b       *chunkBuffer
+	buf     []byte // encoded bytes not yet handed to b
 	n       int    // length of the pending prefix of buf
-	flushed int64  // bytes already handed to w, header included
+	flushed int64  // bytes already handed to b, header included
 	bases   bases
-	err     error
 }
 
-// NewWriter writes the header and returns an event writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	if _, err := w.Write(traceMagic[:]); err != nil {
-		return nil, fmt.Errorf("trace: write header: %w", err)
-	}
-	return &Writer{w: w, buf: make([]byte, writerBuffer), flushed: int64(len(traceMagic))}, nil
+// newWriter writes the header and returns an event writer.
+func newWriter(b *chunkBuffer) *writer {
+	b.Write(traceMagic[:])
+	return &writer{b: b, buf: make([]byte, writerBuffer), flushed: int64(len(traceMagic))}
 }
 
-// Event implements Consumer, encoding ev straight into the pending
-// buffer. Errors are sticky and are reported by Flush.
+// event encodes ev straight into the pending buffer.
 //
 //cgplint:hotpath
-func (tw *Writer) Event(ev Event) {
+func (tw *writer) event(ev *Event) {
 	if len(tw.buf)-tw.n < maxEventRecord {
 		tw.flush()
-	}
-	if tw.err != nil {
-		return
 	}
 	b := tw.buf[tw.n:]
 	flags := byte(ev.Kind) << 1
@@ -200,7 +195,7 @@ func (tw *Writer) Event(ev Event) {
 	}
 	b[1] = has
 	tw.n += pos
-	tw.bases.next(&ev)
+	tw.bases.next(ev)
 }
 
 // putZigzag writes v as a zigzag varint to the front of b and returns
@@ -219,25 +214,15 @@ func putZigzag(b []byte, v int64) int {
 }
 
 // offset returns the stream position of the next record.
-func (tw *Writer) offset() int64 { return tw.flushed + int64(tw.n) }
+func (tw *writer) offset() int64 { return tw.flushed + int64(tw.n) }
 
-// flush hands the pending bytes to the underlying writer.
+// flush hands the pending bytes to the chunk buffer.
 //
 //cgplint:coldpath one write per writerBuffer bytes of encoded records
-func (tw *Writer) flush() {
-	if tw.err != nil || tw.n == 0 {
-		return
-	}
-	_, tw.err = tw.w.Write(tw.buf[:tw.n])
+func (tw *writer) flush() {
+	tw.b.Write(tw.buf[:tw.n])
 	tw.flushed += int64(tw.n)
 	tw.n = 0
-}
-
-// Flush flushes buffered output and returns the first error encountered
-// while writing, if any.
-func (tw *Writer) Flush() error {
-	tw.flush()
-	return tw.err
 }
 
 // decodeEventInto decodes one record from the front of b into *ev,

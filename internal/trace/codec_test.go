@@ -30,25 +30,29 @@ var codecTestEvents = []Event{
 
 func TestCodecRoundTrip(t *testing.T) {
 	events := codecTestEvents
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
-		w.Event(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := loadEvents(buf.Bytes())
+	got, err := loadEvents(encode(events...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(events, got) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", events, got)
 	}
+}
+
+// encode returns evs in the on-disk trace format, header included, as
+// a Recorder and Recording.WriteTo write it.
+func encode(evs ...Event) []byte {
+	r := NewRecorder()
+	r.EventBatch(evs)
+	rec, err := r.Finish()
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
 }
 
 // loadEvents reads stream through Load and returns every event a full
@@ -165,24 +169,18 @@ func flatDecode(stream []byte) ([]Event, error) {
 }
 
 func TestCodecTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Event(Event{Kind: KindRun, Addr: 0x400000, N: 12})
-	w.Flush()
-	raw := buf.Bytes()
+	raw := encode(Event{Kind: KindRun, Addr: 0x400000, N: 12})
 	if _, err := Load(bytes.NewReader(raw[:len(raw)-2])); err == nil {
 		t.Error("truncated record decoded without error")
 	}
 }
 
 func TestReplay(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	var evs []Event
 	for i := 0; i < 10; i++ {
-		w.Event(Event{Kind: KindRun, Addr: isa.Addr(0x400000 + i*32), N: 8})
+		evs = append(evs, Event{Kind: KindRun, Addr: isa.Addr(0x400000 + i*32), N: 8})
 	}
-	w.Flush()
-	rec, err := Load(&buf)
+	rec, err := Load(bytes.NewReader(encode(evs...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,17 +210,7 @@ func TestCodecProperty(t *testing.T) {
 			Caller:      program.FuncID(caller),
 			Taken:       taken,
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		w.Event(first)
-		w.Event(ev)
-		if w.Flush() != nil {
-			return false
-		}
-		got, err := loadEvents(buf.Bytes())
+		got, err := loadEvents(encode(first, ev))
 		return err == nil && len(got) == 2 && got[0] == first && got[1] == ev
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -235,16 +223,8 @@ func TestCodecProperty(t *testing.T) {
 func TestCodecFullTrace(t *testing.T) {
 	img, ids := testImage()
 	var direct Capture
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(NewTracer(img, Tee(&direct, w), 11), ids)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Load(&buf)
+	traced(img, &direct, 11, ids)
+	rec, err := Load(bytes.NewReader(encode(direct.Events...)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,13 @@
 // fed to SimpleScalar: every event carries concrete addresses from a
 // program.Image, so the consumer (the CPU model) sees exactly what a
 // fetch unit would see.
+//
+// A stream is handed on one way: in batches, through Consumer's one
+// method, EventBatch. The producers of a live run (its tracers, the
+// scheduler's context switches, a probe replay's tags) append into one
+// shared Batcher, which hands the consumer full batches; a replay hands
+// over its decode buffer. Recorder and Recording.WriteTo are the one
+// way to write a trace file, and Load the one way to read one.
 package trace
 
 import (
@@ -131,39 +138,59 @@ func (e Event) Instructions() units.Instrs {
 	return 0
 }
 
-// Consumer receives a stream of events. Implementations must not retain
-// the event past the call.
+// Consumer receives a stream of events in batches: the only consumer
+// interface. Every producer hands its events over a batch at a time —
+// the tracers of a run through their shared Batcher, replays straight
+// from the decode buffer — so the dynamic dispatch is paid once per
+// batch. The batch boundaries carry no meaning: a consumer must behave
+// exactly as if the stream had arrived in any other split, and must not
+// retain the slice past the call, because the producer reuses it.
 type Consumer interface {
-	Event(ev Event)
-}
-
-// BatchConsumer is optionally implemented by Consumers that can accept
-// a whole decoded batch at once. Replay detects it and hands over
-// events replayBatch at a time, so the dynamic dispatch (and, for a
-// fanout, the consumer loop) is paid once per batch instead of once
-// per event. Semantics are unchanged: EventBatch(evs) must be exactly
-// equivalent to calling Event on each element in order, and the
-// consumer must not retain the slice past the call — the replayer
-// reuses it for the next batch.
-type BatchConsumer interface {
-	Consumer
 	EventBatch(evs []Event)
 }
 
 // ConsumerFunc adapts a function to the Consumer interface.
-type ConsumerFunc func(Event)
+type ConsumerFunc func(evs []Event)
 
-// Event implements Consumer.
-func (f ConsumerFunc) Event(ev Event) { f(ev) }
-
-// Tee returns a Consumer that forwards every event to each of cs.
-func Tee(cs ...Consumer) Consumer {
-	return ConsumerFunc(func(ev Event) {
-		for _, c := range cs {
-			c.Event(ev)
-		}
-	})
-}
+// EventBatch implements Consumer.
+func (f ConsumerFunc) EventBatch(evs []Event) { f(evs) }
 
 // Discard is a Consumer that drops all events.
-var Discard Consumer = ConsumerFunc(func(Event) {})
+var Discard Consumer = ConsumerFunc(func([]Event) {})
+
+// Batcher is the one event buffer of a run: every producer of the run
+// — its tracers, the scheduler's context switches, a probe replay's
+// session and query tags — appends into it in stream order, and it
+// hands the run's consumer replayBatch events at a time, the batch size
+// every replay uses. The producer that owns the run calls Flush once it
+// is done, to hand over the final partial batch.
+type Batcher struct {
+	out Consumer
+	n   int
+	buf [replayBatch]Event
+}
+
+// NewBatcher returns an empty buffer feeding out.
+func NewBatcher(out Consumer) *Batcher { return &Batcher{out: out} }
+
+// Add appends ev, handing the batch over once it is full.
+//
+//cgplint:hotpath
+func (b *Batcher) Add(ev Event) {
+	b.buf[b.n] = ev
+	if b.n++; b.n == len(b.buf) {
+		b.Flush()
+	}
+}
+
+// Flush hands the buffered events to the consumer.
+//
+//cgplint:coldpath one consumer call per replayBatch appended events
+func (b *Batcher) Flush() {
+	if b.n == 0 {
+		return
+	}
+	n := b.n
+	b.n = 0
+	b.out.EventBatch(b.buf[:n])
+}

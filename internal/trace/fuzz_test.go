@@ -26,24 +26,13 @@ import (
 func realTraceEvents() []Event {
 	img, ids := testImage()
 	var c Capture
-	drive(NewTracer(img, &c, 11), ids)
+	traced(img, &c, 11, ids)
 	return c.Events[:48]
 }
 
 // encodeRecords returns the encoded records of evs, header stripped.
 func encodeRecords(evs []Event) []byte {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		panic(err)
-	}
-	for _, ev := range evs {
-		w.Event(ev)
-	}
-	if err := w.Flush(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()[len(traceMagic):]
+	return encode(evs...)[len(traceMagic):]
 }
 
 // checkDecodeErr fails unless err is nil or one of the two decode
@@ -89,9 +78,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("Load decoded %d events, flat decode %d, and they differ", len(loaded), len(read))
 		}
 		var st Stats
-		for _, ev := range read {
-			st.Event(ev)
-		}
+		st.EventBatch(read)
 		if st != rec.Stats {
 			t.Fatalf("Load counted %+v, the events count %+v", rec.Stats, st)
 		}
@@ -193,18 +180,8 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pattern := fuzzEvents(data)
 
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range pattern {
-			w.Event(ev)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := loadEvents(buf.Bytes()); err != nil || !slices.Equal(got, pattern) {
+		encoded := encode(pattern...)
+		if got, err := loadEvents(encoded); err != nil || !slices.Equal(got, pattern) {
 			t.Fatalf("Load returned %d of %d events: %v", len(got), len(pattern), err)
 		}
 		if len(pattern) == 0 {
@@ -216,9 +193,7 @@ func FuzzRoundTrip(f *testing.F) {
 			evs = append(evs, pattern...)
 		}
 		r := newRecorder(97)
-		for _, ev := range evs {
-			r.Event(ev)
-		}
+		r.EventBatch(evs)
 		rec, err := r.Finish()
 		if err != nil {
 			t.Fatal(err)
@@ -227,8 +202,8 @@ func FuzzRoundTrip(f *testing.F) {
 		if _, err := rec.WriteTo(&recorded); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(recorded.Bytes(), buf.Bytes()) {
-			t.Fatal("Recorder and Writer encode the same events differently")
+		if !bytes.HasPrefix(recorded.Bytes(), encoded) {
+			t.Fatal("the encoding of a stream's prefix is not a prefix of its encoding")
 		}
 		next := 0
 		if err := rec.ReplayBatch(func(b []Event) error {

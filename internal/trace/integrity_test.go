@@ -10,9 +10,7 @@ import (
 func integrityRecording(t *testing.T, n int) *Recording {
 	t.Helper()
 	rec := NewRecorder()
-	for _, ev := range recordTestEvents(n) {
-		rec.Event(ev)
-	}
+	rec.EventBatch(recordTestEvents(n))
 	rg, err := rec.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -71,17 +69,7 @@ func TestCorruptByteOutOfRange(t *testing.T) {
 
 func TestCorruptionInLaterChunk(t *testing.T) {
 	// Tiny chunks force a multi-chunk recording; corrupt the last one.
-	buf := newChunkBuffer(64)
-	w, err := NewWriter(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range recordTestEvents(500) {
-		w.Event(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buf := encodeInto(64, recordTestEvents(500))
 	rg := &Recording{buf: buf, version: RecordingVersion, sums: sealChecksums(buf)}
 	if err := rg.Verify(); err != nil {
 		t.Fatal(err)
@@ -103,19 +91,8 @@ func TestCorruptionInLaterChunk(t *testing.T) {
 func TestPreFramingRecordingVerifiesVacuously(t *testing.T) {
 	// A hand-built recording with no sums (version-1 shape) must still
 	// replay: Verify has nothing to check against.
-	buf := newChunkBuffer(0)
-	w, err := NewWriter(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	evs := recordTestEvents(50)
-	for _, ev := range evs {
-		w.Event(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rg := &Recording{buf: buf}
+	rg := &Recording{buf: encodeInto(0, evs)}
 	var st Stats
 	if err := rg.Replay(&st); err != nil {
 		t.Fatal(err)

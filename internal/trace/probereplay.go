@@ -39,7 +39,8 @@ func IsProbeRecording(rec *Recording) bool {
 
 // ReplayProbe replays a probe-level recording through per-session
 // tracers over img, emitting the synthesized address-level stream into
-// out. Session s gets a tracer seeded seed+s*7919 (the scheduler's
+// out through one Batcher shared by the tracers and the session and
+// query tags. Session s gets a tracer seeded seed+s*7919 (the scheduler's
 // stride), so the synthesis is deterministic: the same recording, img
 // and seed yield a byte-identical event stream on every call.
 //
@@ -58,16 +59,17 @@ func ReplayProbe(rec *Recording, img *program.Image, out Consumer, seed int64) e
 		cur     *Tracer
 		n       int64
 		funcs   = img.Registry().Len()
+		b       = NewBatcher(out)
 	)
 	tracerFor := func(slot int32) *Tracer {
 		t := tracers[slot]
 		if t == nil {
-			t = NewTracer(img, out, seed+int64(slot)*probeReplaySeedStride)
+			t = NewTracer(img, b, seed+int64(slot)*probeReplaySeedStride)
 			tracers[slot] = t
 		}
 		return t
 	}
-	return rec.ReplayBatch(func(evs []Event) error {
+	err := rec.ReplayBatch(func(evs []Event) error {
 		for i := range evs {
 			ev := &evs[i]
 			n++
@@ -77,7 +79,7 @@ func ReplayProbe(rec *Recording, img *program.Image, out Consumer, seed int64) e
 					return probeStreamErr(n, "negative session slot")
 				}
 				cur = tracerFor(ev.N)
-				out.Event(Event{Kind: KindSwitch, N: ev.N})
+				b.Add(Event{Kind: KindSwitch, N: ev.N})
 			case KindQueryTag:
 				// Pass the trace-ID tag straight through: it carries no
 				// instruction semantics, but a per-query attribution
@@ -88,7 +90,7 @@ func ReplayProbe(rec *Recording, img *program.Image, out Consumer, seed int64) e
 				if ev.Addr == 0 {
 					return probeStreamErr(n, "zero query trace ID")
 				}
-				out.Event(Event{Kind: KindQueryTag, Addr: ev.Addr})
+				b.Add(Event{Kind: KindQueryTag, Addr: ev.Addr})
 			case KindProbeEnter:
 				if cur == nil {
 					return probeStreamErr(n, "probe op before first session switch")
@@ -118,6 +120,8 @@ func ReplayProbe(rec *Recording, img *program.Image, out Consumer, seed int64) e
 		}
 		return nil
 	})
+	b.Flush()
+	return err
 }
 
 // ProbeStreamError is ReplayProbe's one error for a malformed probe

@@ -83,9 +83,7 @@ var malformedProbeStreams = []struct {
 func recordProbe(t testing.TB, evs []Event) *Recording {
 	t.Helper()
 	rec := NewRecorder()
-	for _, ev := range evs {
-		rec.Event(ev)
-	}
+	rec.EventBatch(evs)
 	r, err := rec.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -104,11 +102,14 @@ func TestQueryTagPassthrough(t *testing.T) {
 
 	var got []uint64
 	var st Stats
-	if err := ReplayProbe(rec, probeTagImage(), Tee(&st, ConsumerFunc(func(ev Event) {
-		if ev.Kind == KindQueryTag {
-			got = append(got, uint64(ev.Addr))
+	if err := ReplayProbe(rec, probeTagImage(), ConsumerFunc(func(evs []Event) {
+		st.EventBatch(evs)
+		for _, ev := range evs {
+			if ev.Kind == KindQueryTag {
+				got = append(got, uint64(ev.Addr))
+			}
 		}
-	})), 42); err != nil {
+	}), 42); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != tagA || got[1] != tagB {

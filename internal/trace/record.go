@@ -24,8 +24,8 @@ import (
 const recordChunkBytes = 1 << 20
 
 // chunkBuffer is an append-only byte buffer split into fixed-capacity
-// chunks. It implements io.Writer for the trace Writer; readers are
-// created per replay and stream the chunks independently.
+// chunks. The trace writer and Load fill it; readers are created per
+// replay and stream the chunks independently.
 type chunkBuffer struct {
 	chunks    [][]byte
 	size      int64
@@ -85,9 +85,10 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 // chunked buffer using the binary trace codec. It simultaneously
 // accumulates the stream's aggregate Stats so replays can copy them
 // instead of recounting, and the skip index sampled replays jump by.
+// With Recording.WriteTo it is the one way to write a trace file.
 type Recorder struct {
 	buf   *chunkBuffer
-	w     *Writer
+	w     *writer
 	stats Stats
 	idx   []skipPoint
 }
@@ -97,22 +98,20 @@ func NewRecorder() *Recorder { return newRecorder(recordChunkBytes) }
 
 func newRecorder(chunkSize int) *Recorder {
 	buf := newChunkBuffer(chunkSize)
-	w, err := NewWriter(buf)
-	if err != nil {
-		// chunkBuffer writes cannot fail; a header error is a bug.
-		panic(err)
-	}
-	return &Recorder{buf: buf, w: w}
+	return &Recorder{buf: buf, w: newWriter(buf)}
 }
 
-// Event implements Consumer.
+// EventBatch implements Consumer.
 //
 //cgplint:hotpath
-func (r *Recorder) Event(ev Event) {
-	r.stats.Event(ev)
-	r.w.Event(ev)
-	if r.stats.Events%skipIndexEvery == 0 {
-		r.checkpoint()
+func (r *Recorder) EventBatch(evs []Event) {
+	for i := range evs {
+		ev := &evs[i]
+		r.stats.add(ev)
+		r.w.event(ev)
+		if r.stats.Events%skipIndexEvery == 0 {
+			r.checkpoint()
+		}
 	}
 }
 
@@ -128,11 +127,10 @@ func (r *Recorder) checkpoint() {
 // Finish flushes buffered output and seals the recording: the chunk
 // list is frozen and per-chunk CRC-32C checksums are computed, so every
 // later replay can verify integrity before decoding. The Recorder must
-// not be used afterwards.
+// not be used afterwards. Recording into memory cannot fail, so the
+// error is always nil.
 func (r *Recorder) Finish() (*Recording, error) {
-	if err := r.w.Flush(); err != nil {
-		return nil, fmt.Errorf("trace: record: %w", err)
-	}
+	r.w.flush()
 	return &Recording{
 		buf:     r.buf,
 		Stats:   r.stats,
@@ -170,25 +168,16 @@ func (r *Recording) Bytes() int64 { return r.buf.size }
 // the dynamic dispatch per batch to noise.
 const replayBatch = 512
 
-// Replay feeds the recorded events to c in recording order. A consumer
-// implementing BatchConsumer (the CPU model does) receives the events
-// through its batch entry point; otherwise they are delivered one
-// Event call at a time. Replay allocates a fixed per-call setup cost
+// Replay feeds the recorded events to c in recording order, a batch of
+// replayBatch at a time. Replay allocates a fixed per-call setup cost
 // (the dispatch closure here, the batch buffer in ReplaySampled) and
 // nothing per event — TestReplayAllocsIndependentOfLength pins the
 // runtime side of what allocfree verifies statically.
 //
 //cgplint:hotpath
 func (r *Recording) Replay(c Consumer) error {
-	bc, batched := c.(BatchConsumer)
 	return r.ReplayBatch(func(evs []Event) error { //cgplint:ignore allocfree one dispatch closure per Replay call, amortized across the whole stream
-		if batched {
-			bc.EventBatch(evs)
-			return nil
-		}
-		for i := range evs {
-			c.Event(evs[i])
-		}
+		c.EventBatch(evs)
 		return nil
 	})
 }

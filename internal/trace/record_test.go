@@ -36,12 +36,23 @@ func recordTestEvents(n int) []Event {
 	return evs
 }
 
+// encodeInto encodes evs, header included, into a chunk buffer of
+// chunkSize-byte chunks (0 for the default), with no recording around
+// it.
+func encodeInto(chunkSize int, evs []Event) *chunkBuffer {
+	buf := newChunkBuffer(chunkSize)
+	w := newWriter(buf)
+	for i := range evs {
+		w.event(&evs[i])
+	}
+	w.flush()
+	return buf
+}
+
 func TestRecordingRoundTrip(t *testing.T) {
 	evs := recordTestEvents(10000)
 	r := NewRecorder()
-	for _, ev := range evs {
-		r.Event(ev)
-	}
+	r.EventBatch(evs)
 	rec, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +70,7 @@ func TestRecordingRoundTrip(t *testing.T) {
 
 	// The recorded stats must match a Stats consumer fed directly.
 	var direct Stats
-	for _, ev := range evs {
-		direct.Event(ev)
-	}
+	direct.EventBatch(evs)
 	if rec.Stats != direct {
 		t.Errorf("recorded stats %+v differ from direct stats %+v", rec.Stats, direct)
 	}
@@ -71,20 +80,10 @@ func TestRecordingRoundTrip(t *testing.T) {
 // boundaries, and checks the stream still decodes exactly.
 func TestRecordingChunkBoundaries(t *testing.T) {
 	evs := recordTestEvents(500)
-	buf := newChunkBuffer(13) // adversarial: smaller than one encoded event
-	w, err := NewWriter(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var stats Stats
-	for _, ev := range evs {
-		stats.Event(ev)
-		w.Event(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rec := &Recording{buf: buf, Stats: stats}
+	stats.EventBatch(evs)
+	// Adversarial chunks, smaller than one encoded event.
+	rec := &Recording{buf: encodeInto(13, evs), Stats: stats}
 	var got Capture
 	if err := rec.Replay(&got); err != nil {
 		t.Fatal(err)
@@ -99,9 +98,7 @@ func TestRecordingChunkBoundaries(t *testing.T) {
 func TestRecordingConcurrentReplay(t *testing.T) {
 	evs := recordTestEvents(3000)
 	r := NewRecorder()
-	for _, ev := range evs {
-		r.Event(ev)
-	}
+	r.EventBatch(evs)
 	rec, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -129,18 +126,12 @@ func TestRecordingConcurrentReplay(t *testing.T) {
 	}
 }
 
-// batchCapture implements BatchConsumer, recording both the events and
-// the batch sizes the replayer delivered. It copies out of the batch
-// slice, per the interface contract.
+// batchCapture records both the events and the batch sizes the
+// replayer delivered. It copies out of the batch slice, per the
+// interface contract.
 type batchCapture struct {
 	events  []Event
 	batches []int
-	perEv   int // events delivered through Event instead of EventBatch
-}
-
-func (b *batchCapture) Event(ev Event) {
-	b.events = append(b.events, ev)
-	b.perEv++
 }
 
 func (b *batchCapture) EventBatch(evs []Event) {
@@ -148,16 +139,13 @@ func (b *batchCapture) EventBatch(evs []Event) {
 	b.batches = append(b.batches, len(evs))
 }
 
-// TestReplayBatchDelivery: a BatchConsumer must receive the exact
-// recorded stream through EventBatch alone, in full batches of
-// replayBatch plus one final partial batch.
+// TestReplayBatchDelivery: a consumer must receive the exact recorded
+// stream in full batches of replayBatch plus one final partial batch.
 func TestReplayBatchDelivery(t *testing.T) {
 	const n = 3*replayBatch + 17
 	evs := recordTestEvents(n)
 	r := NewRecorder()
-	for _, ev := range evs {
-		r.Event(ev)
-	}
+	r.EventBatch(evs)
 	rec, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +153,6 @@ func TestReplayBatchDelivery(t *testing.T) {
 	var got batchCapture
 	if err := rec.Replay(&got); err != nil {
 		t.Fatal(err)
-	}
-	if got.perEv != 0 {
-		t.Errorf("%d events arrived via Event; batch consumer must get batches only", got.perEv)
 	}
 	if !reflect.DeepEqual(got.events, evs) {
 		t.Fatal("batched replay differs from recorded events")
@@ -183,18 +168,7 @@ func TestReplayBatchDelivery(t *testing.T) {
 // inside one chunk.
 func TestReplayBatchChunkBoundaries(t *testing.T) {
 	evs := recordTestEvents(2*replayBatch + 3)
-	buf := newChunkBuffer(13)
-	w, err := NewWriter(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range evs {
-		w.Event(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rec := &Recording{buf: buf}
+	rec := &Recording{buf: encodeInto(13, evs)}
 	var got []Event
 	if err := rec.ReplayBatch(func(b []Event) error { got = append(got, b...); return nil }); err != nil {
 		t.Fatal(err)
@@ -211,9 +185,7 @@ func TestReplayBatchChunkBoundaries(t *testing.T) {
 func TestReplayAllocsIndependentOfLength(t *testing.T) {
 	record := func(n int) *Recording {
 		r := NewRecorder()
-		for _, ev := range recordTestEvents(n) {
-			r.Event(ev)
-		}
+		r.EventBatch(recordTestEvents(n))
 		rec, err := r.Finish()
 		if err != nil {
 			t.Fatal(err)
@@ -248,9 +220,7 @@ func TestReplayAllocsIndependentOfLength(t *testing.T) {
 func TestRecordingWriteTo(t *testing.T) {
 	evs := recordTestEvents(200)
 	r := NewRecorder()
-	for _, ev := range evs {
-		r.Event(ev)
-	}
+	r.EventBatch(evs)
 	rec, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)

@@ -67,12 +67,12 @@ type Span struct {
 	Events int64
 }
 
-// SampledConsumer is a BatchConsumer that can follow a sampled replay:
+// SampledConsumer is a Consumer that can follow a sampled replay:
 // BeginSpan announces the kind of every decoded span before its events
 // arrive, and SkipSpan replaces the events of a skipped span with their
 // aggregate counts. The CPU model implements it.
 type SampledConsumer interface {
-	BatchConsumer
+	Consumer
 	BeginSpan(kind SpanKind)
 	SkipSpan(events int64, instrs units.Instrs)
 }
@@ -112,9 +112,7 @@ func (r *Recording) scan() (Stats, []skipPoint, error) {
 		if err != nil {
 			return st, nil, err
 		}
-		for i := range buf[:n] {
-			st.Event(buf[i])
-		}
+		st.EventBatch(buf[:n])
 		if n < len(buf) {
 			return st, idx, nil
 		}

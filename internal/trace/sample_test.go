@@ -27,8 +27,6 @@ func (s *sampledCapture) SkipSpan(events int64, instrs units.Instrs) {
 	s.skInstr += instrs
 }
 
-func (s *sampledCapture) Event(ev Event) { s.EventBatch([]Event{ev}) }
-
 func (s *sampledCapture) EventBatch(evs []Event) {
 	i := len(s.spans) - 1
 	s.spans[i] = append(s.spans[i], evs...)
@@ -38,9 +36,7 @@ func recordSampleTest(t *testing.T, n int) (*Recording, []Event) {
 	t.Helper()
 	evs := recordTestEvents(n)
 	r := NewRecorder()
-	for _, ev := range evs {
-		r.Event(ev)
-	}
+	r.EventBatch(evs)
 	rec, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -203,9 +199,7 @@ func TestLoadRoundTrip(t *testing.T) {
 func TestRecorderSkipIndexMatchesDecodePass(t *testing.T) {
 	const n = 5*skipIndexEvery + 17
 	r := newRecorder(1000)
-	for _, ev := range recordTestEvents(n) {
-		r.Event(ev)
-	}
+	r.EventBatch(recordTestEvents(n))
 	rec, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)

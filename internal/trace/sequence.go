@@ -109,8 +109,14 @@ func NewSequenceCollector(maxSlots int) *SequenceCollector {
 	}
 }
 
-// Event implements Consumer.
-func (c *SequenceCollector) Event(ev Event) {
+// EventBatch implements Consumer.
+func (c *SequenceCollector) EventBatch(evs []Event) {
+	for i := range evs {
+		c.event(&evs[i])
+	}
+}
+
+func (c *SequenceCollector) event(ev *Event) {
 	switch ev.Kind {
 	case KindSwitch:
 		c.cur = ev.N

@@ -35,10 +35,10 @@ func TestSequenceProfileSlotCap(t *testing.T) {
 func TestSequenceCollectorTracksPositions(t *testing.T) {
 	c := NewSequenceCollector(8)
 	call := func(fn, caller program.FuncID) {
-		c.Event(Event{Kind: KindCall, Fn: fn, Caller: caller})
+		c.EventBatch([]Event{Event{Kind: KindCall, Fn: fn, Caller: caller}})
 	}
 	ret := func(fn program.FuncID) {
-		c.Event(Event{Kind: KindReturn, Fn: fn})
+		c.EventBatch([]Event{Event{Kind: KindReturn, Fn: fn}})
 	}
 	// main(0) calls a(1), a calls x(5), a returns, main calls b(2).
 	call(0, program.NoFunc)
@@ -60,12 +60,12 @@ func TestSequenceCollectorTracksPositions(t *testing.T) {
 func TestSequenceCollectorPerThread(t *testing.T) {
 	c := NewSequenceCollector(8)
 	// Thread 0: fn 10 calls 11. Switch. Thread 1: fn 20 calls 21.
-	c.Event(Event{Kind: KindCall, Fn: 10, Caller: program.NoFunc})
-	c.Event(Event{Kind: KindSwitch, N: 1})
-	c.Event(Event{Kind: KindCall, Fn: 20, Caller: program.NoFunc})
-	c.Event(Event{Kind: KindCall, Fn: 21, Caller: 20})
-	c.Event(Event{Kind: KindSwitch, N: 0})
-	c.Event(Event{Kind: KindCall, Fn: 11, Caller: 10})
+	c.EventBatch([]Event{Event{Kind: KindCall, Fn: 10, Caller: program.NoFunc}})
+	c.EventBatch([]Event{Event{Kind: KindSwitch, N: 1}})
+	c.EventBatch([]Event{Event{Kind: KindCall, Fn: 20, Caller: program.NoFunc}})
+	c.EventBatch([]Event{Event{Kind: KindCall, Fn: 21, Caller: 20}})
+	c.EventBatch([]Event{Event{Kind: KindSwitch, N: 0}})
+	c.EventBatch([]Event{Event{Kind: KindCall, Fn: 11, Caller: 10}})
 	// 11 must be recorded as 10's first call, NOT as 21's sibling.
 	if got := c.Profile.Sequence(10); !reflect.DeepEqual(got, []program.FuncID{11}) {
 		t.Errorf("thread-0 sequence = %v", got)
@@ -78,7 +78,7 @@ func TestSequenceCollectorPerThread(t *testing.T) {
 func TestSequenceCollectorOnRealTrace(t *testing.T) {
 	img, ids := testImage()
 	c := NewSequenceCollector(8)
-	drive(NewTracer(img, c, 7), ids)
+	traced(img, c, 7, ids)
 	// "create" always calls find then lock (helpers absent in this
 	// registry).
 	got := c.Profile.Sequence(ids["create"])

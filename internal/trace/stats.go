@@ -30,8 +30,15 @@ type Stats struct {
 	QueryTags int64
 }
 
-// Event implements Consumer.
-func (s *Stats) Event(ev Event) {
+// EventBatch implements Consumer.
+func (s *Stats) EventBatch(evs []Event) {
+	for i := range evs {
+		s.add(&evs[i])
+	}
+}
+
+// add counts one event.
+func (s *Stats) add(ev *Event) {
 	s.Events++
 	switch ev.Kind {
 	case KindRun:
@@ -94,15 +101,17 @@ func NewProfileCollector() *ProfileCollector {
 	return &ProfileCollector{Profile: program.NewProfile()}
 }
 
-// Event implements Consumer.
-func (p *ProfileCollector) Event(ev Event) {
-	switch ev.Kind {
-	case KindCall:
-		p.Profile.AddCall(ev.Caller, ev.Fn)
-	case KindRun:
-		p.Profile.AddInstructions(int64(ev.N))
-	case KindLoop:
-		p.Profile.AddInstructions(int64(ev.N) * int64(ev.Iters))
+// EventBatch implements Consumer.
+func (p *ProfileCollector) EventBatch(evs []Event) {
+	for i := range evs {
+		switch ev := &evs[i]; ev.Kind {
+		case KindCall:
+			p.Profile.AddCall(ev.Caller, ev.Fn)
+		case KindRun:
+			p.Profile.AddInstructions(int64(ev.N))
+		case KindLoop:
+			p.Profile.AddInstructions(int64(ev.N) * int64(ev.Iters))
+		}
 	}
 }
 
@@ -113,5 +122,5 @@ type Capture struct {
 	Events []Event
 }
 
-// Event implements Consumer.
-func (c *Capture) Event(ev Event) { c.Events = append(c.Events, ev) }
+// EventBatch implements Consumer.
+func (c *Capture) EventBatch(evs []Event) { c.Events = append(c.Events, evs...) }

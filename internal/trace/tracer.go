@@ -20,7 +20,7 @@ import (
 // the same run are directly comparable.
 type Tracer struct {
 	img *program.Image
-	out Consumer
+	out *Batcher
 	rng *rand.Rand
 
 	stack []frame
@@ -60,11 +60,11 @@ type frame struct {
 	retTo isa.Addr
 }
 
-// NewTracer returns a tracer for one logical thread, emitting into out
+// NewTracer returns a tracer for one logical thread, appending into out
 // using the layout and branch behaviour of img. Each thread of a
-// simulated workload gets its own tracer (own stack, own PRNG) over a
-// shared consumer.
-func NewTracer(img *program.Image, out Consumer, seed int64) *Tracer {
+// simulated workload gets its own tracer (own stack, own PRNG) over the
+// run's one Batcher, which keeps the threads' events in stream order.
+func NewTracer(img *program.Image, out *Batcher, seed int64) *Tracer {
 	return &Tracer{
 		img: img,
 		out: out,
@@ -117,7 +117,7 @@ func (t *Tracer) Enter(fn program.FuncID) {
 		callPC = parent.curAddr()
 	}
 	t.calls++
-	t.out.Event(Event{
+	t.out.Add(Event{
 		Kind:        KindCall,
 		Addr:        callPC,
 		Target:      place.Start,
@@ -184,7 +184,7 @@ func (t *Tracer) Exit() {
 		callerFn = parent.fn
 		callerStart = parent.place.Start
 	}
-	t.out.Event(Event{
+	t.out.Add(Event{
 		Kind:        KindReturn,
 		Addr:        f.place.Start,
 		Target:      f.retTo,
@@ -228,7 +228,7 @@ func (t *Tracer) Work(n int) {
 				f.pos = 0
 			}
 		}
-		t.out.Event(Event{
+		t.out.Add(Event{
 			Kind:  KindLoop,
 			Addr:  f.curAddr(),
 			N:     int32(body),
@@ -250,7 +250,7 @@ func (t *Tracer) Data(addr isa.Addr, n int, write bool) {
 	if n <= 0 {
 		return
 	}
-	t.out.Event(Event{
+	t.out.Add(Event{
 		Kind:  KindData,
 		Addr:  addr,
 		N:     int32(n),
@@ -305,7 +305,7 @@ func (t *Tracer) advanceScaled(f *frame, budget int) {
 		if run <= 0 {
 			run = 1
 		}
-		t.out.Event(Event{
+		t.out.Add(Event{
 			Kind: KindRun,
 			Addr: f.curAddr(),
 			N:    int32(run),
@@ -352,7 +352,7 @@ func (t *Tracer) advanceScaled(f *frame, budget int) {
 			f.pos = t.branchTarget(f)
 			target = f.curAddr()
 		}
-		t.out.Event(Event{
+		t.out.Add(Event{
 			Kind:   KindBranch,
 			Addr:   pc,
 			Target: target,

@@ -19,6 +19,16 @@ func testImage() (*program.Image, map[string]program.FuncID) {
 	return program.LayoutO5(reg), ids
 }
 
+// traced drives the fixed execution on a tracer over img seeded seed,
+// delivering its stream to out, and returns the tracer.
+func traced(img *program.Image, out Consumer, seed int64, ids map[string]program.FuncID) *Tracer {
+	b := NewBatcher(out)
+	tr := NewTracer(img, b, seed)
+	drive(tr, ids)
+	b.Flush()
+	return tr
+}
+
 // drive replays a fixed instrumented execution.
 func drive(tr *Tracer, ids map[string]program.FuncID) {
 	tr.Enter(ids["main"])
@@ -38,13 +48,13 @@ func drive(tr *Tracer, ids map[string]program.FuncID) {
 func TestDeterminism(t *testing.T) {
 	img, ids := testImage()
 	var a, b Capture
-	drive(NewTracer(img, &a, 7), ids)
-	drive(NewTracer(img, &b, 7), ids)
+	traced(img, &a, 7, ids)
+	traced(img, &b, 7, ids)
 	if !reflect.DeepEqual(a.Events, b.Events) {
 		t.Fatal("same seed and call sequence produced different traces")
 	}
 	var c Capture
-	drive(NewTracer(img, &c, 8), ids)
+	traced(img, &c, 8, ids)
 	if reflect.DeepEqual(a.Events, c.Events) {
 		t.Fatal("different seeds produced identical traces")
 	}
@@ -53,7 +63,7 @@ func TestDeterminism(t *testing.T) {
 func TestAddressesWithinFunctionBounds(t *testing.T) {
 	img, ids := testImage()
 	var rec Capture
-	drive(NewTracer(img, &rec, 3), ids)
+	traced(img, &rec, 3, ids)
 	for _, ev := range rec.Events {
 		switch ev.Kind {
 		case KindRun, KindLoop:
@@ -75,8 +85,7 @@ func TestAddressesWithinFunctionBounds(t *testing.T) {
 func TestCallReturnPairing(t *testing.T) {
 	img, ids := testImage()
 	var rec Capture
-	tr := NewTracer(img, &rec, 3)
-	drive(tr, ids)
+	tr := traced(img, &rec, 3, ids)
 	if tr.Depth() != 0 {
 		t.Fatalf("stack depth %d after balanced drive", tr.Depth())
 	}
@@ -104,7 +113,7 @@ func TestCallReturnPairing(t *testing.T) {
 func TestReturnCarriesCallerStart(t *testing.T) {
 	img, ids := testImage()
 	var rec Capture
-	drive(NewTracer(img, &rec, 3), ids)
+	traced(img, &rec, 3, ids)
 	for _, ev := range rec.Events {
 		if ev.Kind == KindReturn && ev.Caller != program.NoFunc {
 			if ev.CallerStart != img.Start(ev.Caller) {
@@ -117,8 +126,7 @@ func TestReturnCarriesCallerStart(t *testing.T) {
 func TestInstructionAccounting(t *testing.T) {
 	img, ids := testImage()
 	var st Stats
-	tr := NewTracer(img, &st, 3)
-	drive(tr, ids)
+	tr := traced(img, &st, 3, ids)
 	if st.Instructions != tr.Instructions() {
 		t.Errorf("stats %d != tracer %d instructions", st.Instructions, tr.Instructions())
 	}
@@ -149,8 +157,8 @@ func TestInstrScaleReducesDynamicInstructions(t *testing.T) {
 	om := program.LayoutOM(reg, prof)
 
 	var s5, sm Stats
-	drive(NewTracer(o5, &s5, 3), ids)
-	drive(NewTracer(om, &sm, 3), ids)
+	traced(o5, &s5, 3, ids)
+	traced(om, &sm, 3, ids)
 	ratio := float64(sm.Instructions) / float64(s5.Instructions)
 	if ratio < 0.80 || ratio > 0.95 {
 		t.Errorf("OM/O5 instruction ratio %.3f, want ~0.88", ratio)
@@ -176,13 +184,15 @@ func TestHelperCyclingIsStable(t *testing.T) {
 
 	sequence := func(seed int64) []program.FuncID {
 		var rec Capture
-		tr := NewTracer(img, &rec, seed)
+		b := NewBatcher(&rec)
+		tr := NewTracer(img, b, seed)
 		tr.Enter(parent)
 		for i := 0; i < 12; i++ {
 			tr.Enter(callee)
 			tr.Exit()
 		}
 		tr.Exit()
+		b.Flush()
 		var calls []program.FuncID
 		for _, ev := range rec.Events {
 			if ev.Kind == KindCall && ev.Caller == parent {
@@ -213,9 +223,23 @@ func TestHelperCyclingIsStable(t *testing.T) {
 	}
 }
 
+// TestTracerAppendDoesNotAllocate is the producer side's zero-alloc
+// gate: once warm, a tracer appending into its run's Batcher over a
+// no-op consumer allocates nothing per event.
+func TestTracerAppendDoesNotAllocate(t *testing.T) {
+	img, ids := testImage()
+	b := NewBatcher(Discard)
+	tr := NewTracer(img, b, 3)
+	drive(tr, ids) // warm: the frame stack at its working depth
+	allocs := testing.AllocsPerRun(20, func() { drive(tr, ids) })
+	if allocs != 0 {
+		t.Errorf("tracer allocates %.1f times per drive, want 0", allocs)
+	}
+}
+
 func TestExitUnderflowPanics(t *testing.T) {
 	img, _ := testImage()
-	tr := NewTracer(img, Discard, 1)
+	tr := NewTracer(img, NewBatcher(Discard), 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on Exit with empty stack")
@@ -226,7 +250,7 @@ func TestExitUnderflowPanics(t *testing.T) {
 
 func TestWorkWithoutFramePanics(t *testing.T) {
 	img, _ := testImage()
-	tr := NewTracer(img, Discard, 1)
+	tr := NewTracer(img, NewBatcher(Discard), 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on Work with empty stack")
@@ -235,14 +259,34 @@ func TestWorkWithoutFramePanics(t *testing.T) {
 	tr.Work(10)
 }
 
-func TestTeeAndDiscard(t *testing.T) {
-	var a, b Capture
-	tee := Tee(&a, &b)
-	tee.Event(Event{Kind: KindRun, N: 5})
-	if len(a.Events) != 1 || len(b.Events) != 1 {
-		t.Error("tee did not fan out")
+// TestBatcherAndDiscard: a Batcher hands its consumer full batches of
+// replayBatch in append order, Flush hands over the partial rest, and
+// Discard takes any batch.
+func TestBatcherAndDiscard(t *testing.T) {
+	var got struct {
+		Capture
+		sizes []int
 	}
-	Discard.Event(Event{}) // must not panic
+	b := NewBatcher(ConsumerFunc(func(evs []Event) {
+		got.sizes = append(got.sizes, len(evs))
+		got.EventBatch(evs)
+	}))
+	want := recordTestEvents(2*replayBatch + 5)
+	for _, ev := range want {
+		b.Add(ev)
+	}
+	if !reflect.DeepEqual(got.sizes, []int{replayBatch, replayBatch}) {
+		t.Errorf("batches before Flush = %v, want two full batches", got.sizes)
+	}
+	b.Flush()
+	b.Flush() // nothing buffered: no empty batch
+	if !reflect.DeepEqual(got.sizes, []int{replayBatch, replayBatch, 5}) {
+		t.Errorf("batches = %v, want two full batches and the rest", got.sizes)
+	}
+	if !reflect.DeepEqual(got.Events, want) {
+		t.Error("batcher reordered or dropped events")
+	}
+	Discard.EventBatch(want) // must not panic
 }
 
 func TestEventInstructions(t *testing.T) {

@@ -121,7 +121,8 @@ func runCPU2000(spec CPU2000Spec, seed int64, img *program.Image, out trace.Cons
 		}
 		fns[i] = id
 	}
-	tr := trace.NewTracer(img, out, seed*31+7)
+	b := trace.NewBatcher(out)
+	tr := trace.NewTracer(img, b, seed*31+7)
 	rng := rand.New(rand.NewSource(seed * 131))
 	dataAddr := isa.DataBase
 
@@ -162,5 +163,6 @@ func runCPU2000(spec CPU2000Spec, seed int64, img *program.Image, out trace.Cons
 		}
 	}
 	tr.Exit()
+	b.Flush()
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 
 	"cgp/internal/faultinject"
 	"cgp/internal/obs"
+	"cgp/internal/program"
 	"cgp/internal/trace"
 )
 
@@ -296,6 +297,35 @@ func TestCancellationPartialResults(t *testing.T) {
 // fails fast with the context error — and must not poison the cache
 // for a later Run with a live context (satellite fix: the singleflight
 // layer used to cache errors forever).
+// TestCancelRecordingStopsWithinOneBatch: runWorkload polls the
+// context once per batch on the record path as on the live one, so a
+// recording cancelled at event n hands its recorder at most one more
+// batch (the 512 events a Batcher holds) and fails with the context's
+// error.
+func TestCancelRecordingStopsWithinOneBatch(t *testing.T) {
+	const n, batch = 5000, 512
+	w := WiscProf(DBOptions{Seed: 11, BufferFrames: 2048})
+	img := program.LayoutO5(w.NewRegistry())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := trace.NewRecorder()
+	c := faultinject.CancelAfter(rec, n, cancel)
+	err := runWorkload(ctx, w, img, func(evs []trace.Event) error {
+		c.EventBatch(evs)
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("runWorkload = %v, want context.Canceled", err)
+	}
+	rg, err := rec.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rg.Events(); got < n || got > n+batch {
+		t.Fatalf("recorder took %d events after a cancel at event %d, want at most %d", got, n, n+batch)
+	}
+}
+
 func TestCanceledContextEvicted(t *testing.T) {
 	r := NewRunner(chaosOpts(1))
 	ctx, cancel := context.WithCancel(context.Background())

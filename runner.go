@@ -446,17 +446,19 @@ func (r *Runner) profileFor(ctx context.Context, w *Workload) (*program.Profile,
 // recording too, and a live execution otherwise.
 func (r *Runner) collectProfiles(ctx context.Context, w *Workload) (*profiles, error) {
 	var (
-		pc  *trace.ProfileCollector
-		sc  *trace.SequenceCollector
-		col *passCell
+		pc   *trace.ProfileCollector
+		sc   *trace.SequenceCollector
+		cols []*passCell
 	)
 	_, err := r.pass(ctx, w, LayoutO5, sample.Config{}, func() []*passCell {
 		pc, sc = trace.NewProfileCollector(), trace.NewSequenceCollector(0)
-		col = &passCell{c: trace.Tee(pc, sc)}
-		return []*passCell{col}
+		cols = []*passCell{{c: pc}, {c: sc}}
+		return cols
 	})
-	if err == nil && col.err != nil {
-		err = col.err
+	for _, col := range cols {
+		if err == nil && col.err != nil {
+			err = col.err
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -514,7 +516,11 @@ func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout) (
 		r.opts.Log("record %-12s %s", w.Name, layout)
 		sp := r.obsSpan("record", "record").
 			Arg("workload", w.Name).Arg("layout", layout.String())
-		if err := runWorkload(ctx, w, img, rec); err != nil {
+		err = runWorkload(ctx, w, img, func(evs []trace.Event) error {
+			rec.EventBatch(evs)
+			return nil
+		})
+		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("cgp: record %s under %s: %w", w.Name, layout, err)
 		}
@@ -622,7 +628,6 @@ func (r *Runner) prepare(ctx context.Context, w *Workload, c hubCell) (*passCell
 	if r.hooks.wrapConsumer != nil {
 		b.c = r.hooks.wrapConsumer(w, cfg, b.c)
 	}
-	b.bc, _ = b.c.(trace.BatchConsumer)
 	return b, nil
 }
 
@@ -1020,12 +1025,11 @@ func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sampl
 		if cells := build(); len(cells) > 0 {
 			sp := span(cells, "live")
 			_, batch, _ := fanout(ctx, cells)
-			b := &batcher{buf: make([]trace.Event, 0, liveBatch), batch: batch}
-			if err = runWorkload(ctx, w, img, b); err == nil {
-				err = b.flush()
-			}
+			err = runWorkload(ctx, w, img, func(evs []trace.Event) error {
+				st.EventBatch(evs)
+				return batch(evs)
+			})
 			sp.End()
-			st = b.st
 		}
 	} else {
 		err = r.replayRetry(ctx, w, layout, func(ctx context.Context) (*trace.Recording, error) {
@@ -1059,15 +1063,14 @@ func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sampl
 	return st, err
 }
 
-// passCell is one consumer of a pass: a cell's configured CPU, or a
-// profile run's collectors (cpu nil).
+// passCell is one consumer of a pass: a cell's configured CPU, or one
+// of a profile run's collectors (cpu nil).
 type passCell struct {
 	cell hubCell
 	cpu  *cpu.CPU
 	gp   *core.CGP
-	c    trace.Consumer      // the CPU, possibly hook-wrapped
-	bc   trace.BatchConsumer // batch fast path when supported
-	err  *JobError           // set once the consumer panicked; no more events
+	c    trace.Consumer // the CPU, possibly hook-wrapped
+	err  *JobError      // set once the consumer panicked; no more events
 }
 
 // errNoLiveCells aborts a pass whose consumers have all panicked:
@@ -1094,15 +1097,7 @@ func fanout(ctx context.Context, cells []*passCell) (
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return feed(cells, func(b *passCell) {
-			if b.bc != nil {
-				b.bc.EventBatch(evs)
-				return
-			}
-			for i := range evs {
-				b.c.Event(evs[i])
-			}
-		})
+		return feed(cells, func(b *passCell) { b.c.EventBatch(evs) })
 	}
 	skip = func(events int64, instrs units.Instrs) error {
 		if err := ctx.Err(); err != nil {
@@ -1144,41 +1139,6 @@ func (b *passCell) call(fn func(*passCell)) {
 		}
 	}()
 	fn(b)
-}
-
-// liveBatch is how many live-executed events a pass hands over at a
-// time, matching a replay's batches.
-const liveBatch = 512
-
-// batcher counts a live execution's stream stats and buffers its
-// events into batches for a pass's fan-out. An error from the fan-out
-// aborts the execution the way cancellation does (runWorkload recovers
-// it).
-type batcher struct {
-	st    trace.Stats
-	buf   []trace.Event
-	batch func([]trace.Event) error
-}
-
-// Event implements trace.Consumer.
-func (b *batcher) Event(ev trace.Event) {
-	b.st.Event(ev)
-	b.buf = append(b.buf, ev)
-	if len(b.buf) == cap(b.buf) {
-		if err := b.flush(); err != nil {
-			panic(abortRun{err})
-		}
-	}
-}
-
-// flush hands the buffered events to the fan-out.
-func (b *batcher) flush() error {
-	if len(b.buf) == 0 {
-		return nil
-	}
-	err := b.batch(b.buf)
-	b.buf = b.buf[:0]
-	return err
 }
 
 // buildSoftwareCGP binds a profiled sequence table to an image's

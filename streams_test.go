@@ -28,23 +28,26 @@ func streamDigest(t *testing.T, rec *trace.Recording) string {
 	t.Helper()
 	h := sha256.New()
 	var b []byte
-	err := rec.Replay(trace.ConsumerFunc(func(ev trace.Event) {
-		b = b[:0]
-		b = append(b, byte(ev.Kind))
-		if ev.Taken {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
+	err := rec.ReplayBatch(func(evs []trace.Event) error {
+		for _, ev := range evs {
+			b = b[:0]
+			b = append(b, byte(ev.Kind))
+			if ev.Taken {
+				b = append(b, 1)
+			} else {
+				b = append(b, 0)
+			}
+			b = binary.LittleEndian.AppendUint64(b, uint64(ev.Addr))
+			b = binary.LittleEndian.AppendUint64(b, uint64(ev.Target))
+			b = binary.LittleEndian.AppendUint64(b, uint64(ev.CallerStart))
+			b = binary.LittleEndian.AppendUint32(b, uint32(ev.N))
+			b = binary.LittleEndian.AppendUint32(b, uint32(ev.Iters))
+			b = binary.LittleEndian.AppendUint32(b, uint32(ev.Fn))
+			b = binary.LittleEndian.AppendUint32(b, uint32(ev.Caller))
+			h.Write(b)
 		}
-		b = binary.LittleEndian.AppendUint64(b, uint64(ev.Addr))
-		b = binary.LittleEndian.AppendUint64(b, uint64(ev.Target))
-		b = binary.LittleEndian.AppendUint64(b, uint64(ev.CallerStart))
-		b = binary.LittleEndian.AppendUint32(b, uint32(ev.N))
-		b = binary.LittleEndian.AppendUint32(b, uint32(ev.Iters))
-		b = binary.LittleEndian.AppendUint32(b, uint32(ev.Fn))
-		b = binary.LittleEndian.AppendUint32(b, uint32(ev.Caller))
-		h.Write(b)
-	}))
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
