@@ -584,6 +584,28 @@ func TestFilterNextAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestIndexScanNextAllocatesNothing reads a warmed clustered key range:
+// each row's record is copied into the buffer the row before used, and
+// its record lock's state comes off the lock table's free list.
+func TestIndexScanNextAllocatesNothing(t *testing.T) {
+	v := newEnv(t, 400)
+	tbl := v.e.MustTable("nums")
+	s := exec.NewIndexScan(v.ctx, tbl.Indexes["k"], tbl.Heap, tbl.Schema, 0, 399)
+	if err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	next := func() {
+		if _, ok, err := s.Next(); !ok || err != nil {
+			t.Fatalf("Next: %v %v", ok, err)
+		}
+	}
+	next() // sizes the record buffer and pools the lock state
+	if n := testing.AllocsPerRun(100, next); n != 0 {
+		t.Errorf("IndexScan.Next allocates %.1f times per row", n)
+	}
+}
+
 // TestHashAggregateUpdateAllocatesNothing aggregates 8 and then 808
 // rows of the same four groups: every row past a group's first updates
 // it in place, so both runs allocate exactly the same.

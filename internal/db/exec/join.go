@@ -135,6 +135,7 @@ type IndexNLJoin struct {
 	curOuter catalog.Tuple
 	curKey   int64
 	haveOut  bool
+	buf      []byte // the inner record, reused row to row
 }
 
 // NewIndexNLJoin builds an index nested-loops join. The optional prefix
@@ -194,10 +195,11 @@ func (j *IndexNLJoin) Next() (catalog.Tuple, bool, error) {
 			j.haveOut = false
 			continue
 		}
-		rec, err := j.File.ReadRec(j.Ctx.Txn, rid)
+		rec, err := j.File.ReadRec(j.Ctx.Txn, rid, j.buf)
 		if err != nil {
 			return catalog.Tuple{}, false, err
 		}
+		j.buf = rec
 		inner := catalog.Tuple{Schema: j.InnerSch, Buf: rec}
 		return j.out.emit(j.curOuter, inner), true, nil
 	}

@@ -100,7 +100,9 @@ func (s *IndexScan) Next() (catalog.Tuple, bool, error) {
 	if err != nil || !ok {
 		return catalog.Tuple{}, false, err
 	}
-	rec, err := s.File.ReadRec(s.Ctx.Txn, rid)
+	// The record lands in the buffer the previous row used: a returned
+	// tuple is valid only until the next Next.
+	rec, err := s.File.ReadRec(s.Ctx.Txn, rid, s.buf)
 	if err != nil {
 		return catalog.Tuple{}, false, fmt.Errorf("index scan: %w", err)
 	}
@@ -127,7 +129,7 @@ func Fetch(ctx *Context, tree *index.Tree, file *heap.File, sch *catalog.Schema,
 	if err != nil {
 		return catalog.Tuple{}, false, nil // absent key is not an error here
 	}
-	rec, err := file.ReadRec(ctx.Txn, rid)
+	rec, err := file.ReadRec(ctx.Txn, rid, nil)
 	if err != nil {
 		return catalog.Tuple{}, false, err
 	}

@@ -210,8 +210,9 @@ func (f *File) extend(t *txn.Txn) (*storage.Frame, error) {
 	return frame, nil
 }
 
-// ReadRec copies the record at rid into a fresh slice.
-func (f *File) ReadRec(t *txn.Txn, rid storage.RID) ([]byte, error) {
+// ReadRec copies the record at rid into buf, reusing its storage when it
+// has room, and returns the copy. A nil buf gets a fresh slice.
+func (f *File) ReadRec(t *txn.Txn, rid storage.RID, buf []byte) ([]byte, error) {
 	f.pr.Enter(f.fns.ReadRec)
 	defer f.pr.Exit()
 	f.pr.Work(14)
@@ -234,9 +235,7 @@ func (f *File) ReadRec(t *txn.Txn, rid storage.RID) ([]byte, error) {
 	f.pr.Enter(f.fns.MemcpyRec)
 	f.pr.Work(8 + len(rec)/16)
 	f.pr.Exit()
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
+	return append(buf[:0], rec...), nil
 }
 
 // UpdateRec overwrites the record at rid in place.

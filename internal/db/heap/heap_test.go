@@ -49,8 +49,9 @@ func TestCreateAndRead(t *testing.T) {
 	if e.file.NumRecords() != 50 {
 		t.Errorf("records = %d", e.file.NumRecords())
 	}
+	var buf []byte // each read reuses the last one's buffer
 	for i, rid := range rids {
-		got, err := e.file.ReadRec(tx, rid)
+		got, err := e.file.ReadRec(tx, rid, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,6 +59,7 @@ func TestCreateAndRead(t *testing.T) {
 		if string(got) != want {
 			t.Errorf("rid %v = %q, want %q", rid, got, want)
 		}
+		buf = got
 	}
 	e.txns.Commit(tx)
 	if e.pool.PinnedFrames() != 0 {
@@ -86,14 +88,14 @@ func TestUpdateAndDelete(t *testing.T) {
 	if err := e.file.UpdateRec(tx, rid, []byte("updated!!")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := e.file.ReadRec(tx, rid)
+	got, _ := e.file.ReadRec(tx, rid, nil)
 	if string(got) != "updated!!" {
 		t.Errorf("after update: %q", got)
 	}
 	if err := e.file.DeleteRec(tx, rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.file.ReadRec(tx, rid); err == nil {
+	if _, err := e.file.ReadRec(tx, rid, nil); err == nil {
 		t.Error("read of deleted record succeeded")
 	}
 	if e.file.NumRecords() != 0 {

@@ -1,6 +1,6 @@
 // Package lock is the concurrency-control substrate: a table of shared/
 // exclusive locks keyed by abstract resource IDs (pages, records), with
-// per-owner bookkeeping for two-phase release. Queries in the simulated
+// reentrant holders and two-phase release. Queries in the simulated
 // workloads run cooperatively, so a conflict is an error rather than a
 // wait — the instrumented code path (the paper's Lock_page/Unlock_page,
 // lock_record) is what matters for the I-cache study.
@@ -69,12 +69,50 @@ func RegisterFuncs(reg *program.Registry) Funcs {
 	}
 }
 
-// lockState is one locked resource. A state whose last holder leaves
-// returns, with its (then empty) holder map, to the Manager's free list.
+// lockState is one locked resource. Its first holder sits inline
+// (owner and count); further shared holders go in more, which is made
+// when a second holder arrives. A state whose last holder leaves
+// returns, with more (then empty) kept, to the Manager's free list.
 type lockState struct {
-	mode    Mode
-	holders map[Owner]int // owner -> acquisition count (reentrant)
-	next    *lockState    // free-list link
+	mode  Mode
+	owner Owner         // the inline holder, when count > 0
+	count int           // the inline holder's acquisition count (reentrant)
+	more  map[Owner]int // further holder -> acquisition count
+	next  *lockState    // free-list link
+}
+
+// countOf returns how many times o holds the lock.
+func (st *lockState) countOf(o Owner) int {
+	if st.count > 0 && st.owner == o {
+		return st.count
+	}
+	return st.more[o]
+}
+
+// set records n acquisitions by o; n == 0 drops o as a holder. o takes
+// the inline slot when it is there already, or when the slot is free
+// and o is not in more.
+func (st *lockState) set(o Owner, n int) {
+	if st.count > 0 && st.owner == o || st.count == 0 && st.more[o] == 0 {
+		st.owner, st.count = o, n
+		return
+	}
+	if n == 0 {
+		delete(st.more, o)
+		return
+	}
+	if st.more == nil {
+		st.more = make(map[Owner]int)
+	}
+	st.more[o] = n
+}
+
+// holders returns the number of distinct holders.
+func (st *lockState) holders() int {
+	if st.count > 0 {
+		return 1 + len(st.more)
+	}
+	return len(st.more)
 }
 
 // Stats counts lock-manager activity.
@@ -85,10 +123,11 @@ type Stats struct {
 	Conflicts int64
 }
 
-// Manager is the lock table.
+// Manager is the lock table. It keeps no per-owner index: every engine
+// lock is released before the call that took it returns, so the table
+// stays a handful of entries, and ReleaseAll and HeldBy walk it.
 type Manager struct {
 	table map[Resource]*lockState
-	held  map[Owner]map[Resource]struct{}
 	free  *lockState // released states, at most the peak number held at once
 	pr    *probe.Probe
 	fns   Funcs
@@ -99,7 +138,6 @@ type Manager struct {
 func NewManager(pr *probe.Probe, fns Funcs) *Manager {
 	return &Manager{
 		table: make(map[Resource]*lockState),
-		held:  make(map[Owner]map[Resource]struct{}),
 		pr:    pr,
 		fns:   fns,
 	}
@@ -150,24 +188,22 @@ func (m *Manager) acquire(o Owner, r Resource, mode Mode) error {
 	st := m.table[r]
 	if st == nil {
 		st = m.newState()
-		st.mode = mode
-		st.holders[o] = 1
+		st.mode, st.owner, st.count = mode, o, 1
 		m.table[r] = st
-		m.record(o, r)
 		m.stats.Acquires++
 		return nil
 	}
-	if n := st.holders[o]; n > 0 {
+	if n := st.countOf(o); n > 0 {
 		// Reentrant; upgrade if needed and possible.
 		if mode == Exclusive && st.mode == Shared {
-			if len(st.holders) > 1 {
+			if st.holders() > 1 {
 				m.stats.Conflicts++
 				return fmt.Errorf("lock: upgrade conflict on %#x", uint64(r))
 			}
 			st.mode = Exclusive
 			m.stats.Upgrades++
 		}
-		st.holders[o] = n + 1
+		st.set(o, n+1)
 		m.stats.Acquires++
 		return nil
 	}
@@ -175,8 +211,7 @@ func (m *Manager) acquire(o Owner, r Resource, mode Mode) error {
 		m.stats.Conflicts++
 		return fmt.Errorf("lock: %s conflict on %#x", mode, uint64(r))
 	}
-	st.holders[o] = 1
-	m.record(o, r)
+	st.set(o, 1)
 	m.stats.Acquires++
 	return nil
 }
@@ -187,19 +222,16 @@ func (m *Manager) release(o Owner, r Resource) {
 	defer m.pr.Exit()
 	m.pr.Work(18)
 	st := m.table[r]
-	if st == nil || st.holders[o] == 0 {
+	if st == nil {
 		return // releasing an unheld lock is a no-op, as in SHORE
 	}
-	m.stats.Releases++
-	st.holders[o]--
-	if st.holders[o] > 0 {
+	n := st.countOf(o)
+	if n == 0 {
 		return
 	}
-	delete(st.holders, o)
-	if set := m.held[o]; set != nil {
-		delete(set, r)
-	}
-	if len(st.holders) == 0 {
+	m.stats.Releases++
+	st.set(o, n-1)
+	if st.holders() == 0 {
 		m.freeState(r, st)
 	}
 }
@@ -208,7 +240,7 @@ func (m *Manager) release(o Owner, r Resource) {
 func (m *Manager) newState() *lockState {
 	st := m.free
 	if st == nil {
-		return &lockState{holders: make(map[Owner]int)}
+		return &lockState{}
 	}
 	m.free = st.next
 	st.next = nil
@@ -226,34 +258,28 @@ func (m *Manager) freeState(r Resource, st *lockState) {
 // ReleaseAll drops every lock held by o (end of transaction: the release
 // phase of two-phase locking).
 func (m *Manager) ReleaseAll(o Owner) {
-	set := m.held[o]
-	for r := range set {
-		st := m.table[r]
-		if st == nil {
+	for r, st := range m.table {
+		if st.countOf(o) == 0 {
 			continue
 		}
-		if st.holders[o] > 0 {
-			m.stats.Releases++
-		}
-		delete(st.holders, o)
-		if len(st.holders) == 0 {
+		m.stats.Releases++
+		st.set(o, 0)
+		if st.holders() == 0 {
 			m.freeState(r, st)
 		}
 	}
-	delete(m.held, o)
 }
 
 // HeldBy returns how many resources o currently holds.
-func (m *Manager) HeldBy(o Owner) int { return len(m.held[o]) }
+func (m *Manager) HeldBy(o Owner) int {
+	n := 0
+	for _, st := range m.table {
+		if st.countOf(o) > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // Outstanding returns the number of locked resources.
 func (m *Manager) Outstanding() int { return len(m.table) }
-
-func (m *Manager) record(o Owner, r Resource) {
-	set := m.held[o]
-	if set == nil {
-		set = make(map[Resource]struct{})
-		m.held[o] = set
-	}
-	set[r] = struct{}{}
-}

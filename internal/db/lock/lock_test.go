@@ -282,7 +282,7 @@ func TestLockRecordPairAllocatesNothing(t *testing.T) {
 		}
 		m.UnlockRecord(1, 7, 3)
 	}
-	pair() // the first pair allocates the lock state and the owner's set
+	pair() // the first pair allocates the lock state
 	if n := testing.AllocsPerRun(100, pair); n != 0 {
 		t.Errorf("a warmed LockRecord/UnlockRecord pair allocates %.1f times", n)
 	}

@@ -129,14 +129,14 @@ func TestRecoverUpdateAndDelete(t *testing.T) {
 	recovered := e.crash(t)
 
 	tx2 := e.txns.Begin()
-	got, err := recovered.ReadRec(tx2, ridA)
+	got, err := recovered.ReadRec(tx2, ridA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "AAAAAAAA" {
 		t.Errorf("recovered update = %q", got)
 	}
-	if _, err := recovered.ReadRec(tx2, ridB); err == nil {
+	if _, err := recovered.ReadRec(tx2, ridB, nil); err == nil {
 		t.Error("deleted record came back after recovery")
 	}
 }

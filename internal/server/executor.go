@@ -40,12 +40,22 @@ type executor struct {
 	deadline units.WallNanos // per-query budget; <= 0 disables
 	maxRows  int
 	wall     *obs.WallRegistry
+
+	// Drain scratch, reused query to query under mu: the result's cell
+	// text and the end offset of each cell in it.
+	text []byte
+	ends []int
 }
 
 // deadlinePollRows is how many tuples flow between wall-clock and
 // cancellation checks during a drain: rare enough to stay off the
 // per-tuple cost, frequent enough to bound overshoot.
 const deadlinePollRows = 64
+
+// drainKeep bounds the drain scratch kept between queries: a result of
+// more cells, or more bytes of cell text, leaves its scratch to the
+// collector.
+const drainKeep = 64 << 10
 
 // parseCachedWork is the probe Work cost booked for a parse that was
 // served from the prepared-statement cache (a hash lookup, not a full
@@ -224,7 +234,7 @@ func (x *executor) drain(ctx context.Context, ectx *exec.Context, it exec.Iterat
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
-	res := &Result{}
+	text, ends := x.text[:0], x.ends[:0]
 	var n int64
 	for {
 		if n%deadlinePollRows == 0 {
@@ -253,19 +263,22 @@ func (x *executor) drain(ctx context.Context, ectx *exec.Context, it exec.Iterat
 			}
 			continue
 		}
-		if len(res.Rows) >= x.maxRows {
+		if n > int64(x.maxRows) {
 			it.Close()
 			return nil, fmt.Errorf("%w: result exceeds %d rows", ErrTooLarge, x.maxRows)
 		}
-		res.Rows = append(res.Rows, stringifyTuple(t))
+		text, ends = appendCells(text, ends, t)
 	}
 	if err := it.Close(); err != nil {
 		return nil, err
 	}
 	if into != nil {
-		res.Materialized = n
-	} else {
-		res.Cols = colNames(it.Schema())
+		return &Result{Materialized: n}, nil
+	}
+	cols := colNames(it.Schema())
+	res := &Result{Cols: cols, Rows: rowsOf(text, ends, int(n), len(cols))}
+	if cap(text) <= drainKeep && cap(ends) <= drainKeep {
+		x.text, x.ends = text, ends
 	}
 	return res, nil
 }
@@ -279,16 +292,30 @@ func colNames(s *catalog.Schema) []string {
 	return cols
 }
 
-// stringifyTuple renders one row for the wire. Tuples may alias
-// operator state, so the cells are copied out here.
-func stringifyTuple(t catalog.Tuple) []string {
-	row := make([]string, t.Schema.NumCols())
-	for i := range row {
+// appendCells renders one row for the wire: each cell's text goes on
+// text and its end offset on ends. Tuples may alias operator state, so
+// the cells are copied out here.
+func appendCells(text []byte, ends []int, t catalog.Tuple) ([]byte, []int) {
+	for i := 0; i < t.Schema.NumCols(); i++ {
 		if t.Schema.Col(i).Type == catalog.Int {
-			row[i] = strconv.FormatInt(t.Int(i), 10)
+			text = strconv.AppendInt(text, t.Int(i), 10)
 		} else {
-			row[i] = t.Str(i)
+			text = append(text, t.StrBytes(i)...)
 		}
+		ends = append(ends, len(text))
 	}
-	return row
+	return text, ends
+}
+
+// rowsOf cuts nrows rows of ncols cells out of appendCells' output.
+// All the cells share one string and one slice.
+func rowsOf(text []byte, ends []int, nrows, ncols int) [][]string {
+	all := string(text)
+	cells := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		cells[i] = all[start:end]
+		start = end
+	}
+	return cutRows(cells, nrows, ncols)
 }

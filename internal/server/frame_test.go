@@ -2,6 +2,8 @@ package server
 
 import (
 	"errors"
+	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -33,13 +35,30 @@ func TestFrameHeaderRejectsShort(t *testing.T) {
 	}
 }
 
-func TestResultRoundTrip(t *testing.T) {
-	in := &Result{
-		Cols:         []string{"unique1", "stringu1"},
-		Rows:         [][]string{{"1", "abc"}, {"2", ""}, {"-7", "x y z"}},
-		Materialized: 0,
+// rowsResult and materializedResult are the round-trip tests' results;
+// with garbageResults they seed FuzzDecodeResult.
+var (
+	rowsResult = &Result{
+		Cols: []string{"unique1", "stringu1"},
+		Rows: [][]string{{"1", "abc"}, {"2", ""}, {"-7", "x y z"}},
 	}
-	buf := encodeResult(nil, in)
+	materializedResult = &Result{Materialized: 12345}
+)
+
+// garbageResults are payloads decodeResult must reject.
+var garbageResults = [][]byte{
+	{},                                // empty
+	{0xff},                            // truncated uvarint
+	{0, 2, 1, 'a'},                    // promises 2 cols, delivers 1
+	{0, 1, 5, 'a', 'b'},               // string length beyond payload
+	{0, 0, 1},                         // a row of no columns
+	{0, 0, 0x80, 0x80, 0x80, 0x20},    // 64<<20 rows of no columns
+	{0, 1, 1, 'c', 3, 1, 'x', 1, 'y'}, // promises 3 rows, delivers 2
+	{0, 1, 1, 'c', 1, 1, 'x', 0},      // trailing bytes after the rows
+}
+
+func TestResultRoundTrip(t *testing.T) {
+	buf := encodeResult(nil, rowsResult)
 	out, err := decodeResult(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +72,7 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestResultRoundTripMaterialized(t *testing.T) {
-	buf := encodeResult(nil, &Result{Materialized: 12345})
+	buf := encodeResult(nil, materializedResult)
 	out, err := decodeResult(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -64,16 +83,67 @@ func TestResultRoundTripMaterialized(t *testing.T) {
 }
 
 func TestDecodeResultRejectsGarbage(t *testing.T) {
-	for _, p := range [][]byte{
-		{},                  // empty
-		{0xff},              // truncated uvarint
-		{0, 2, 1, 'a'},      // promises 2 cols, delivers 1
-		{0, 1, 5, 'a', 'b'}, // string length beyond payload
-	} {
+	for _, p := range garbageResults {
 		if _, err := decodeResult(p); err == nil {
 			t.Fatalf("decodeResult(%v) accepted garbage", p)
 		}
 	}
+}
+
+// TestDecodeResultAllocsIndependentOfRows decodes 1 and then 100 rows
+// of one column: the rows share one string and one cell slice, so both
+// decodes allocate exactly the same.
+func TestDecodeResultAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(n int) float64 {
+		res := &Result{Cols: []string{"unique1"}}
+		for i := 0; i < n; i++ {
+			res.Rows = append(res.Rows, []string{strconv.Itoa(1000 + i)})
+		}
+		p := encodeResult(nil, res)
+		return testing.AllocsPerRun(20, func() {
+			if out, err := decodeResult(p); err != nil || len(out.Rows) != n {
+				t.Fatalf("decode: %v", err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(100); one != many {
+		t.Errorf("decoding 1 row allocates %.0f times, 100 rows %.0f", one, many)
+	}
+}
+
+// FuzzDecodeResult feeds decodeResult arbitrary payloads. It must not
+// panic and may fail only with ErrMalformed. A payload it accepts must
+// re-encode to one that decodes to an equal Result, and appending to a
+// decoded row must leave the next row as it was.
+func FuzzDecodeResult(f *testing.F) {
+	f.Add(encodeResult(nil, rowsResult))
+	f.Add(encodeResult(nil, materializedResult))
+	for _, p := range garbageResults {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		res, err := decodeResult(p)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("error %v is not ErrMalformed", err)
+			}
+			return
+		}
+		again, err := decodeResult(encodeResult(nil, res))
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", res, err)
+		}
+		if !reflect.DeepEqual(res, again) {
+			t.Fatalf("round trip changed the result:\n%+v\n%+v", res, again)
+		}
+		for i := 0; i+1 < len(res.Rows); i++ {
+			next := append([]string(nil), res.Rows[i+1]...)
+			_ = append(res.Rows[i], "appended")
+			if !reflect.DeepEqual(res.Rows[i+1], next) {
+				t.Fatalf("appending to row %d changed row %d to %q", i, i+1, res.Rows[i+1])
+			}
+		}
+	})
 }
 
 func TestErrorCodesRoundTrip(t *testing.T) {

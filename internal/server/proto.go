@@ -50,7 +50,8 @@ func encodeResult(buf []byte, res *Result) []byte {
 	return buf
 }
 
-// decodeResult parses a msgResult payload.
+// decodeResult parses a msgResult payload. The cells of all rows are
+// cut from one string, a copy of the row section, and share one slice.
 func decodeResult(p []byte) (*Result, error) {
 	mat, used := binary.Uvarint(p)
 	if used <= 0 {
@@ -62,7 +63,7 @@ func decodeResult(p []byte) (*Result, error) {
 		return nil, ErrMalformed
 	}
 	p = p[used:]
-	res := &Result{Materialized: int64(mat)}
+	var cols []string
 	for i := uint64(0); i < ncols; i++ {
 		var (
 			c   string
@@ -71,27 +72,49 @@ func decodeResult(p []byte) (*Result, error) {
 		if c, p, err = takeString(p, maxResponseFrame); err != nil {
 			return nil, err
 		}
-		res.Cols = append(res.Cols, c)
+		cols = append(cols, c)
 	}
 	nrows, used := binary.Uvarint(p)
-	if used <= 0 || nrows > maxResponseFrame {
+	if used <= 0 {
 		return nil, ErrMalformed
 	}
 	p = p[used:]
-	for i := uint64(0); i < nrows; i++ {
-		row := make([]string, ncols)
-		for j := range row {
-			var err error
-			if row[j], p, err = takeString(p, maxResponseFrame); err != nil {
-				return nil, err
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if len(p) != 0 {
+	// Every cell takes at least its length byte, and no row is empty:
+	// rows that cannot fit in the bytes left are rejected before any is
+	// allocated.
+	if nrows > 0 && (ncols == 0 || nrows > uint64(len(p))/ncols) {
 		return nil, ErrMalformed
 	}
-	return res, nil
+	all := string(p)
+	cells := make([]string, nrows*ncols)
+	off := 0
+	for i := range cells {
+		n, used := binary.Uvarint(p[off:])
+		if used <= 0 || n > uint64(len(p)-off-used) {
+			return nil, ErrMalformed
+		}
+		off += used
+		cells[i] = all[off : off+int(n)]
+		off += int(n)
+	}
+	if off != len(p) {
+		return nil, ErrMalformed
+	}
+	return &Result{Cols: cols, Rows: cutRows(cells, int(nrows), int(ncols)), Materialized: int64(mat)}, nil
+}
+
+// cutRows cuts nrows rows of ncols cells each out of cells, or returns
+// nil for no rows. Each row is capped at its own cells, so appending to
+// one cannot overwrite the next.
+func cutRows(cells []string, nrows, ncols int) [][]string {
+	if nrows == 0 {
+		return nil
+	}
+	rows := make([][]string, nrows)
+	for i := range rows {
+		rows[i] = cells[i*ncols : (i+1)*ncols : (i+1)*ncols]
+	}
+	return rows
 }
 
 // encodeError appends a wire error payload: one code byte + message.
