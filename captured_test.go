@@ -34,8 +34,10 @@ var capturedScript = []string{
 // sealScriptedCapture serves script over one connection through a real
 // server with every query captured (SampleEvery=1) and seals the
 // recording to a temp file, returning its path and the recording — the
-// same artifact `cgpserve -capture` writes on graceful shutdown.
-func sealScriptedCapture(t *testing.T, script []string) (string, *trace.Recording) {
+// same artifact `cgpserve -capture` writes on graceful shutdown. A
+// nonzero traceBase tags the queries with trace IDs traceBase+1, ...,
+// so the capture carries query tags.
+func sealScriptedCapture(t *testing.T, script []string, traceBase uint64) (string, *trace.Recording) {
 	t.Helper()
 	e := db.NewEngine(db.Options{BufferFrames: 2048})
 	if err := (workload.WisconsinDB{N: 300}).Load(e, 42); err != nil {
@@ -52,6 +54,9 @@ func sealScriptedCapture(t *testing.T, script []string) (string, *trace.Recordin
 	if err != nil {
 		cancel()
 		t.Fatal(err)
+	}
+	if traceBase != 0 {
+		c.SetTraceBase(traceBase)
 	}
 	for _, q := range script {
 		if _, err := c.Query(q); err != nil {
@@ -92,7 +97,7 @@ func capturedRunnerOpts() RunnerOptions {
 }
 
 func TestCapturedWorkloadRoundTrip(t *testing.T) {
-	path, _ := sealScriptedCapture(t, capturedScript)
+	path, _ := sealScriptedCapture(t, capturedScript, 0)
 
 	// The capture loads as a workload like any other, and synthesizes
 	// a stable address-level stream.

@@ -1,9 +1,6 @@
 package cpu
 
 import (
-	"math/bits"
-
-	"cgp/internal/branch"
 	"cgp/internal/cache"
 	"cgp/internal/isa"
 	"cgp/internal/prefetch"
@@ -27,37 +24,30 @@ type lineMeta struct {
 	qissuer  int32
 }
 
-// dataMeta is the per-L1D-line state.
-type dataMeta struct {
-	dirty bool
-}
-
 // CPU consumes a trace and accounts execution cycles. It implements
-// trace.Consumer.
+// trace.Consumer. A CPU is a back end fed by a Frontend (see
+// frontend.go): its own, or one it shares with the other cells of a
+// pass.
 type CPU struct {
 	cfg Config
 
+	// fe decodes the events c consumes. shared says it also feeds other
+	// CPUs, so its owner, not c, drives it.
+	fe     *Frontend
+	shared bool
+
 	l1i *cache.Cache[lineMeta]
-	l1d *cache.Cache[dataMeta]
 	l2  *cache.Cache[struct{}]
 
-	bp  *branch.Predictor
-	ras *branch.RAS
-	pf  prefetch.Prefetcher
+	pf prefetch.Prefetcher
 
 	// issueFn is the prefetch sink handed to the prefetcher on every
 	// fetch/call/return. It is bound once here: creating the method
 	// value at each call site would heap-allocate a closure per event.
 	issueFn prefetch.Issue
 
-	cycle      units.Cycles
-	instrCarry units.Instrs
-	busFreeAt  units.Cycles
-
-	// fetchShift is log2(FetchWidth) when the width is a power of two
-	// (-1 otherwise), so addThroughput's per-event div/mod reduces to a
-	// shift and mask.
-	fetchShift int
+	cycle     units.Cycles
+	busFreeAt units.Cycles
 
 	// fifo is the prefetch queue: value-typed ring + line index (see
 	// inflight.go).
@@ -77,11 +67,6 @@ type CPU struct {
 	// says nothing and is probed.
 	present [squashSlots]cache.Line
 
-	// Loop events carry their own branch accounting (the predictor is
-	// not consulted per compressed iteration).
-	loopBranches    int64
-	loopMispredicts int64
-
 	// attr is the per-function and per-query attribution collector,
 	// nil unless EnableAttribution was called. Every hook below is
 	// guarded by the nil check, so the disabled case costs one
@@ -93,6 +78,7 @@ type CPU struct {
 	// nil check per batch.
 	smp *sampler
 
+	// stats holds the back end's counters; Finish adds the front end's.
 	stats Stats
 }
 
@@ -108,29 +94,40 @@ const (
 	noLine = ^cache.Line(0)
 )
 
-// New builds a CPU with the given prefetcher (nil means no prefetching).
+// New builds a CPU with the given prefetcher (nil means no prefetching),
+// fed by a front end of its own.
 func New(cfg Config, pf prefetch.Prefetcher) *CPU {
 	if pf == nil {
 		pf = prefetch.None{}
 	}
 	c := &CPU{
 		cfg: cfg,
+		fe:  NewFrontend(cfg),
 		l1i: cache.New[lineMeta](cfg.L1I),
-		l1d: cache.New[dataMeta](cfg.L1D),
 		l2:  cache.New[struct{}](cfg.L2),
-		bp:  branch.NewPredictor(cfg.BranchEntries),
-		ras: branch.NewRAS(cfg.RASDepth),
 		pf:  pf,
 	}
 	c.issueFn = c.issue
 	c.fifo.init()
 	c.forgetPresent()
-	c.fetchShift = -1
-	if w := cfg.FetchWidth; w > 0 && w&(w-1) == 0 {
-		c.fetchShift = bits.TrailingZeros(uint(w))
-	}
 	return c
 }
+
+// UseFrontend feeds c from f, a front end shared with other CPUs,
+// instead of its own. Call it before c consumes anything, after
+// EnableSampling if c samples; f must have been built for c's config
+// and sample as c does. From then on the caller drives f: it calls
+// f.Decode for each batch and then RunOps on every CPU f feeds, and
+// f.BeginSpan and f.SkipSpan after the CPUs' own.
+func (c *CPU) UseFrontend(f *Frontend) {
+	if f.cfg != c.cfg.FrontendKey() || f.sampling != (c.smp != nil) {
+		panic("cpu: UseFrontend: the front end was built for another config")
+	}
+	c.fe, c.shared = f, true
+}
+
+// Config returns the configuration c was built with.
+func (c *CPU) Config() Config { return c.cfg }
 
 // Prefetcher returns the attached prefetcher.
 func (c *CPU) Prefetcher() prefetch.Prefetcher { return c.pf }
@@ -154,58 +151,113 @@ func (c *CPU) AttributionEnabled() bool { return c.attr != nil }
 // Cycle returns the current cycle count.
 func (c *CPU) Cycle() units.Cycles { return c.cycle }
 
-// EventBatch implements trace.Consumer. It is the simulator's entry
-// point: the whole subtree below it (cache scans, predictor updates,
+// decodeChunk bounds how many events EventBatch decodes at once, so the
+// op buffer of a private front end stays one replay batch's size.
+const decodeChunk = 512
+
+// EventBatch implements trace.Consumer: c's own front end decodes the
+// batch and RunOps runs it. It is the simulator's entry point: the
+// whole subtree below it (decoding, cache scans, predictor updates,
 // prefetcher hooks, ring bookkeeping) must stay free of heap
 // allocation, which allocfree verifies statically and
-// TestEventLoopDoesNotAllocate re-checks at runtime. A sampled CPU
-// routes the batch by the current span's kind; span boundaries fall
-// between batches.
+// TestEventLoopDoesNotAllocate re-checks at runtime. A CPU on a shared
+// front end is fed through RunOps instead.
 //
 //cgplint:hotpath
 func (c *CPU) EventBatch(evs []trace.Event) {
-	if s := c.smp; s != nil {
-		switch s.mode {
-		case trace.SpanFunctionalWarm:
-			s.ffEvents += int64(len(evs))
-			for i := range evs {
-				c.ffEvent(&evs[i])
-			}
-			return
-		case trace.SpanMeasure:
-			s.measuredEvents += int64(len(evs))
-		default:
-			s.warmEvents += int64(len(evs))
-		}
+	if c.shared {
+		panic("cpu: EventBatch on a CPU fed by a shared front end")
 	}
-	for i := range evs {
-		c.event(evs[i])
+	for len(evs) > 0 {
+		n := min(len(evs), decodeChunk)
+		c.fe.Decode(evs[:n])
+		c.RunOps()
+		evs = evs[n:]
 	}
 }
 
-func (c *CPU) event(ev trace.Event) {
-	switch ev.Kind {
-	case trace.KindRun:
-		c.run(ev.Addr, int(ev.N))
-	case trace.KindLoop:
-		c.loop(ev.Addr, int(ev.N), int(ev.Iters))
-	case trace.KindBranch:
-		c.branch(ev)
-	case trace.KindCall:
-		c.call(ev)
-	case trace.KindReturn:
-		c.ret(ev)
-	case trace.KindData:
-		c.data(ev)
-	case trace.KindSwitch:
-		c.contextSwitch()
-	case trace.KindQueryTag:
-		// A tagged live capture scopes the batch that follows to one
-		// query's trace ID; without attribution the tag is inert.
-		if c.attr != nil {
-			c.attr.enterQuery(uint64(ev.Addr))
+// RunOps runs the ops of the batch c's front end decoded last through
+// c's back end. A sampled CPU runs them by the current span's kind:
+// functional warming (see sample.go) moves the caches and the
+// prefetcher's call-graph history but takes no time, so its ops carry
+// no cycles. Span boundaries fall between batches.
+//
+//cgplint:hotpath
+func (c *CPU) RunOps() {
+	f := c.fe
+	ff, issue := false, c.issueFn
+	if s := c.smp; s != nil {
+		switch s.mode {
+		case trace.SpanFunctionalWarm:
+			s.ffEvents += int64(f.events)
+			ff, issue = true, s.ffIssueFn
+		case trace.SpanMeasure:
+			s.measuredEvents += int64(f.events)
+		default:
+			s.warmEvents += int64(f.events)
 		}
 	}
+	perfect := c.cfg.PerfectICache
+	ops := f.ops[:f.n]
+	for i := 0; i < len(ops); i++ {
+		o := &ops[i]
+		c.cycle += units.Cycles(o.delta)
+		switch o.kind {
+		case opFetch:
+			switch {
+			case perfect:
+			case ff:
+				c.ffFetchLine(o.addr)
+			default:
+				c.fetchLine(o.addr)
+			}
+		case opCall:
+			if c.attr != nil {
+				// The callee becomes the executing function before the
+				// prefetcher runs, so prefetches triggered by this call
+				// (CGP's callee-entry prefetch) attribute to the function
+				// being entered — the function whose lines they fetch.
+				c.attr.enter(o.addr)
+			}
+			i++
+			if !perfect {
+				c.pf.OnCall(o.addr, ops[i].addr, issue)
+			}
+		case opReturn:
+			caller, pred := ops[i+1].addr, ops[i+2].addr
+			i += 2
+			if c.attr != nil {
+				// The *actual* caller from the trace, not the RAS
+				// prediction: attribution follows real control flow even
+				// when the RAS is wrong (the prediction only decides what
+				// CGP looks up).
+				c.attr.enter(caller)
+			}
+			if !perfect {
+				c.pf.OnReturn(pred, o.addr, issue)
+			}
+		case opDataMiss:
+			if ff {
+				c.l2Fill(cache.Line(isa.Line(o.addr)))
+			} else {
+				c.dataMiss(o.addr, o.dirty)
+			}
+		case opSwitch:
+			if c.attr != nil {
+				// The next batch belongs to no query until its own tag
+				// arrives: an untagged batch must not smear onto the
+				// previous query.
+				c.attr.leaveQuery()
+			}
+		case opQueryTag:
+			// A tagged live capture scopes the batch that follows to one
+			// query's trace ID; without attribution the tag is inert.
+			if c.attr != nil {
+				c.attr.enterQuery(uint64(o.addr))
+			}
+		}
+	}
+	c.cycle += f.tail
 }
 
 // Finish flushes residual accounting (the useless-prefetch count of
@@ -213,14 +265,10 @@ func (c *CPU) event(ev trace.Event) {
 // end-of-run truncation any simulator has) and returns the statistics.
 func (c *CPU) Finish() *Stats {
 	s := c.stats
+	c.fe.stats(&s)
 	s.Cycles = c.cycle
 	s.L1IStats = c.l1i.Stats()
-	s.L1DStats = c.l1d.Stats()
 	s.L2Stats = c.l2.Stats()
-	s.Branches = c.bp.Lookups() + c.loopBranches
-	s.BranchMispredicts = c.bp.Mispredicts() + c.loopMispredicts
-	s.Returns = c.ras.Pops()
-	s.RASMispredicts = c.ras.Mispredicts()
 	if c.attr != nil {
 		s.Attribution = c.attr.sorted()
 		s.QueryAttr = c.attr.qsorted()
@@ -233,62 +281,6 @@ func (c *CPU) Finish() *Stats {
 }
 
 // ---- instruction side ----
-
-// run fetches n sequential instructions starting at addr.
-func (c *CPU) run(addr isa.Addr, n int) {
-	if n <= 0 {
-		return
-	}
-	c.stats.Instructions += units.Instrs(n)
-	c.addThroughput(n)
-	if c.cfg.PerfectICache {
-		return
-	}
-	line := isa.LineAddr(addr)
-	for covered := isa.LinesCovered(addr, isa.InstrRangeBytes(n)); covered > 0; covered-- {
-		c.fetchLine(line)
-		line += isa.LineBytes
-	}
-}
-
-// loop fetches a body of bodyInstr instructions once and accounts for
-// iters executions of it (the lines stay resident across iterations).
-func (c *CPU) loop(addr isa.Addr, bodyInstr, iters int) {
-	if bodyInstr <= 0 || iters <= 0 {
-		return
-	}
-	c.stats.Instructions += units.Instrs(int64(bodyInstr) * int64(iters))
-	c.addThroughput(bodyInstr * iters)
-	// One fetch redirect per iteration's back edge; the predictor locks
-	// onto the loop after warmup and mispredicts the exit.
-	c.cycle += units.Cycles(iters) * c.cfg.TakenBranchBubble
-	c.loopBranches += int64(iters)
-	c.loopMispredicts++ // the loop-exit mispredict
-	c.cycle += c.cfg.MispredictPenalty
-	if c.cfg.PerfectICache {
-		return
-	}
-	line := isa.LineAddr(addr)
-	for covered := isa.LinesCovered(addr, isa.InstrRangeBytes(bodyInstr)); covered > 0; covered-- {
-		c.fetchLine(line)
-		line += isa.LineBytes
-	}
-}
-
-// addThroughput charges fetch/issue bandwidth for n instructions. The
-// fetch width is the instrs-per-cycle ratio that crosses instruction
-// counts into cycles, hence the explicit int64 step. The carry is never
-// negative, so the power-of-two shift/mask equals the div/mod exactly.
-func (c *CPU) addThroughput(n int) {
-	c.instrCarry += units.Instrs(n)
-	if s := c.fetchShift; s >= 0 {
-		c.cycle += units.Cycles(int64(c.instrCarry) >> s)
-		c.instrCarry &= units.Instrs(int64(1)<<s - 1)
-		return
-	}
-	c.cycle += units.Cycles(int64(c.instrCarry) / int64(c.cfg.FetchWidth))
-	c.instrCarry %= units.Instrs(c.cfg.FetchWidth)
-}
 
 // fetchLine performs one demand instruction fetch of a full line,
 // charging any miss stall, and triggers the prefetcher.
@@ -452,13 +444,10 @@ func (c *CPU) l2DemandAccess(line isa.Addr) units.Cycles {
 	if !c.cfg.DemandPriority {
 		return c.l2LineAccess(line)
 	}
-	c.stats.L2Accesses++
 	c.busFreeAt += c.cfg.BusCyclesPerLine
 	ready := c.cycle + c.cfg.L2Latency
-	if _, hit := c.l2.Access(cache.Line(isa.Line(line))); !hit {
-		c.stats.L2Misses++
+	if !c.l2Fill(cache.Line(isa.Line(line))) {
 		ready += c.cfg.MemLatency
-		c.l2.Insert(cache.Line(isa.Line(line)), struct{}{})
 	}
 	return ready - c.cycle
 }
@@ -472,14 +461,23 @@ func (c *CPU) l2LineAccess(line isa.Addr) units.Cycles {
 		start = c.busFreeAt
 	}
 	c.busFreeAt = start + c.cfg.BusCyclesPerLine
-	c.stats.L2Accesses++
 	ready := start + c.cfg.L2Latency
-	if _, hit := c.l2.Access(cache.Line(isa.Line(line))); !hit {
-		c.stats.L2Misses++
+	if !c.l2Fill(cache.Line(isa.Line(line))) {
 		ready += c.cfg.MemLatency
-		c.l2.Insert(cache.Line(isa.Line(line)), struct{}{})
 	}
 	return ready - c.cycle
+}
+
+// l2Fill counts one line transfer to L2 and fills the line from memory
+// when L2 misses; it reports whether L2 hit.
+func (c *CPU) l2Fill(cl cache.Line) bool {
+	c.stats.L2Accesses++
+	if _, hit := c.l2.Access(cl); hit {
+		return true
+	}
+	c.stats.L2Misses++
+	c.l2.Insert(cl, struct{}{})
+	return false
 }
 
 func (c *CPU) portionStats(p prefetch.Portion) *PrefetchStats {
@@ -489,95 +487,16 @@ func (c *CPU) portionStats(p prefetch.Portion) *PrefetchStats {
 	return &c.stats.NL
 }
 
-// ---- control flow ----
-
-func (c *CPU) branch(ev trace.Event) {
-	correct := c.bp.Predict(ev.Addr, ev.Taken)
-	if !correct {
-		c.cycle += c.cfg.MispredictPenalty
-	}
-	if ev.Taken {
-		c.cycle += c.cfg.TakenBranchBubble
-	}
-}
-
-func (c *CPU) call(ev trace.Event) {
-	c.stats.Calls++
-	if c.attr != nil {
-		// The callee becomes the executing function before the
-		// prefetcher runs, so prefetches triggered by this call (CGP's
-		// callee-entry prefetch) attribute to the function being
-		// entered — the function whose lines they fetch.
-		c.attr.enter(ev.Target)
-	}
-	c.ras.Push(branch.RASEntry{
-		ReturnAddr:  ev.Addr + isa.InstrBytes,
-		CallerStart: ev.CallerStart,
-	})
-	c.cycle += c.cfg.TakenBranchBubble
-	if !c.cfg.PerfectICache {
-		c.pf.OnCall(ev.Target, ev.CallerStart, c.issueFn)
-	}
-}
-
-func (c *CPU) ret(ev trace.Event) {
-	if c.attr != nil {
-		// The *actual* caller from the trace, not the RAS prediction:
-		// attribution follows real control flow even when the RAS is
-		// wrong (the prediction only decides what CGP looks up).
-		c.attr.enter(ev.CallerStart)
-	}
-	pred, ok := c.ras.Pop()
-	if !c.ras.RecordOutcome(pred, ok, ev.Target) {
-		c.cycle += c.cfg.MispredictPenalty
-	}
-	c.cycle += c.cfg.TakenBranchBubble
-	if !c.cfg.PerfectICache {
-		// CGP sees the *predicted* caller start from the modified RAS:
-		// a wrong RAS entry sends the CGHC lookup to the wrong tag.
-		var predCaller isa.Addr
-		if ok {
-			predCaller = pred.CallerStart
-		}
-		c.pf.OnReturn(predCaller, ev.Addr, c.issueFn)
-	}
-}
-
-func (c *CPU) contextSwitch() {
-	c.stats.Switches++
-	c.cycle += c.cfg.SwitchPenalty
-	if c.cfg.FlushRASOnSwitch {
-		c.ras.Flush()
-	}
-	if c.attr != nil {
-		// The next batch belongs to no query until its own tag arrives:
-		// an untagged batch must not smear onto the previous query.
-		c.attr.leaveQuery()
-	}
-}
-
 // ---- data side ----
 
-func (c *CPU) data(ev trace.Event) {
-	line := isa.LineAddr(ev.Addr)
-	for covered := isa.LinesCovered(ev.Addr, int(ev.N)); covered > 0; covered-- {
-		c.stats.DLineAccesses++
-		if meta, hit := c.l1d.Access(cache.Line(isa.Line(line))); hit {
-			if ev.Taken { // write
-				meta.dirty = true
-			}
-		} else {
-			c.stats.DCacheMisses++
-			lat := c.l2DemandAccess(line)
-			stall := units.Cycles(float64(lat) * c.cfg.DataStallFactor)
-			c.cycle += stall
-			evicted, had := c.l1d.Insert(cache.Line(isa.Line(line)), dataMeta{dirty: ev.Taken})
-			if had && evicted.Payload.dirty {
-				// Writeback occupies the bus but does not stall the core.
-				c.busFreeAt += c.cfg.BusCyclesPerLine
-				c.stats.L2Accesses++
-			}
-		}
-		line += isa.LineBytes
+// dataMiss fetches a line the L1D missed from L2. The out-of-order
+// window hides all but DataStallFactor of the latency. The writeback of
+// a dirty victim occupies the bus but does not stall the core.
+func (c *CPU) dataMiss(line isa.Addr, dirty bool) {
+	lat := c.l2DemandAccess(line)
+	c.cycle += units.Cycles(float64(lat) * c.cfg.DataStallFactor)
+	if dirty {
+		c.busFreeAt += c.cfg.BusCyclesPerLine
+		c.stats.L2Accesses++
 	}
 }

@@ -216,6 +216,24 @@ func TestDifferentialAgainstRefsim(t *testing.T) {
 	}
 }
 
+// TestLongLoopMatchesRefsim runs a loop whose cycles overflow what one
+// op carries (4 bubble cycles per iteration, 2^31-1 iterations) between
+// ordinary events: the front end must carry the excess exactly.
+func TestLongLoopMatchesRefsim(t *testing.T) {
+	cfg := cpu.DefaultConfig()
+	cfg.TakenBranchBubble = 4
+	evs := genEvents(13, 2000)
+	evs = append(evs[:1000:1000], append([]trace.Event{{Kind: trace.KindLoop, Addr: 0x400100, N: 8, Iters: 1<<31 - 1}}, evs[1000:]...)...)
+	opt, ref := cpu.New(cfg, prefetch.NewNL(4)), refsim.New(cfg, prefetch.NewNL(4))
+	opt.EventBatch(evs)
+	for _, ev := range evs {
+		ref.Event(ev)
+	}
+	if so, sr := opt.Finish(), ref.Finish(); !reflect.DeepEqual(so, sr) {
+		t.Fatalf("long loop diverged from refsim\noptimized: %+v\nreference: %+v", so, sr)
+	}
+}
+
 // TestSquashFilterStaysExact drives sampled CPUs through every span
 // kind and checks, after every detailed event, that each line the
 // CPU's squash filter holds is resident in L1I or in flight. The
@@ -275,6 +293,37 @@ func TestEventBatchMatchesPerEvent(t *testing.T) {
 		if !reflect.DeepEqual(want, batched.Finish()) {
 			t.Fatalf("batch size %d: EventBatch diverged from per-event delivery", batch)
 		}
+	}
+}
+
+// TestSharedFrontendDoesNotAllocate extends the gate below to the path
+// a runner's pass takes: one front end decodes each 512-event batch and
+// several CPUs, attributed ones included, run its ops.
+func TestSharedFrontendDoesNotAllocate(t *testing.T) {
+	evs := genEvents(5, 20000)
+	fe := cpu.NewFrontend(cpu.DefaultConfig())
+	cpus := []*cpu.CPU{
+		cpu.New(cpu.DefaultConfig(), prefetch.NewNL(4)),
+		cpu.New(cpu.DefaultConfig(), core.New(core.DefaultConfig())),
+	}
+	cpus[1].EnableAttribution()
+	for _, c := range cpus {
+		c.UseFrontend(fe)
+	}
+	pass := func(evs []trace.Event) {
+		for i := 0; i < len(evs); i += 512 {
+			fe.Decode(evs[i:min(i+512, len(evs))])
+			for _, c := range cpus {
+				c.RunOps()
+			}
+		}
+	}
+	pass(evs) // warm: caches, rings, op buffer and attribution rows
+	allocs := testing.AllocsPerRun(10, func() {
+		pass(evs[:2000])
+	})
+	if allocs != 0 {
+		t.Errorf("shared front end allocates %.1f times per 2000-event pass, want 0", allocs)
 	}
 }
 

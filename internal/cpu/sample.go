@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"cgp/internal/branch"
 	"cgp/internal/cache"
 	"cgp/internal/isa"
 	"cgp/internal/prefetch"
@@ -16,12 +15,15 @@ import (
 //   - Skipped spans (SkipSpan) deliver no events at all: only the
 //     exact instruction count is folded in, so whole-run instruction
 //     totals stay exact in every mode.
-//   - Functional-warming spans run ffEvent instead of event: caches,
-//     the prefetcher's call-graph history, branch predictor and RAS
-//     are updated — the state whose history depth decides how accurate
-//     the next window is — but nothing touches the cycle clock, the
-//     inflight ring or the bus model.
-//   - Detailed spans run the ordinary event loop; measurement windows
+//   - Functional-warming spans run the op loop without timing: caches,
+//     the prefetcher's call-graph history, branch predictor and RAS are
+//     updated — the state whose history depth decides how accurate the
+//     next window is — but nothing touches the cycle clock, the fetch
+//     carry, the inflight ring or the bus model. The front end decodes
+//     them as it does any span but accrues no cycles, and RunOps sends
+//     fetch ops to ffFetchLine, data misses straight to L2 (l2Fill) and
+//     the prefetcher's requests to ffIssue.
+//   - Detailed spans run the ordinary op loop; measurement windows
 //     additionally snapshot cycle/instruction/miss deltas into
 //     sample.Windows for the estimator.
 //
@@ -71,6 +73,9 @@ func (c *CPU) EnableSampling() {
 	if c.smp == nil {
 		c.smp = &sampler{mode: trace.SpanDetailWarm}
 		c.smp.ffIssueFn = c.ffIssue
+		if !c.shared {
+			c.fe.EnableSampling()
+		}
 	}
 }
 
@@ -92,10 +97,13 @@ func (c *CPU) BeginSpan(kind trace.SpanKind) {
 	if kind == trace.SpanMeasure {
 		s.measuring = true
 		s.openCycles = c.cycle
-		s.openInstrs = c.stats.Instructions
+		s.openInstrs = c.fe.instructions
 		s.openIMisses = c.stats.ICacheMisses
 	}
 	s.mode = kind
+	if !c.shared {
+		c.fe.BeginSpan(kind)
+	}
 }
 
 // SkipSpan implements trace.SampledConsumer: events skipped events went
@@ -107,7 +115,9 @@ func (c *CPU) SkipSpan(events int64, instrs units.Instrs) {
 	// instructions, or the window's instruction delta would swallow
 	// the whole skipped span and crater its rate.
 	c.closeWindow()
-	c.stats.Instructions += instrs
+	if !c.shared {
+		c.fe.SkipSpan(instrs)
+	}
 	s := c.smp
 	if s == nil {
 		return
@@ -129,7 +139,7 @@ func (c *CPU) closeWindow() {
 	s.measuring = false
 	s.windows = append(s.windows, sample.Window{
 		Cycles: c.cycle - s.openCycles,
-		Instrs: c.stats.Instructions - s.openInstrs,
+		Instrs: c.fe.instructions - s.openInstrs,
 		Misses: c.stats.ICacheMisses - s.openIMisses,
 	})
 }
@@ -155,122 +165,20 @@ func (c *CPU) flushInflight() {
 
 // ---- functional fast-forward ----
 
-// ffEvent is the functional twin of event: it performs every
-// architectural state update — cache contents, branch predictor, RAS,
-// prefetcher call-graph history, attribution scope — and every
-// decoded-stream counter, but never touches the cycle clock, stall
-// accounting, the bus or the inflight ring. Cost is dominated by the
-// cache probes, keeping functional warming several times cheaper than
-// detailed simulation.
-func (c *CPU) ffEvent(ev *trace.Event) {
-	switch ev.Kind {
-	case trace.KindRun:
-		if ev.N <= 0 {
-			return
-		}
-		c.stats.Instructions += units.Instrs(ev.N)
-		if !c.cfg.PerfectICache {
-			c.ffTouchI(ev.Addr, int(ev.N))
-		}
-	case trace.KindLoop:
-		if ev.N <= 0 || ev.Iters <= 0 {
-			return
-		}
-		c.stats.Instructions += units.Instrs(int64(ev.N) * int64(ev.Iters))
-		c.loopBranches += int64(ev.Iters)
-		c.loopMispredicts++
-		if !c.cfg.PerfectICache {
-			c.ffTouchI(ev.Addr, int(ev.N))
-		}
-	case trace.KindBranch:
-		c.bp.Predict(ev.Addr, ev.Taken)
-	case trace.KindCall:
-		c.stats.Calls++
-		if c.attr != nil {
-			c.attr.enter(ev.Target)
-		}
-		c.ras.Push(branch.RASEntry{
-			ReturnAddr:  ev.Addr + isa.InstrBytes,
-			CallerStart: ev.CallerStart,
-		})
-		if !c.cfg.PerfectICache {
-			c.pf.OnCall(ev.Target, ev.CallerStart, c.smp.ffIssueFn)
-		}
-	case trace.KindReturn:
-		if c.attr != nil {
-			c.attr.enter(ev.CallerStart)
-		}
-		pred, ok := c.ras.Pop()
-		c.ras.RecordOutcome(pred, ok, ev.Target)
-		if !c.cfg.PerfectICache {
-			var predCaller isa.Addr
-			if ok {
-				predCaller = pred.CallerStart
-			}
-			c.pf.OnReturn(predCaller, ev.Addr, c.smp.ffIssueFn)
-		}
-	case trace.KindData:
-		c.ffTouchD(ev)
-	case trace.KindSwitch:
-		c.stats.Switches++
-		if c.cfg.FlushRASOnSwitch {
-			c.ras.Flush()
-		}
-		if c.attr != nil {
-			c.attr.leaveQuery()
-		}
-	case trace.KindQueryTag:
-		if c.attr != nil {
-			c.attr.enterQuery(uint64(ev.Addr))
-		}
-	}
-}
-
-// ffTouchI is fetchLine without timing: it keeps L1I/L2 contents and
+// ffFetchLine is fetchLine without timing: it keeps L1I/L2 contents and
 // the miss counters moving, charging no stalls and using no ring. The
 // per-fetch prefetcher hook (OnFetch — next-N-line issue in every
 // prefetcher here) is deliberately not run: it is stateless, it costs
 // several cache probes per fetched line, and its short reach is
 // re-established within the first handful of detailed warm-up events.
-// The stateful call-graph hooks (OnCall/OnReturn) do run, in ffEvent.
-func (c *CPU) ffTouchI(addr isa.Addr, n int) {
-	line := isa.LineAddr(addr)
-	for covered := isa.LinesCovered(addr, isa.InstrRangeBytes(n)); covered > 0; covered-- {
-		cl := cache.Line(isa.Line(line))
-		c.stats.ILineAccesses++
-		if _, hit := c.l1i.Access(cl); !hit {
-			c.stats.ICacheMisses++
-			if _, h2 := c.l2.Access(cl); !h2 {
-				c.stats.L2Misses++
-				c.l2.Insert(cl, struct{}{})
-			}
-			c.stats.L2Accesses++
-			c.insertL1I(line, lineMeta{})
-		}
-		line += isa.LineBytes
-	}
-}
-
-// ffTouchD is data without timing.
-func (c *CPU) ffTouchD(ev *trace.Event) {
-	line := isa.LineAddr(ev.Addr)
-	for covered := isa.LinesCovered(ev.Addr, int(ev.N)); covered > 0; covered-- {
-		cl := cache.Line(isa.Line(line))
-		c.stats.DLineAccesses++
-		if meta, hit := c.l1d.Access(cl); hit {
-			if ev.Taken { // write
-				meta.dirty = true
-			}
-		} else {
-			c.stats.DCacheMisses++
-			if _, h2 := c.l2.Access(cl); !h2 {
-				c.stats.L2Misses++
-				c.l2.Insert(cl, struct{}{})
-			}
-			c.stats.L2Accesses++
-			c.l1d.Insert(cl, dataMeta{dirty: ev.Taken})
-		}
-		line += isa.LineBytes
+// The stateful call-graph hooks (OnCall/OnReturn) do run.
+func (c *CPU) ffFetchLine(line isa.Addr) {
+	cl := cache.Line(isa.Line(line))
+	c.stats.ILineAccesses++
+	if _, hit := c.l1i.Access(cl); !hit {
+		c.stats.ICacheMisses++
+		c.l2Fill(cl)
+		c.insertL1I(line, lineMeta{})
 	}
 }
 
@@ -287,11 +195,7 @@ func (c *CPU) ffIssue(req prefetch.Request) {
 		if c.l1i.Contains(cl) {
 			continue
 		}
-		if _, hit := c.l2.Access(cl); !hit {
-			c.stats.L2Misses++
-			c.l2.Insert(cl, struct{}{})
-		}
-		c.stats.L2Accesses++
+		c.l2Fill(cl)
 		if !c.cfg.PrefetchIntoL2Only {
 			c.l1i.Insert(cl, lineMeta{prefetched: true, used: true})
 		}

@@ -606,6 +606,30 @@ func TestIndexScanNextAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestIndexNLJoinNextAllocatesNothing joins warmed nums rows to
+// themselves through the unique index on k: each outer row is copied
+// into the buffer the row before used, and each outer key re-seats the
+// join's one cursor.
+func TestIndexNLJoinNextAllocatesNothing(t *testing.T) {
+	v := newEnv(t, 400)
+	tbl := v.e.MustTable("nums")
+	outer := exec.NewIndexScan(v.ctx, tbl.Indexes["k"], tbl.Heap, tbl.Schema, 0, 399)
+	j := exec.NewIndexNLJoin(v.ctx, outer, "k", tbl.Indexes["k"], tbl.Heap, tbl.Schema)
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	next := func() {
+		if _, ok, err := j.Next(); !ok || err != nil {
+			t.Fatalf("Next: %v %v", ok, err)
+		}
+	}
+	next() // sizes the row buffers and pools the lock states
+	if n := testing.AllocsPerRun(100, next); n != 0 {
+		t.Errorf("IndexNLJoin.Next allocates %.1f times per row", n)
+	}
+}
+
 // TestHashAggregateUpdateAllocatesNothing aggregates 8 and then 808
 // rows of the same four groups: every row past a group's first updates
 // it in place, so both runs allocate exactly the same.

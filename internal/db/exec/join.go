@@ -41,7 +41,7 @@ type NLJoin struct {
 
 	out      *joinOutput
 	inner    []catalog.Tuple
-	curOuter catalog.Tuple
+	curOuter catalog.Tuple // its bytes are reused row to row
 	haveOut  bool
 	innerPos int
 }
@@ -90,7 +90,7 @@ func (j *NLJoin) Next() (catalog.Tuple, bool, error) {
 			if err != nil || !ok {
 				return catalog.Tuple{}, false, err
 			}
-			j.curOuter = t.Copy()
+			j.curOuter = catalog.Tuple{Schema: t.Schema, Buf: append(j.curOuter.Buf[:0], t.Buf...)}
 			j.haveOut = true
 			j.innerPos = 0
 		}
@@ -131,8 +131,8 @@ type IndexNLJoin struct {
 
 	out      *joinOutput
 	outerIdx int
-	cursor   *index.Cursor
-	curOuter catalog.Tuple
+	cursor   index.Cursor  // re-seated for each outer key
+	curOuter catalog.Tuple // its bytes are reused row to row
 	curKey   int64
 	haveOut  bool
 	buf      []byte // the inner record, reused row to row
@@ -173,16 +173,14 @@ func (j *IndexNLJoin) Next() (catalog.Tuple, bool, error) {
 			if err != nil || !ok {
 				return catalog.Tuple{}, false, err
 			}
-			j.curOuter = t.Copy()
+			j.curOuter = catalog.Tuple{Schema: t.Schema, Buf: append(j.curOuter.Buf[:0], t.Buf...)}
 			j.Ctx.Pr.Enter(j.Ctx.Fns.GetField)
 			j.Ctx.Pr.Work(6)
 			j.curKey = t.Int(j.outerIdx)
 			j.Ctx.Pr.Exit()
-			cur, err := j.Tree.OpenScan(j.curKey, j.curKey, true)
-			if err != nil {
+			if err := j.Tree.Seek(&j.cursor, j.curKey, j.curKey, true); err != nil {
 				return catalog.Tuple{}, false, err
 			}
-			j.cursor = cur
 			j.haveOut = true
 		}
 		_, rid, ok, err := j.cursor.Next()
@@ -191,7 +189,6 @@ func (j *IndexNLJoin) Next() (catalog.Tuple, bool, error) {
 		}
 		if !ok {
 			j.cursor.Close()
-			j.cursor = nil
 			j.haveOut = false
 			continue
 		}
@@ -207,9 +204,6 @@ func (j *IndexNLJoin) Next() (catalog.Tuple, bool, error) {
 
 // Close implements Iterator.
 func (j *IndexNLJoin) Close() error {
-	if j.cursor != nil {
-		j.cursor.Close()
-		j.cursor = nil
-	}
+	j.cursor.Close()
 	return j.Outer.Close()
 }

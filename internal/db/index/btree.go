@@ -494,16 +494,29 @@ type Cursor struct {
 // OpenScan positions a cursor at the first entry with key >= lo. If
 // hasHi, iteration stops after keys > hi.
 func (t *Tree) OpenScan(lo int64, hi int64, hasHi bool) (*Cursor, error) {
+	c := new(Cursor)
+	if err := t.Seek(c, lo, hi, hasHi); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Seek positions c as OpenScan positions a new cursor, so a caller that
+// scans many ranges one after another can reuse one cursor. c must
+// hold no pin: a zero Cursor, or one that is closed or ran off its
+// range.
+func (t *Tree) Seek(c *Cursor, lo int64, hi int64, hasHi bool) error {
 	t.pr.Enter(t.fns.OpenScan)
 	defer t.pr.Exit()
 	t.pr.Work(20)
 	leaf, _, err := t.descendToLeaf(lo, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := asNode(leaf.Page())
 	idx := t.binSearchLeaf(n, lo)
-	return &Cursor{tree: t, frame: leaf, idx: idx, hi: hi, hasHi: hasHi}, nil
+	*c = Cursor{tree: t, frame: leaf, idx: idx, hi: hi, hasHi: hasHi}
+	return nil
 }
 
 // Next yields the next (key, rid), or ok=false at the end of the range.

@@ -18,6 +18,8 @@ type Client struct {
 	timeout time.Duration
 	hdr     [frameHeaderLen]byte
 	out     []byte
+	// in holds the latest response payload (see readPayload).
+	in []byte
 
 	// Tracing state: when traced is set (SetTraceBase), every Query and
 	// Exec goes out as its traced message type carrying a fresh
@@ -78,7 +80,12 @@ func (c *Client) Query(src string) (*Result, error) {
 		msg = msgQueryTraced
 		payload = append(appendTraceID(make([]byte, 0, traceIDLen+len(src)), c.nextTraceID()), src...)
 	}
-	typ, resp, err := c.roundTrip(msg, payload)
+	return resultOf(c.roundTrip(msg, payload))
+}
+
+// resultOf decodes the response to a statement: a result, or the
+// error that stopped the round trip.
+func resultOf(typ byte, resp []byte, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -147,18 +154,21 @@ func (st *Stmt) execOnce() (*Result, error) {
 		msg = msgExecTraced
 		payload = encodeStmtID(appendTraceID(nil, st.c.nextTraceID()), st.id)
 	}
-	typ, resp, err := st.c.roundTrip(msg, payload)
-	if err != nil {
-		return nil, err
-	}
-	if typ != msgResult {
-		return nil, fmt.Errorf("%w: unexpected response type %q", ErrMalformed, typ)
-	}
-	return decodeResult(resp)
+	return resultOf(st.c.roundTrip(msg, payload))
 }
 
+const (
+	// respChunk is the least a response buffer grows by.
+	respChunk = 4 << 10
+	// maxKeptResponse caps the response buffer a Client keeps for the
+	// next round trip; a larger one is dropped after its response.
+	maxKeptResponse = 1 << 20
+)
+
 // roundTrip sends one frame and reads one response, surfacing wire
-// errors as typed Go errors.
+// errors as typed Go errors. The response payload is valid until the
+// next round trip: every caller decodes it into copies (decodeResult,
+// decodeError) or parses it (decodeStmtID).
 func (c *Client) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
 	if c.timeout > 0 {
 		c.conn.SetDeadline(ioDeadline(c.timeout))
@@ -176,14 +186,45 @@ func (c *Client) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.br, buf); err != nil {
+	buf, err := c.readPayload(n)
+	if err != nil {
 		return 0, nil, fmt.Errorf("client: read payload: %w", err)
 	}
 	if rtyp == msgError {
 		return 0, nil, decodeError(buf)
 	}
 	return rtyp, buf, nil
+}
+
+// readPayload reads an n-byte response payload into c.in. n is what
+// the header claims, not bytes in hand, so the buffer grows only as
+// bytes arrive: to what the reader already holds, or to twice what has
+// been read, at least respChunk and never past n. A peer that claims
+// 64 MiB and sends nothing costs one chunk. A payload that ends early
+// is io.ErrUnexpectedEOF, even with no byte of it read: its frame had
+// begun.
+func (c *Client) readPayload(n int) ([]byte, error) {
+	buf := c.in[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(2*len(buf), len(buf)+c.br.Buffered(), respChunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(c.br, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	c.in = buf
+	if cap(buf) > maxKeptResponse {
+		c.in = nil
+	}
+	return buf, nil
 }
 
 // Close sends the goodbye frame (best-effort) and closes the

@@ -106,8 +106,19 @@ func errFromWire(code byte, msg string) error {
 		sentinel = ErrMalformed
 	case codeInternal:
 		sentinel = ErrInternal
+	case codeQuery:
+		return &QueryError{Msg: msg}
 	default:
-		return errors.New(msg)
+		return fmt.Errorf("%w: unknown error code %d: %s", ErrMalformed, code, msg)
 	}
 	return fmt.Errorf("%w: %s", sentinel, msg)
 }
+
+// QueryError is an ordinary statement error the server reported: a
+// parse, plan or execution failure the client can fix.
+type QueryError struct {
+	Msg string
+}
+
+// Error implements error.
+func (e *QueryError) Error() string { return e.Msg }

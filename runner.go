@@ -1070,7 +1070,10 @@ type passCell struct {
 	cpu  *cpu.CPU
 	gp   *core.CGP
 	c    trace.Consumer // the CPU, possibly hook-wrapped
-	err  *JobError      // set once the consumer panicked; no more events
+	// shared marks a CPU fed from a front end it shares with its pass
+	// mates: it runs the front end's ops instead of consuming events.
+	shared bool
+	err    *JobError // set once the consumer panicked; no more events
 }
 
 // errNoLiveCells aborts a pass whose consumers have all panicked:
@@ -1078,36 +1081,75 @@ type passCell struct {
 var errNoLiveCells = errors.New("cgp: every consumer of the pass failed")
 
 // fanout returns a pass's source callbacks over cells, the one place
-// cell consumers are fed: every batch goes to each cell's (possibly
-// hook-wrapped) consumer, span starts and skipped spans go to each
-// cell's CPU itself, and batches and skips poll ctx, so cancellation
-// takes effect within one batch even across long skips.
+// cell consumers are fed. The CPUs whose configs share a
+// cpu.Config.FrontendKey share one cpu.Frontend, which decodes each
+// batch once for all of them; the cells of a pass sample alike. A CPU
+// behind a fault-injection hook, and a profile collector, consumes the
+// batch itself. Span starts and skipped spans go to each cell's CPU and
+// then to the shared front ends. Batches and skips poll ctx, so
+// cancellation takes effect within one batch even across long skips.
 func fanout(ctx context.Context, cells []*passCell) (
 	begin func(trace.SpanKind) error,
 	batch func([]trace.Event) error,
 	skip func(int64, units.Instrs) error) {
+	var fronts []*cpu.Frontend
+	byKey := map[cpu.Config]*cpu.Frontend{}
+	for _, b := range cells {
+		if b.cpu == nil || b.c != trace.Consumer(b.cpu) {
+			continue
+		}
+		k := b.cpu.Config().FrontendKey()
+		fe := byKey[k]
+		if fe == nil {
+			fe = cpu.NewFrontend(k)
+			if b.cpu.SamplingEnabled() {
+				fe.EnableSampling()
+			}
+			byKey[k] = fe
+			fronts = append(fronts, fe)
+		}
+		b.cpu.UseFrontend(fe)
+		b.shared = true
+	}
 	begin = func(kind trace.SpanKind) error {
-		return feed(cells, func(b *passCell) {
+		err := feed(cells, func(b *passCell) {
 			if b.cpu != nil {
 				b.cpu.BeginSpan(kind)
 			}
 		})
+		for _, fe := range fronts {
+			fe.BeginSpan(kind)
+		}
+		return err
 	}
 	batch = func(evs []trace.Event) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return feed(cells, func(b *passCell) { b.c.EventBatch(evs) })
+		for _, fe := range fronts {
+			fe.Decode(evs)
+		}
+		return feed(cells, func(b *passCell) {
+			if b.shared {
+				b.cpu.RunOps()
+			} else {
+				b.c.EventBatch(evs)
+			}
+		})
 	}
 	skip = func(events int64, instrs units.Instrs) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return feed(cells, func(b *passCell) {
+		err := feed(cells, func(b *passCell) {
 			if b.cpu != nil {
 				b.cpu.SkipSpan(events, instrs)
 			}
 		})
+		for _, fe := range fronts {
+			fe.SkipSpan(instrs)
+		}
+		return err
 	}
 	return begin, batch, skip
 }

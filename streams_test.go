@@ -79,7 +79,7 @@ func TestPinnedSimulatedStreams(t *testing.T) {
 		got[w.Name] = streamDigest(t, rg)
 	}
 	// serverBenchQueries is cgpserve -drive's statement mix.
-	_, served := sealScriptedCapture(t, serverBenchQueries)
+	_, served := sealScriptedCapture(t, serverBenchQueries, 0)
 	got["served"] = streamDigest(t, served)
 
 	for name, want := range pinnedStreams {
