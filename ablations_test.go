@@ -240,105 +240,70 @@ func TestQuantumSweepSharesDefaultCell(t *testing.T) {
 	}
 }
 
-// TestCampaignWorkloadsResolve: every workload name CampaignCells emits
-// resolves through WorkloadByName to a workload of that name, at the
-// default quantum and at another, so a campaign worker can rebuild
-// every cell it is sent. Quantum names resolve only in their one
-// canonical form.
-func TestCampaignWorkloadsResolve(t *testing.T) {
-	for _, quantum := range []int{0, 5} {
-		opts := harnessOpts(1)
-		opts.DB.Quantum = quantum
-		r := NewRunner(opts)
-		seen := map[string]bool{}
-		for _, c := range r.CampaignCells() {
-			if seen[c.Workload] {
-				continue
-			}
-			seen[c.Workload] = true
-			w, err := r.WorkloadByName(c.Workload)
-			if err != nil || w.Name != c.Workload {
-				t.Errorf("quantum %d: cell workload %q resolves to %v, %v", quantum, c.Workload, w, err)
-			}
-		}
-		if !seen["wisc-large-2/q2"] || !seen["wisc-large-2/q112"] {
-			t.Errorf("quantum %d: campaign cells lack the quantum-sweep workloads: %v", quantum, seen)
-		}
-	}
-	r := NewRunner(RunnerOptions{DB: DBOptions{WiscN: 400}})
-	for _, name := range []string{"wisc-large-2/q7", "wisc-large-2/q02", "wisc-large-2/q0", "wisc-large-2/q-3", "wisc-large-2/q"} {
-		if w, err := r.WorkloadByName(name); err == nil {
-			t.Errorf("non-canonical name %q resolved to %q", name, w.Name)
-		}
-	}
-}
-
-// TestCampaignCellsMatchGenerators: the cells CampaignCells enumerates
-// are exactly the cells AllFigures and ExtensionFigures simulate, in
-// full detail, under the default sampled set, and under an explicit set
-// naming the counter figure fig9 and the quantum sweep. The progress
-// tracker then holds one settled job per simulated cell, so cells that
-// share a workload and config label (fig5's CGHC geometries, abl-ways
-// and abl-slots, RANL's M, a sampled cell and its full-detail twin) are
-// counted apart and `experiments`' "cells:" line counts cells.
+// TestCampaignCellsMatchGenerators: the campaign's progress jobs are
+// the cells its figure generators run, and the generators honour an
+// explicit sampled set.
+//
+// In full detail, one AllFigures + ExtensionFigures run leaves one
+// settled progress job per run key, so cells that share a workload and
+// config label (fig5's CGHC geometries, abl-ways and abl-slots, RANL's
+// M) are counted apart and `experiments`' "cells:" line counts cells.
+//
+// With fig9 and the quantum sweep named in SampledFigures, every row of
+// both figures is Estimated: fig9 is a counter figure outside the
+// default sampled set, so only the explicit entry samples it.
 func TestCampaignCellsMatchGenerators(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	explicit := recorded(harnessOpts(2))
-	explicit.SampledFigures = []string{"fig9", "abl-quantum"}
-	cases := []struct {
-		name string
-		opts RunnerOptions
-	}{
-		{"full detail", harnessOpts(2)},
-		{"default sampled set", recorded(harnessOpts(2))},
-		{"fig9 and abl-quantum sampled", explicit},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.opts.Obs = obs.New()
-			r := NewRunner(tc.opts)
-			if _, err := r.AllFigures(context.Background()); err != nil {
+	t.Run("full detail", func(t *testing.T) {
+		opts := harnessOpts(2)
+		opts.Obs = obs.New()
+		r := NewRunner(opts)
+		if _, err := r.AllFigures(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ExtensionFigures(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ran := 0
+		r.mu.Lock()
+		for k := range r.flights {
+			if strings.HasPrefix(k, "run|") {
+				ran++
+			}
+		}
+		r.mu.Unlock()
+		snap := opts.Obs.Progress.Snapshot()
+		if len(snap.Jobs) != ran {
+			t.Errorf("progress tracks %d jobs, want one per simulated cell: %d", len(snap.Jobs), ran)
+		}
+		for _, j := range snap.Jobs {
+			switch obs.JobState(j.State) {
+			case obs.JobExecuted, obs.JobReplayed, obs.JobResumed:
+			default:
+				t.Errorf("job %s/%s left in state %q", j.Workload, j.Config, j.State)
+			}
+		}
+	})
+	t.Run("fig9 and abl-quantum sampled", func(t *testing.T) {
+		opts := recorded(harnessOpts(2))
+		opts.SampledFigures = []string{"fig9", "abl-quantum"}
+		r := NewRunner(opts)
+		for _, gen := range []func(*Runner, context.Context) (*Figure, error){
+			(*Runner).Figure9, (*Runner).QuantumSweep,
+		} {
+			fig, err := gen(r, context.Background())
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.ExtensionFigures(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			ran := map[string]bool{}
-			r.mu.Lock()
-			for k := range r.flights {
-				if strings.HasPrefix(k, "run|") {
-					ran[k] = true
+			for _, row := range fig.Rows {
+				if !row.Estimated {
+					t.Errorf("%s row %s/%s is not Estimated", fig.ID, row.Workload, row.Config)
 				}
 			}
-			r.mu.Unlock()
-			listed := map[string]bool{}
-			for _, c := range r.CampaignCells() {
-				listed[c.Key()] = true
-				if !ran[c.Key()] {
-					t.Errorf("enumerated cell of %s never ran: %s", c.Figure, c.Key())
-				}
-			}
-			for k := range ran {
-				if !listed[k] {
-					t.Errorf("ran a cell CampaignCells does not list: %s", k)
-				}
-			}
-			snap := tc.opts.Obs.Progress.Snapshot()
-			if len(snap.Jobs) != len(ran) {
-				t.Errorf("progress tracks %d jobs, want one per simulated cell: %d", len(snap.Jobs), len(ran))
-			}
-			for _, j := range snap.Jobs {
-				switch obs.JobState(j.State) {
-				case obs.JobExecuted, obs.JobReplayed, obs.JobResumed:
-				default:
-					t.Errorf("job %s/%s left in state %q", j.Workload, j.Config, j.State)
-				}
-			}
-			t.Logf("%d cells enumerated, %d ran, %d progress jobs", len(listed), len(ran), len(snap.Jobs))
-		})
-	}
+		}
+	})
 }
 
 // TestParseFigureIDs: -sample-figures lists parse against the figure

@@ -12,13 +12,6 @@ package cgp
 // even a ratio; CI runs it in a dedicated step:
 //
 //	CGP_BENCH_GUARD=1 go test -run TestKernelThroughputGuard -count=1 .
-//
-// The distributed-campaign scaling guard (TestCampaignScalingGuard,
-// same CGP_BENCH_GUARD gate, writes BENCH_campaign.json via its bench
-// sibling) lives in internal/campaign rather than here: it spawns the
-// test binary as campaign worker processes, which needs a TestMain
-// hook, and this package's TestMain (bench_test.go) cannot take that
-// role — package cgp cannot import internal/campaign back.
 
 import (
 	"os"

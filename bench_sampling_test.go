@@ -2,18 +2,14 @@ package cgp
 
 // Sampled-simulation benchmarks: full detailed replay vs sampled
 // replay (skip / functional-warm / detailed tiers) of the same
-// recorded workload, measured in the same process. TestMain
-// (bench_test.go) writes the results to BENCH_sampling.json, including
-// the measured relative cycle error of the sampled arm against the
-// full arm — throughput claims and accuracy claims travel together.
+// recorded workload, measured in the same process. The sampled arm
+// reports its relative cycle error against the full arm next to its
+// own CI, so throughput and accuracy travel together; DESIGN.md §13
+// records a run.
 //
-//	GOMAXPROCS=1 go test -run 'TestMain' -bench 'BenchmarkSampling' -benchtime 1x .
+//	GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkSampling' -benchtime 1x .
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,10 +28,10 @@ import (
 // sampling exists for.
 const samplingBenchWiscN = 40000
 
-// samplingBenchConfig is the schedule both the benchmark and
-// BENCH_sampling.json report: one 8k-event window per 400k events with
-// 4k detailed warm-up and 16k functional warming — 3% of the stream in
-// detail, 4% functionally warmed, the rest skipped without decoding.
+// samplingBenchConfig is the schedule the sampled arm replays: one
+// 8k-event window per 400k events with 4k detailed warm-up and 16k
+// functional warming — 3% of the stream in detail, 4% functionally
+// warmed, the rest skipped without decoding.
 func samplingBenchConfig() sample.Config {
 	return sample.Config{
 		PeriodEvents:         400_000,
@@ -44,29 +40,6 @@ func samplingBenchConfig() sample.Config {
 		WindowEvents:         8_000,
 	}
 }
-
-// samplingBenchEntry is one arm's BENCH_sampling.json entry.
-type samplingBenchEntry struct {
-	WallSeconds    float64 `json:"wall_seconds"`
-	Events         int64   `json:"events"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	NsPerEvent     float64 `json:"ns_per_event"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-}
-
-var samplingBench = struct {
-	sync.Mutex
-	entries map[string]*samplingBenchEntry
-	// Cross-arm accuracy facts recorded by the sampled arm.
-	fullCycles  int64
-	estCycles   int64
-	cycleRelCI  float64
-	missRelErr  float64
-	windows     int
-	skipped     int64
-	fastForward int64
-	detailed    int64
-}{entries: map[string]*samplingBenchEntry{}}
 
 var (
 	samplingRecordingOnce sync.Once
@@ -98,7 +71,6 @@ func samplingBenchRecording(b *testing.B) *trace.Recording {
 
 var (
 	samplingFullOnce   sync.Once
-	samplingFullStats  *cpu.Stats
 	samplingFullCycles int64
 )
 
@@ -114,24 +86,12 @@ func samplingFullReference(b *testing.B) int64 {
 			samplingRecordingErr = err
 			return
 		}
-		samplingFullStats = c.Finish()
-		samplingFullCycles = int64(samplingFullStats.Cycles)
+		samplingFullCycles = int64(c.Finish().Cycles)
 	})
 	if samplingRecordingErr != nil {
 		b.Fatal(samplingRecordingErr)
 	}
 	return samplingFullCycles
-}
-
-func recordSamplingBench(name string, wall time.Duration, events int64) {
-	samplingBench.Lock()
-	defer samplingBench.Unlock()
-	samplingBench.entries[name] = &samplingBenchEntry{
-		WallSeconds:  wall.Seconds(),
-		Events:       events,
-		EventsPerSec: float64(events) / wall.Seconds(),
-		NsPerEvent:   wall.Seconds() * 1e9 / float64(events),
-	}
 }
 
 // BenchmarkSamplingFullReplay is the reference arm: every event
@@ -151,7 +111,6 @@ func BenchmarkSamplingFullReplay(b *testing.B) {
 			best = d
 		}
 	}
-	recordSamplingBench("full_detailed", best, rec.Events())
 	b.ReportMetric(float64(rec.Events())/best.Seconds()/1e6, "Mevents/s-best")
 }
 
@@ -186,22 +145,8 @@ func BenchmarkSamplingSampledReplay(b *testing.B) {
 			best = d
 		}
 	}
-	recordSamplingBench("sampled", best, rec.Events())
 	b.ReportMetric(float64(rec.Events())/best.Seconds()/1e6, "Mevents/s-best")
-
 	sm := last.Sample
-	samplingBench.Lock()
-	samplingBench.fullCycles = fullCycles
-	samplingBench.estCycles = int64(sm.EstCycles)
-	samplingBench.cycleRelCI = sm.CycleRelCI
-	samplingBench.windows = sm.Windows
-	samplingBench.skipped = sm.SkippedEvents
-	samplingBench.fastForward = sm.FastForwardedEvents
-	samplingBench.detailed = sm.DetailedEvents()
-	if fm := samplingFullStats; fm != nil && fm.ICacheMisses > 0 {
-		samplingBench.missRelErr = relErr(sm.EstIMisses, fm.ICacheMisses)
-	}
-	samplingBench.Unlock()
 	b.ReportMetric(relErr(int64(sm.EstCycles), fullCycles), "rel-cycle-err")
 	b.ReportMetric(sm.CycleRelCI, "rel-ci")
 }
@@ -224,45 +169,4 @@ type discardSampled struct{}
 func (discardSampled) EventBatch([]trace.Event) {}
 func (discardSampled) BeginSpan(trace.SpanKind) {}
 func (discardSampled) SkipSpan(int64, units.Instrs) {
-}
-
-// writeSamplingBench dumps BENCH_sampling.json (called from TestMain in
-// bench_test.go). The headline acceptance numbers are sampling_speedup
-// (sampled events/s over full detailed events/s on the same recording
-// in the same process) and measured_rel_cycle_error, which must sit
-// within reported_rel_ci and under the 3% hard cap the differential
-// suite enforces.
-func writeSamplingBench() {
-	samplingBench.Lock()
-	defer samplingBench.Unlock()
-	if len(samplingBench.entries) == 0 {
-		return
-	}
-	out := map[string]any{
-		"scale":      fmt.Sprintf("wisc-large-1, WiscN=%d, layout O5, prefetcher NL_4", samplingBenchWiscN),
-		"sampling":   samplingBenchConfig().String(),
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"bench":      samplingBench.entries,
-	}
-	if full, ok := samplingBench.entries["full_detailed"]; ok {
-		if smp, ok := samplingBench.entries["sampled"]; ok {
-			out["sampling_speedup"] = smp.EventsPerSec / full.EventsPerSec
-		}
-	}
-	if samplingBench.fullCycles > 0 {
-		err := relErr(samplingBench.estCycles, samplingBench.fullCycles)
-		out["full_cycles"] = samplingBench.fullCycles
-		out["est_cycles"] = samplingBench.estCycles
-		out["measured_rel_cycle_error"] = err
-		out["reported_rel_ci"] = samplingBench.cycleRelCI
-		out["within_ci"] = err <= samplingBench.cycleRelCI
-		out["measured_rel_miss_error"] = samplingBench.missRelErr
-		out["windows"] = samplingBench.windows
-		out["events_skipped"] = samplingBench.skipped
-		out["events_fastforwarded"] = samplingBench.fastForward
-		out["events_detailed"] = samplingBench.detailed
-	}
-	if data, err := json.MarshalIndent(out, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_sampling.json", append(data, '\n'), 0o644)
-	}
 }

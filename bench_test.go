@@ -1,7 +1,6 @@
 package cgp
 
 import (
-	"os"
 	"testing"
 
 	"cgp/internal/cache"
@@ -84,11 +83,4 @@ func BenchmarkCPUConsume(b *testing.B) {
 		ev[0].Addr = 0x400000 + isa.Addr((i&1023)*32)
 		c.EventBatch(ev)
 	}
-}
-
-// TestMain writes BENCH_sampling.json after a sampling benchmark run.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	writeSamplingBench()
-	os.Exit(code)
 }

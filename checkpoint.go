@@ -2,7 +2,6 @@ package cgp
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
@@ -56,24 +55,16 @@ func (r *Runner) scopeFingerprint() string {
 	return fmt.Sprintf("db{%+v} seed%d attr%t", r.opts.DB, r.opts.Seed, r.opts.Attribution)
 }
 
-// recordPath maps a (key, scope) pair to its file under dir. The name
-// is a hash: run keys contain fingerprint text unfit for filenames,
-// and the hash also covers the scope so differently-scaled campaigns
-// can share one directory without colliding. It is the single path
-// rule shared by the writer (storeCheckpoint), the reader
-// (loadCheckpoint) and the distributed importer (ImportRecord), so a
-// record lands on the same file whichever process produced it.
-func recordPath(dir, key, scope string) string {
+// checkpointPath maps a run key to its file in this runner's scope.
+// The name is a hash: run keys contain fingerprint text unfit for
+// filenames, and the hash also covers the scope so differently-scaled
+// campaigns can share one directory without colliding.
+func (r *Runner) checkpointPath(key string) string {
 	h := fnv.New64a()
 	io.WriteString(h, key)
 	io.WriteString(h, "\x00")
-	io.WriteString(h, scope)
-	return filepath.Join(dir, fmt.Sprintf("%016x.json", h.Sum64()))
-}
-
-// checkpointPath maps a run key to its file in this runner's scope.
-func (r *Runner) checkpointPath(key string) string {
-	return recordPath(r.opts.CheckpointDir, key, r.scopeFingerprint())
+	io.WriteString(h, r.scopeFingerprint())
+	return filepath.Join(r.opts.CheckpointDir, fmt.Sprintf("%016x.json", h.Sum64()))
 }
 
 // loadCheckpoint returns the persisted Result for (w, cfg) if a valid
@@ -83,7 +74,7 @@ func (r *Runner) loadCheckpoint(w *Workload, cfg Config) (*Result, bool) {
 	if r.opts.CheckpointDir == "" {
 		return nil, false
 	}
-	key := CellKey(w.Name, cfg)
+	key := cellKey(w.Name, cfg)
 	data, err := os.ReadFile(r.checkpointPath(key))
 	if err != nil {
 		return nil, false
@@ -112,11 +103,28 @@ func (r *Runner) loadCheckpoint(w *Workload, cfg Config) (*Result, bool) {
 	return &res, true
 }
 
-// encodeRecord serializes one completed Result as the checkpoint
-// record wire format: the same bytes storeCheckpoint writes to disk
-// and ImportRecord accepts, so a record can travel between processes
-// (a campaign worker streams it to its coordinator) and land in the
-// destination directory bit-for-bit.
+// storeCheckpoint persists a completed Result atomically. Failures are
+// logged and swallowed: a campaign that cannot checkpoint still
+// computes correct results, it just cannot resume.
+func (r *Runner) storeCheckpoint(w *Workload, cfg Config, res *Result) {
+	if r.opts.CheckpointDir == "" {
+		return
+	}
+	sp := r.obsSpan("checkpoint", "checkpoint").
+		Arg("workload", w.Name).Arg("config", cfg.Label())
+	defer sp.End()
+	key := cellKey(w.Name, cfg)
+	data, err := r.encodeRecord(key, res)
+	if err != nil {
+		r.opts.Log("checkpoint %s/%s: encode: %v", w.Name, cfg.Label(), err)
+		return
+	}
+	if err := writeFileAtomic(r.checkpointPath(key), data); err != nil {
+		r.opts.Log("checkpoint %s/%s: %v", w.Name, cfg.Label(), err)
+	}
+}
+
+// encodeRecord serializes one completed Result as its checkpoint file.
 func (r *Runner) encodeRecord(key string, res *Result) ([]byte, error) {
 	body, err := json.Marshal(res)
 	if err != nil {
@@ -129,122 +137,6 @@ func (r *Runner) encodeRecord(key string, res *Result) ([]byte, error) {
 		Sum:     crc32.Checksum(body, ckptTable),
 		Result:  body,
 	})
-}
-
-// emitRecord streams one settled cell's checkpoint record to the
-// OnRecord hook. It fires for freshly simulated cells (with the bytes
-// just written) and for checkpoint-hit cells (re-encoded — JSON
-// marshaling is deterministic, so the bytes equal the stored ones), so
-// a respawned worker re-announces the records its predecessor already
-// computed and a coordinator's view converges on the full set.
-func (r *Runner) emitRecord(w *Workload, cfg Config, res *Result, data []byte) {
-	if r.opts.OnRecord == nil || r.opts.CheckpointDir == "" {
-		return
-	}
-	key := CellKey(w.Name, cfg)
-	if data == nil {
-		var err error
-		data, err = r.encodeRecord(key, res)
-		if err != nil {
-			r.opts.Log("checkpoint %s/%s: encode: %v", w.Name, cfg.Label(), err)
-			return
-		}
-	}
-	r.opts.OnRecord(key, data)
-}
-
-// storeCheckpoint persists a completed Result atomically. Failures are
-// logged and swallowed: a campaign that cannot checkpoint still
-// computes correct results, it just cannot resume.
-func (r *Runner) storeCheckpoint(w *Workload, cfg Config, res *Result) {
-	if r.opts.CheckpointDir == "" {
-		return
-	}
-	sp := r.obsSpan("checkpoint", "checkpoint").
-		Arg("workload", w.Name).Arg("config", cfg.Label())
-	defer sp.End()
-	key := CellKey(w.Name, cfg)
-	data, err := r.encodeRecord(key, res)
-	if err != nil {
-		r.opts.Log("checkpoint %s/%s: encode: %v", w.Name, cfg.Label(), err)
-		return
-	}
-	if err := writeFileAtomic(r.checkpointPath(key), data); err != nil {
-		r.opts.Log("checkpoint %s/%s: %v", w.Name, cfg.Label(), err)
-		return
-	}
-	r.emitRecord(w, cfg, res, data)
-}
-
-// ImportRecord validates one checkpoint record in wire format and
-// installs it into dir under the path its embedded key and scope
-// dictate. It is how a campaign coordinator merges records streamed
-// from worker processes: the payload is checked (version, CRC-32C,
-// decodable Result) before anything touches disk, the path derivation
-// is scope-agnostic (a record files itself under the scope it
-// carries, where that scope's reader looks), and the write is
-// first-writer-wins — if two workers race on the same cell, whichever
-// record lands first stays, which is sound because records for a cell
-// are byte-identical across workers (simulations are deterministic).
-// It returns the record's run key and whether this call wrote the
-// file (false: an identical record was already present).
-func ImportRecord(dir string, data []byte) (key string, wrote bool, err error) {
-	var cr checkpointRecord
-	if err := json.Unmarshal(data, &cr); err != nil {
-		return "", false, fmt.Errorf("cgp: import record: unreadable: %w", err)
-	}
-	if cr.Version != checkpointVersion {
-		return cr.Key, false, fmt.Errorf("cgp: import record %q: version %d, want %d", cr.Key, cr.Version, checkpointVersion)
-	}
-	if cr.Key == "" || cr.Scope == "" {
-		return cr.Key, false, fmt.Errorf("cgp: import record: empty key or scope")
-	}
-	if crc32.Checksum(cr.Result, ckptTable) != cr.Sum {
-		return cr.Key, false, fmt.Errorf("cgp: import record %q: checksum mismatch", cr.Key)
-	}
-	var res Result
-	if err := json.Unmarshal(cr.Result, &res); err != nil || res.CPU == nil {
-		return cr.Key, false, fmt.Errorf("cgp: import record %q: payload corrupt", cr.Key)
-	}
-	wrote, err = writeFileNoClobber(recordPath(dir, cr.Key, cr.Scope), data)
-	if err != nil {
-		return cr.Key, false, fmt.Errorf("cgp: import record %q: %w", cr.Key, err)
-	}
-	return cr.Key, wrote, nil
-}
-
-// writeFileNoClobber writes data to path unless the path already
-// exists, reporting whether this call created it. The existence check
-// and the write are one atomic step — a hard link into place — so two
-// concurrent importers of the same record cannot interleave: exactly
-// one wins, the other sees the file already present.
-func writeFileNoClobber(path string, data []byte) (bool, error) {
-	if _, err := os.Stat(path); err == nil {
-		return false, nil
-	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return false, err
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return false, err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return false, err
-	}
-	if err := tmp.Close(); err != nil {
-		return false, err
-	}
-	if err := os.Link(tmp.Name(), path); err != nil {
-		if errors.Is(err, os.ErrExist) {
-			return false, nil // lost the race: an identical record won
-		}
-		return false, err
-	}
-	return true, nil
 }
 
 // writeFileAtomic writes data to path via a temp file in the same

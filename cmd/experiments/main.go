@@ -25,21 +25,16 @@
 // unless -sample-figures names them.
 // Sampled rows are rendered as `~value ±CI` and bannered per figure.
 //
-// The campaign can be distributed: -shards N precomputes the campaign's
-// cells across N worker processes (spawned copies of this binary in
-// -worker mode, driven over stdin/stdout JSONL), streaming each settled
-// cell into the checkpoint directory as it lands. The report is then
-// rendered the ordinary way from those checkpoints — the merge — so its
-// bytes are identical to an unsharded run's regardless of shard count,
-// worker deaths or reassignment (DESIGN.md §15). -campaign selects the
-// slice of the cell grid to distribute.
+// The checked-in EXPERIMENTS.md is this command's report at the
+// defaults with -timing=false, which leaves out the run time so the
+// report depends only on the code.
 //
 // Usage:
 //
+//	experiments -o EXPERIMENTS.md -timing=false
 //	experiments -o EXPERIMENTS.md [-wisc-n 10000] [-checkpoint DIR] [-timeout 30m] [-v]
 //	experiments -sample [-sample-period 1000000] [-sample-window 32000]
 //	experiments -debug-addr localhost:6060 -trace-out campaign.trace.json -log-json run.jsonl
-//	experiments -shards 4 [-campaign allfigures|paper|extensions|@file.json]
 package main
 
 import (
@@ -50,7 +45,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"slices"
 	"strings"
@@ -58,7 +52,6 @@ import (
 	"time"
 
 	"cgp"
-	"cgp/internal/campaign"
 	"cgp/internal/obs"
 	"cgp/internal/sample"
 )
@@ -87,28 +80,8 @@ func main() {
 		sampleWin     = flag.Int64("sample-window", sample.Default().WindowEvents, "measured events per window")
 		sampleRand    = flag.Bool("sample-random-offset", false, "place each period's window at a seeded random offset instead of a fixed one")
 		sampleFigures = flag.String("sample-figures", "", "with -sample: comma-separated figure IDs to sample, or none (default: the cycle-comparison figures)")
-
-		shards       = flag.Int("shards", 0, "distribute the campaign across this many worker processes before rendering (0 = in-process)")
-		workerMode   = flag.Bool("worker", false, "run as a campaign worker: speak the coordinator protocol on stdin/stdout (internal; spawned by -shards)")
-		campaignName = flag.String("campaign", "", "campaign manifest for -shards: allfigures (default), paper, extensions, or @file.json")
 	)
 	flag.Parse()
-
-	if *workerMode {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		var logf func(format string, args ...any)
-		if *verbose {
-			logf = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
-		}
-		// Stdout belongs to the protocol; everything human goes to
-		// stderr, which the coordinator leaves wired to its own.
-		if err := campaign.Serve(ctx, os.Stdin, os.Stdout, logf); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	// A bad -sample-figures is a usage error, caught before any work
 	// starts: exit status 2, as the flag package uses.
@@ -152,22 +125,6 @@ func main() {
 		Workers: *workers, CheckpointDir: *checkpoint, FailFast: *failFast,
 		Obs: o, Attribution: *attribution,
 	}
-	// A sharded campaign meets in the checkpoint directory: workers
-	// stream records into it and the merge reads them back. Without an
-	// explicit -checkpoint the rendezvous is a temp dir cleaned up on
-	// exit (cleanupCheckpoint must also run before the explicit exits
-	// below — os.Exit skips defers).
-	cleanupCheckpoint := func() {}
-	defer cleanupCheckpoint()
-	if *shards > 0 && opts.CheckpointDir == "" {
-		dir, err := os.MkdirTemp("", "cgp-campaign-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		opts.CheckpointDir = dir
-		cleanupCheckpoint = func() { os.RemoveAll(dir) }
-	}
 	if *sampled {
 		opts.Sampling = sample.Config{
 			PeriodEvents:         *samplePeriod,
@@ -194,14 +151,6 @@ func main() {
 
 	start := time.Now() //cgplint:ignore detrand wall-clock run duration is harness log metadata, not simulated data
 	var failures []error
-	if *shards > 0 {
-		// Distribution precomputes checkpoints; a coordinator error
-		// degrades wall-clock only — the merge below recomputes any
-		// missing cells in-process and the report stays complete.
-		if err := runSharded(ctx, r, opts, *shards, *campaignName, *verbose, o); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: sharded campaign:", err)
-		}
-	}
 	figs, err := r.AllFigures(ctx)
 	if err != nil {
 		failures = append(failures, err)
@@ -265,75 +214,27 @@ Derived entirely from deterministic simulator counters.
 		fmt.Print(b.String())
 	} else if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		cleanupCheckpoint()
 		os.Exit(1)
 	} else {
 		//cgplint:ignore detrand progress line on stderr; wall-clock timing never reaches the report body
 		fmt.Fprintf(os.Stderr, "wrote %s (%d figures) in %s\n", *out, len(figs)+len(exts), time.Since(start).Round(time.Millisecond))
 	}
-	knownWorkers := []string{obs.DefaultWorker}
-	if *shards > 0 {
-		knownWorkers = append(knownWorkers, campaign.WorkerIDs(*shards)...)
-	}
-	writeObsArtifacts(o, logFile, *traceOut, knownWorkers)
+	writeObsArtifacts(o, logFile, *traceOut)
 	printJobSummary(o)
 	if len(failures) > 0 {
 		for _, err := range failures {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 		}
 		fmt.Fprintln(os.Stderr, "experiments: campaign degraded; completed work was kept (resume with -checkpoint)")
-		cleanupCheckpoint()
 		os.Exit(1)
 	}
-}
-
-// runSharded precomputes the campaign's cells across shard worker
-// processes: expand the manifest into jobs, partition, spawn copies of
-// this binary in -worker mode, and import their streamed records into
-// the shared checkpoint directory. Forwarded worker run-log entries
-// and per-worker spans land in o alongside the coordinator's own.
-func runSharded(ctx context.Context, r *cgp.Runner, opts cgp.RunnerOptions, shards int, manifestArg string, verbose bool, o *obs.Observability) error {
-	m, err := campaign.LoadManifest(manifestArg)
-	if err != nil {
-		return err
-	}
-	jobs, err := campaign.Jobs(r, m)
-	if err != nil {
-		return err
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	co := campaign.New(campaign.Options{
-		Workers: shards,
-		Spec: campaign.RunnerSpec{
-			DB: opts.DB, Seed: opts.Seed, Workers: opts.Workers,
-			CheckpointDir: opts.CheckpointDir, Attribution: opts.Attribution,
-			Sampling: opts.Sampling, SampledFigures: opts.SampledFigures,
-		},
-		Log: opts.Log,
-		Obs: o,
-		Command: func(ctx context.Context, slot int) (*exec.Cmd, error) {
-			cmd := exec.CommandContext(ctx, exe, "-worker", fmt.Sprintf("-v=%t", verbose))
-			cmd.Stderr = os.Stderr
-			return cmd, nil
-		},
-	})
-	st, err := co.Run(ctx, jobs)
-	fmt.Fprintf(os.Stderr, "campaign %s: %d jobs over %d shards — %d records imported, %d duplicate, %d restarts, %d reassigned, %d failed\n",
-		m.Name, st.Jobs, shards, st.Imported, st.Duplicates, st.Restarts, st.Reassigned, len(st.Failed))
-	return err
 }
 
 // writeObsArtifacts flushes the run log and exports the Chrome trace,
 // validating both against their schemas on the way out so a malformed
 // artifact fails loudly here instead of inside a downstream viewer.
-// The run log is validated against the campaign's known worker ids —
-// "main" alone, or "main" plus "w1".."wN" when sharded — so an entry
-// from an unknown (or missing) worker id fails at the exit boundary.
 // Failures here never fail the campaign — observability is advisory.
-func writeObsArtifacts(o *obs.Observability, logFile *os.File, traceOut string, knownWorkers []string) {
+func writeObsArtifacts(o *obs.Observability, logFile *os.File, traceOut string) {
 	if logFile != nil {
 		if err := o.Log.Err(); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: run log:", err)
@@ -343,7 +244,7 @@ func writeObsArtifacts(o *obs.Observability, logFile *os.File, traceOut string, 
 		}
 		f, err := os.Open(logFile.Name())
 		if err == nil {
-			_, verr := obs.ValidateRunLog(f, knownWorkers...)
+			_, verr := obs.ValidateRunLog(f)
 			f.Close()
 			err = verr
 		}

@@ -114,11 +114,10 @@ func rowMisses(res *Result) int64 {
 }
 
 // The figure catalogue is the paper's evaluation and this repository's
-// ablations as data (DESIGN.md §15): each figure's cells in row order
+// ablations as data (DESIGN.md §8): each figure's cells in row order
 // and the rule that turns them into rows. The figure generators, the
-// campaign enumeration (CampaignCells), the campaign manifests and the
-// default sampled set all read it, so none of them can drift from
-// another.
+// figure IDs -sample-figures accepts and the default sampled set all
+// read it, so none of them can drift from another.
 
 // figureSpec is one figure of the catalogue.
 type figureSpec struct {
@@ -313,9 +312,7 @@ func ParseFigureIDs(s string) ([]string, error) {
 }
 
 // cellsOf lists f's cells, adding the campaign's sampling schedule to
-// each config that has none when f is in the sampled set. The figure
-// runner and CampaignCells both read it, so a campaign enumerates
-// exactly the cells, and the checkpoint keys, its figures request.
+// each config that has none when f is in the sampled set.
 func (r *Runner) cellsOf(f *figureSpec) []figureCell {
 	cells := f.cells(r)
 	if scfg := r.opts.samplingFor(f); scfg.Enabled() {

@@ -17,10 +17,12 @@ import (
 func catalogueConfigs(r *Runner) []Config {
 	var cfgs []Config
 	seen := map[string]bool{}
-	for _, c := range r.CampaignCells() {
-		if fp := c.Config.fingerprint(); !seen[fp] {
-			seen[fp] = true
-			cfgs = append(cfgs, c.Config)
+	for i := range figureCatalogue {
+		for _, c := range r.cellsOf(&figureCatalogue[i]) {
+			if fp := c.job.Config.fingerprint(); !seen[fp] {
+				seen[fp] = true
+				cfgs = append(cfgs, c.job.Config)
+			}
 		}
 	}
 	return cfgs

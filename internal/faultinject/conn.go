@@ -1,17 +1,13 @@
 package faultinject
 
-import (
-	"net"
-	"time"
-)
+import "net"
 
 // Connection-level injectors for the serving chaos suite. They follow
 // the package's event-counted style: faults fire at exact byte
 // offsets (or at offsets derived from a caller-supplied seed), so a
 // failing network chaos test reproduces under the same inputs. The
 // wrappers are used on the CLIENT side of a test connection to subject
-// the server to slow-loris stalls, mid-frame drops, and deterministic
-// frame corruption.
+// the server to mid-frame drops and deterministic frame corruption.
 
 // faultConn wraps a net.Conn, counting bytes through Write and
 // invoking per-byte-offset hooks. Reads pass through untouched.
@@ -81,23 +77,6 @@ func DropAfterN(c net.Conn, n int64) net.Conn {
 					rem = 0
 				}
 				return int(rem), true
-			}
-			return len(p), false
-		},
-	}
-}
-
-// StallConn returns a conn that stalls for d before every write that
-// would carry the stream past byte n — a slow-loris client trickling
-// the rest of a frame. The stall point is deterministic (a byte
-// count); only the stall itself consumes wall time, which is the
-// fault being modeled.
-func StallConn(c net.Conn, n int64, d time.Duration) net.Conn {
-	return &faultConn{
-		Conn: c,
-		beforeWrite: func(off int64, p []byte) (int, bool) {
-			if off+int64(len(p)) > n {
-				time.Sleep(d)
 			}
 			return len(p), false
 		},

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net"
 	"testing"
-	"time"
 )
 
 // pipePair returns a connected pipe and a channel yielding everything
@@ -56,26 +55,6 @@ func TestDropAfterNExactBoundary(t *testing.T) {
 	}
 	if rx := <-got; string(rx) != "abcd" {
 		t.Fatalf("far end received %q, want abcd", rx)
-	}
-}
-
-func TestStallConnDelaysCrossingWrite(t *testing.T) {
-	a, got := pipePair(t)
-	const stall = 30 * time.Millisecond
-	c := StallConn(a, 4, stall)
-	if _, err := c.Write([]byte("abcd")); err != nil { // below the stall point: no delay
-		t.Fatal(err)
-	}
-	t0 := time.Now()
-	if _, err := c.Write([]byte("efgh")); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(t0); d < stall {
-		t.Fatalf("crossing write returned after %v, want >= %v", d, stall)
-	}
-	c.Close()
-	if rx := <-got; string(rx) != "abcdefgh" {
-		t.Fatalf("far end received %q, want abcdefgh", rx)
 	}
 }
 

@@ -8,26 +8,7 @@
 // the repo's determinism rules (DESIGN.md §7).
 package faultinject
 
-import (
-	"sync/atomic"
-
-	"cgp/internal/trace"
-)
-
-// FireAt returns a function that counts its calls and invokes fire
-// exactly once, on the n-th call (1-based). It is safe for concurrent
-// use; later calls are no-ops. The distributed-campaign chaos tests
-// hang it on the coordinator's record hook to kill a worker process at
-// an exact point in the record stream, making cross-process fault
-// timing as deterministic as the in-process injectors above.
-func FireAt(n int64, fire func()) func() {
-	var seen atomic.Int64
-	return func() {
-		if seen.Add(1) == n {
-			fire()
-		}
-	}
-}
+import "cgp/internal/trace"
 
 // counter forwards events to inner and invokes fire exactly once, when
 // the n-th event (1-based) arrives and before it is forwarded: a batch

@@ -40,10 +40,6 @@ type Observability struct {
 	Log *RunLog
 	// Progress tracks live per-job state for the /progress endpoint.
 	Progress *Progress
-
-	// worker is the campaign worker id SetWorker installed, remembered
-	// so a log attached later inherits it.
-	worker string
 }
 
 // New returns an Observability with every component enabled except the
@@ -59,30 +55,11 @@ func New() *Observability {
 
 // AttachLog directs job lifecycle events to a JSONL run log writing
 // to w. It returns o for chaining and is a no-op on a nil receiver.
-// A worker id previously set with SetWorker carries over to the new
-// log.
 func (o *Observability) AttachLog(w io.Writer) *Observability {
 	if o == nil {
 		return nil
 	}
 	o.Log = NewRunLog(w)
-	o.Log.SetWorker(o.worker)
-	return o
-}
-
-// SetWorker tags this process's observability output with a campaign
-// worker id: run-log entries carry it in their worker field and every
-// exported Chrome trace span gets a "worker" arg. Single-process
-// campaigns keep the default ("main"); sharded campaign workers are
-// "w1".."wN". It returns o for chaining and is a no-op on a nil
-// receiver.
-func (o *Observability) SetWorker(id string) *Observability {
-	if o == nil {
-		return nil
-	}
-	o.worker = id
-	o.Log.SetWorker(id)
-	o.Spans.SetWorker(id)
 	return o
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -245,47 +244,6 @@ func TestValidateRunLogRejectsMalformed(t *testing.T) {
 		if _, err := ValidateRunLog(strings.NewReader(data)); err == nil {
 			t.Errorf("%s: validator accepted %q", label, data)
 		}
-	}
-}
-
-func TestValidateRunLogWorkerIDs(t *testing.T) {
-	line := func(seq int, worker string) string {
-		return `{"seq":` + fmt.Sprint(seq) + `,"event":"executed","workload":"w","config":"c","worker":"` + worker + `","wall_ns":1}` + "\n"
-	}
-	// Entries must always carry a worker id, whitelist or not.
-	if _, err := ValidateRunLog(strings.NewReader(`{"seq":1,"event":"executed","workload":"w","config":"c","wall_ns":1}` + "\n")); err == nil {
-		t.Error("validator accepted an entry with no worker id")
-	}
-	// Without a whitelist any non-empty id passes.
-	if _, err := ValidateRunLog(strings.NewReader(line(1, "w9"))); err != nil {
-		t.Errorf("no whitelist: %v", err)
-	}
-	// With one, ids outside it fail — the experiments exit boundary
-	// passes "main" plus the campaign's "w1".."wN".
-	ok := line(1, DefaultWorker) + line(2, "w1") + line(3, "w2")
-	if _, err := ValidateRunLog(strings.NewReader(ok), DefaultWorker, "w1", "w2"); err != nil {
-		t.Errorf("whitelisted ids rejected: %v", err)
-	}
-	bad := line(1, DefaultWorker) + line(2, "w3")
-	if _, err := ValidateRunLog(strings.NewReader(bad), DefaultWorker, "w1", "w2"); err == nil {
-		t.Error("validator accepted an entry from an unknown worker")
-	}
-
-	// A forwarded entry keeps its origin worker and wall stamp but is
-	// re-sequenced into the coordinator's log.
-	var buf bytes.Buffer
-	l := NewRunLog(&buf)
-	l.Emit(JobQueued, "w", "c", "")
-	l.EmitEntry(RunLogEntry{Seq: 99, Event: "executed", Workload: "w", Config: "c", Worker: "w2", WallNs: 7})
-	entries, err := ValidateRunLog(bytes.NewReader(buf.Bytes()), DefaultWorker, "w2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries[0].Worker != DefaultWorker {
-		t.Errorf("Emit stamped worker %q, want %q", entries[0].Worker, DefaultWorker)
-	}
-	if e := entries[1]; e.Worker != "w2" || e.WallNs != 7 || e.Seq != 2 {
-		t.Errorf("forwarded entry %+v: want worker w2, wall 7, seq restamped to 2", e)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"cgp/internal/units"
 )
 
-// Serving-path query tracing (DESIGN.md §17). Every served query gets
+// Serving-path query tracing (DESIGN.md §16). Every served query gets
 // one QuerySpan: a trace ID (wire-carried from a tagged client, or
 // server-minted), the connection it arrived on, typed per-stage
 // durations, and a terminal status. Spans are wall-clock-domain

@@ -87,43 +87,22 @@ type RunLogEntry struct {
 	// share a label.
 	Key    string `json:"key,omitempty"`
 	Detail string `json:"detail,omitempty"`
-	// Worker names the process that observed the event: "main" for a
-	// single-process campaign, "w1".."wN" for sharded campaign workers.
-	// Forwarded entries (a coordinator folding worker logs into its
-	// own) keep the originating worker id.
-	Worker string `json:"worker"`
 	WallNs int64  `json:"wall_ns"`
 }
-
-// DefaultWorker is the worker id stamped on entries when none is set:
-// the single-process campaign's only "worker".
-const DefaultWorker = "main"
 
 // RunLog writes job lifecycle events as JSON Lines. It is safe for
 // concurrent use; sequence numbers are assigned under the same lock
 // that orders the writes, so seq is strictly increasing in file order.
 // A nil *RunLog absorbs all operations.
 type RunLog struct {
-	mu     sync.Mutex
-	out    jsonlWriter
-	worker string
-	seq    int64
+	mu  sync.Mutex
+	out jsonlWriter
+	seq int64
 }
 
 // NewRunLog returns a run log writing to w.
 func NewRunLog(w io.Writer) *RunLog {
 	return &RunLog{out: jsonlWriter{w: w}}
-}
-
-// SetWorker sets the worker id stamped on subsequently emitted
-// entries (the default is DefaultWorker).
-func (l *RunLog) SetWorker(id string) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.worker = id
-	l.mu.Unlock()
 }
 
 // Emit appends one lifecycle event. Write errors are sticky and
@@ -132,44 +111,16 @@ func (l *RunLog) Emit(state JobState, workload, config, detail string) {
 	l.emit(RunLogEntry{Event: string(state), Workload: workload, Config: config, Detail: detail})
 }
 
-// emit stamps e with this log's worker id and appends it.
+// emit stamps e with the next seq and the wall time and appends it.
 func (l *RunLog) emit(e RunLogEntry) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e.Worker = l.worker
-	if e.Worker == "" {
-		e.Worker = DefaultWorker
-	}
-	l.emitLocked(e)
-}
-
-// EmitEntry appends a fully formed entry, preserving its worker id and
-// wall timestamp but restamping its sequence number under this log's
-// lock. A campaign coordinator uses it to fold entries forwarded from
-// worker processes into one file whose seq stays strictly increasing.
-func (l *RunLog) EmitEntry(e RunLogEntry) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e.Worker == "" {
-		e.Worker = DefaultWorker
-	}
-	l.emitLocked(e)
-}
-
-// emitLocked assigns the next seq (and a wall timestamp when the entry
-// has none) and writes the entry; the caller holds l.mu.
-func (l *RunLog) emitLocked(e RunLogEntry) {
 	l.seq++
 	e.Seq = l.seq
-	if e.WallNs == 0 {
-		e.WallNs = wallInt(nowWall())
-	}
+	e.WallNs = wallInt(nowWall())
 	l.out.write(e)
 }
 
@@ -185,19 +136,10 @@ func (l *RunLog) Err() error {
 
 // ValidateRunLog parses a JSONL run log and checks its schema: every
 // line is a valid entry, events come from the known lifecycle set,
-// workload, config and worker are non-empty, and seq strictly
-// increases in file order. When workers are given, each entry's
-// worker id must additionally come from that set — the experiments
-// exit boundary passes the campaign's known ids ("main" plus
-// "w1".."wN" when sharded), so an entry from an unknown or missing
-// worker fails validation instead of slipping into the artifact. It
-// returns the parsed entries for further assertions (the chaos suite
-// checks lifecycle ordering per job).
-func ValidateRunLog(r io.Reader, workers ...string) ([]RunLogEntry, error) {
-	known := map[string]bool{}
-	for _, w := range workers {
-		known[w] = true
-	}
+// workload and config are non-empty, and seq strictly increases in
+// file order. It returns the parsed entries for further assertions
+// (the chaos suite checks lifecycle ordering per job).
+func ValidateRunLog(r io.Reader) ([]RunLogEntry, error) {
 	lastSeq := int64(0)
 	return readJSONL(r, "run log", func(e *RunLogEntry) error {
 		if !knownJobStates[JobState(e.Event)] {
@@ -205,12 +147,6 @@ func ValidateRunLog(r io.Reader, workers ...string) ([]RunLogEntry, error) {
 		}
 		if e.Workload == "" || e.Config == "" {
 			return fmt.Errorf("empty workload or config")
-		}
-		if e.Worker == "" {
-			return fmt.Errorf("missing worker id")
-		}
-		if len(known) > 0 && !known[e.Worker] {
-			return fmt.Errorf("unknown worker %q", e.Worker)
 		}
 		if e.Seq <= lastSeq {
 			return fmt.Errorf("seq %d not greater than previous %d", e.Seq, lastSeq)

@@ -74,20 +74,8 @@ type spanStage struct {
 // trace-event JSON. It is safe for concurrent use from campaign
 // workers. A nil *SpanRecorder hands out nil spans.
 type SpanRecorder struct {
-	mu     sync.Mutex
-	worker string
-	done   []spanRecord
-}
-
-// SetWorker sets the campaign worker id stamped as a "worker" arg on
-// every span this recorder exports (the default is DefaultWorker).
-func (r *SpanRecorder) SetWorker(id string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.worker = id
-	r.mu.Unlock()
+	mu   sync.Mutex
+	done []spanRecord
 }
 
 // NewSpanRecorder returns an empty recorder.
@@ -150,24 +138,14 @@ type chromeTrace struct {
 // packing, so the campaign's parallel schedule reads directly off the
 // timeline: overlapping record/replay spans stack on separate rows,
 // and singleflight coalescing shows up as replay spans riding a single
-// record span. Every span carries a "worker" arg: the recorder's
-// worker id, unless the span set its own.
+// record span.
 func (r *SpanRecorder) WriteChromeTrace(w io.Writer) error {
 	if r == nil {
 		return writeChromeTrace(w, nil)
 	}
 	r.mu.Lock()
 	recs := append([]spanRecord(nil), r.done...)
-	worker := r.worker
 	r.mu.Unlock()
-	if worker == "" {
-		worker = DefaultWorker
-	}
-	// The default goes first, so a span's own worker arg (a
-	// coordinator span describing one worker's lifetime) overrides it.
-	for i := range recs {
-		recs[i].args = append([][2]string{{"worker", worker}}, recs[i].args...)
-	}
 	return writeChromeTrace(w, recs)
 }
 

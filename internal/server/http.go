@@ -47,7 +47,9 @@ func (s *Server) startHTTP(ctx context.Context) error {
 	}
 	s.httpLn = ln
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", s.httpQuery)
+	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
+		s.httpQuery(ctx, w, r)
+	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
@@ -71,11 +73,16 @@ func (s *Server) startHTTP(ctx context.Context) error {
 	return nil
 }
 
-// httpQuery serves one SQL statement from the request body.
-func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
+// httpConn is the connection label HTTP queries carry in their spans
+// and run-log entries.
+const httpConn = "http"
+
+// httpQuery serves one SQL statement from the request body through
+// serveQuery, the TCP path's serving function; ctx is the server's, so
+// a query arriving during shutdown is refused as on TCP.
+func (s *Server) httpQuery(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	var decStart units.WallNanos
-	traced := s.opts.Trace != nil
-	if traced {
+	if s.opts.Trace != nil {
 		decStart = s.opts.Clock()
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestFrame+1))
@@ -93,42 +100,17 @@ func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sp *obs.QuerySpan
-	if traced {
-		id := tag
-		if !tagged {
-			id = s.mintTraceID()
-		}
-		w.Header().Set(traceIDHeader, obs.FormatTraceID(id))
-		// HTTP requests have no long-lived connection buffer: the span
-		// flushes straight to the tracer on End.
-		sp = s.opts.Trace.Begin(nil, id, "http", tagged)
-		sp.Stage(obs.StageDecode, s.opts.Clock()-decStart)
+	if s.opts.Trace != nil {
+		sp = s.beginSpan(nil, tag, tagged, httpConn, s.opts.Clock()-decStart)
+		w.Header().Set(traceIDHeader, obs.FormatTraceID(sp.ID()))
 	}
-	var admStart units.WallNanos
-	if sp != nil {
-		admStart = s.opts.Clock()
-	}
-	err = s.adm.admit()
-	if sp != nil {
-		sp.Stage(obs.StageAdmission, s.opts.Clock()-admStart)
-	}
+	res, err := s.serveQuery(ctx, httpConn, sp, func() (*Result, error) {
+		return s.exec.query(r.Context(), httpSession, string(body), tag, sp)
+	})
 	if err != nil {
-		s.opts.Wall.Incr("queries_shed", 1)
-		sp.End(obs.StatusShed)
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	defer s.adm.release()
-	start := s.opts.Clock()
-	res, err := s.exec.query(r.Context(), httpSession, string(body), tag, sp)
-	s.opts.Wall.Observe("query_latency", s.opts.Clock()-start)
-	sp.End(statusFor(err))
-	if err != nil {
-		s.opts.Wall.Incr("queries_failed", 1)
 		httpError(w, httpStatusFor(err), err)
 		return
 	}
-	s.opts.Wall.Incr("queries_served", 1)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(httpQueryResponse{
 		Cols:         res.Cols,

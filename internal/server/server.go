@@ -6,7 +6,7 @@
 // the simulated DBMS from a batch harness into something that serves
 // real traffic — and, through LiveCapture, turns that traffic into
 // replayable workloads for the prefetching experiments (DESIGN.md
-// §16).
+// §15).
 package server
 
 import (
@@ -72,7 +72,7 @@ type Options struct {
 	Wall *obs.WallRegistry
 	Log  *obs.RunLog
 	// Trace, when non-nil, records per-query stage spans and latency
-	// percentiles (DESIGN.md §17). Every query gets a span: tagged
+	// percentiles (DESIGN.md §16). Every query gets a span: tagged
 	// clients carry their own trace ID on the wire; untagged queries
 	// get a server-minted ID (high bit set) that never enters the
 	// capture, so untagged recordings stay byte-identical.
@@ -364,18 +364,18 @@ func (s *Server) handleMsg(ctx context.Context, session int32, connTag string, t
 	switch typ {
 	case msgQuery:
 		sp := s.beginSpan(ct, tag, tagged, connTag, decode)
-		return s.serveQuery(ctx, session, connTag, sp, func() (*Result, error) {
+		return resultFrame(s.serveQuery(ctx, connTag, sp, func() (*Result, error) {
 			return s.exec.query(ctx, session, string(payload), tag, sp)
-		}), false
+		})), false
 	case msgExec:
 		id, err := decodeStmtID(payload)
 		if err != nil {
 			return errorFrame(codeMalformed, err.Error()), true
 		}
 		sp := s.beginSpan(ct, tag, tagged, connTag, decode)
-		return s.serveQuery(ctx, session, connTag, sp, func() (*Result, error) {
+		return resultFrame(s.serveQuery(ctx, connTag, sp, func() (*Result, error) {
 			return s.exec.execPrepared(ctx, session, id, tag, sp)
-		}), false
+		})), false
 	case msgPrepare:
 		id, err := s.exec.prepare(string(payload))
 		if err != nil {
@@ -393,7 +393,8 @@ func (s *Server) handleMsg(ctx context.Context, session int32, connTag string, t
 
 // beginSpan opens a query span (nil when tracing is off), minting a
 // server-side trace ID for untagged queries, and books the already-
-// measured decode stage.
+// measured decode stage. ct is nil for HTTP queries, whose span
+// flushes straight to the tracer on End.
 func (s *Server) beginSpan(ct *obs.ConnTrace, tag uint64, tagged bool, connTag string, decode units.WallNanos) *obs.QuerySpan {
 	if s.opts.Trace == nil {
 		return nil
@@ -407,13 +408,15 @@ func (s *Server) beginSpan(ct *obs.ConnTrace, tag uint64, tagged bool, connTag s
 	return sp
 }
 
-// serveQuery wraps one query execution in admission control, latency
-// accounting and span closing: every query that reached dispatch ends
-// its span with a terminal status, whatever path it dies on.
-func (s *Server) serveQuery(ctx context.Context, session int32, connTag string, sp *obs.QuerySpan, run func() (*Result, error)) []byte {
+// serveQuery serves one query for either transport: it refuses it
+// during shutdown, passes it through admission control, runs it, and
+// books its latency, its counters and its run-log event. Every query
+// that reached dispatch ends its span with a terminal status, whatever
+// path it dies on. The transport encodes the answer.
+func (s *Server) serveQuery(ctx context.Context, connTag string, sp *obs.QuerySpan, run func() (*Result, error)) (*Result, error) {
 	if ctx.Err() != nil {
 		sp.End(obs.StatusShutdown)
-		return errorFrame(codeShutdown, "server shutting down")
+		return nil, ErrShutdown
 	}
 	var admStart units.WallNanos
 	if sp != nil {
@@ -427,7 +430,7 @@ func (s *Server) serveQuery(ctx context.Context, session int32, connTag string, 
 		s.opts.Wall.Incr("queries_shed", 1)
 		s.opts.Log.Emit(obs.QueryShed, workloadTag, connTag, err.Error())
 		sp.End(obs.StatusShed)
-		return errorFrame(codeOverloaded, err.Error())
+		return nil, err
 	}
 	defer s.adm.release()
 	start := s.opts.Clock()
@@ -436,10 +439,19 @@ func (s *Server) serveQuery(ctx context.Context, session int32, connTag string, 
 	sp.End(statusFor(err))
 	if err != nil {
 		s.opts.Wall.Incr("queries_failed", 1)
-		return errorFrame(codeFor(err), err.Error())
+		return nil, err
 	}
 	s.opts.Wall.Incr("queries_served", 1)
 	s.opts.Log.Emit(obs.QueryServed, workloadTag, connTag, "")
+	return res, nil
+}
+
+// resultFrame encodes a served query's answer as a TCP response frame:
+// its result, or the error frame its failure maps to.
+func resultFrame(res *Result, err error) []byte {
+	if err != nil {
+		return errorFrame(codeFor(err), err.Error())
+	}
 	buf := make([]byte, frameHeaderLen, 4096)
 	buf = encodeResult(buf, res)
 	if len(buf)-frameHeaderLen > maxResponseFrame {

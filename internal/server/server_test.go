@@ -1,16 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cgp/internal/db"
+	"cgp/internal/obs"
 	"cgp/internal/units"
 	"cgp/internal/workload"
 )
@@ -263,6 +266,57 @@ func TestHTTPFallback(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s status = %d", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestHTTPQueriesReachRunLog: HTTP queries go through the same serving
+// function as TCP queries, so a served and a shed HTTP query each leave
+// their run-log entry, labelled with the "http" connection.
+func TestHTTPQueriesReachRunLog(t *testing.T) {
+	leakCheck(t)
+	var log bytes.Buffer
+	// A frozen clock never refills the bucket: the burst admits one
+	// query, and the next is shed.
+	frozen := func() units.WallNanos { return 1 }
+	s := New(testEngine(t), Options{
+		Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0",
+		RatePerSec: 1, Burst: 1, Clock: frozen, QueryDeadline: -1,
+		Log: obs.NewRunLog(&log),
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := s.Start(ctx); err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	// stop drains the server before the log is read, and on any early
+	// exit before the leak check runs.
+	stop := sync.OnceFunc(func() { cancel(); s.Wait() })
+	t.Cleanup(stop)
+	for _, want := range []int{http.StatusOK, http.StatusServiceUnavailable} {
+		resp, err := http.Post("http://"+s.HTTPAddr()+"/query", "text/plain",
+			strings.NewReader("SELECT COUNT(*) AS n FROM small"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("status %d, want %d", resp.StatusCode, want)
+		}
+	}
+	stop()
+	entries, err := obs.ValidateRunLog(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, e := range entries {
+		if e.Config == httpConn {
+			got[e.Event]++
+		}
+	}
+	if got[string(obs.QueryServed)] != 1 || got[string(obs.QueryShed)] != 1 {
+		t.Fatalf("run log holds HTTP events %v, want one %s and one %s", got, obs.QueryServed, obs.QueryShed)
 	}
 }
 

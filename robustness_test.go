@@ -31,9 +31,7 @@ import (
 // quantum sweep) are outside the default sampled set, so the sampling
 // schedule only selects the source.
 func chaosOpts(workers int) RunnerOptions {
-	o := recorded(harnessOpts(workers))
-	o.RetryBackoff = 1 // effectively no backoff wait in tests
-	return o
+	return recorded(harnessOpts(workers))
 }
 
 // o5Grid is a grid that stays on the O5 layout, so no cell depends on
@@ -203,9 +201,7 @@ func TestCorruptionHealedByRebuild(t *testing.T) {
 // error, while the other workload's jobs — different recording — all
 // complete.
 func TestPersistentCorruptionExhaustsBudget(t *testing.T) {
-	opts := chaosOpts(4)
-	opts.RetryBudget = 1
-	r := NewRunner(opts)
+	r := NewRunner(chaosOpts(4))
 	ws := r.DBWorkloads()[:2]
 	bad := ws[0].Name
 	var seals atomic.Int64
@@ -221,8 +217,8 @@ func TestPersistentCorruptionExhaustsBudget(t *testing.T) {
 	if !errors.As(err, &camp) {
 		t.Fatalf("RunAll error = %v, want *CampaignError", err)
 	}
-	if got := seals.Load(); got != 2 { // initial record + 1 rebuild
-		t.Fatalf("recording sealed %d times, want 2 (budget 1)", got)
+	if got := seals.Load(); got != 3 { // initial record + 2 rebuilds
+		t.Fatalf("recording sealed %d times, want 3 (budget 2)", got)
 	}
 	for i, j := range jobs {
 		if j.Workload.Name == bad {
@@ -446,7 +442,7 @@ func TestCheckpointCorruptionIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := r.checkpointPath(CellKey(w.Name, cfg))
+	path := r.checkpointPath(cellKey(w.Name, cfg))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -99,21 +99,6 @@ type RunnerOptions struct {
 	// FailFast cancels the remainder of a RunAll campaign as soon as
 	// one job fails. Completed results are still returned.
 	FailFast bool
-	// RetryBudget is how many times a corrupted recording may be
-	// rebuilt from source before the affected jobs fail. 0 means the
-	// default (2); negative disables rebuilds.
-	RetryBudget int
-	// RetryBackoff is the base delay between rebuild attempts,
-	// doubling each retry. 0 means the default (5ms).
-	RetryBackoff time.Duration
-	// OnRecord, when set alongside CheckpointDir, receives every
-	// settled cell's checkpoint record in wire format (the exact bytes
-	// ImportRecord accepts): freshly simulated cells stream the bytes
-	// just written, checkpoint-hit cells re-encode (deterministically,
-	// so the bytes match the stored file). Campaign workers use it to
-	// stream results to their coordinator as the shard progresses. It
-	// may be called from multiple goroutines concurrently.
-	OnRecord func(key string, record []byte)
 	// Obs, when set, receives the campaign's observability signals:
 	// harness spans (record/replay/run/checkpoint/verify), job
 	// lifecycle events, progress state and metrics in both domains.
@@ -158,17 +143,6 @@ func (o *RunnerOptions) samplingFor(f *figureSpec) sample.Config {
 		return sample.Config{}
 	}
 	return o.Sampling
-}
-
-// retryBudget resolves the RetryBudget default.
-func (o *RunnerOptions) retryBudget() int {
-	if o.RetryBudget == 0 {
-		return 2
-	}
-	if o.RetryBudget < 0 {
-		return 0
-	}
-	return o.RetryBudget
 }
 
 // runnerHooks are fault-injection points used by the chaos tests (see
@@ -232,6 +206,12 @@ type flight struct {
 // O5 recordings — so nested once() calls cannot deadlock.
 const dbProfilesKey = "prof|db"
 
+// cellKey is a cell's run key: the runner's flight key for the cell
+// and the key its checkpoint record embeds.
+func cellKey(workloadName string, cfg Config) string {
+	return "run|" + workloadName + "|" + cfg.fingerprint()
+}
+
 func recKey(w *Workload, l Layout) string { return fmt.Sprintf("rec|%s|%d", w.Name, l) }
 func imgKey(w *Workload, l Layout) string { return fmt.Sprintf("img|%s|%d", w.Name, l) }
 
@@ -252,9 +232,6 @@ func NewRunner(opts RunnerOptions) *Runner {
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.RetryBackoff == 0 {
-		opts.RetryBackoff = 5 * time.Millisecond
 	}
 	return &Runner{
 		opts:    opts,
@@ -331,14 +308,14 @@ func (r *Runner) obsSpan(name, cat string) *obs.Span {
 }
 
 // obsJob emits one job lifecycle event to the run log and progress
-// tracker (nil-safe). The job is the cell's run key (CellKey): the
+// tracker (nil-safe). The job is the cell's run key (cellKey): the
 // workload name and config label only display it, and distinct cells
 // can share a label.
 func (r *Runner) obsJob(state obs.JobState, workload string, cfg Config, detail string) {
 	if r.opts.Obs == nil {
 		return
 	}
-	r.opts.Obs.Job(state, CellKey(workload, cfg), workload, cfg.Label(), detail)
+	r.opts.Obs.Job(state, cellKey(workload, cfg), workload, cfg.Label(), detail)
 }
 
 // obsWall returns the wall-clock registry, nil when disabled.
@@ -555,33 +532,40 @@ func (r *Runner) evictRecordingIf(w *Workload, layout Layout, rec *trace.Recordi
 	r.mu.Unlock()
 }
 
+// A corrupted recording is rebuilt from source at most retryBudget
+// times before the affected jobs fail. The first rebuild waits
+// retryBackoff, and each later one waits twice as long as the last.
+const (
+	retryBudget  = 2
+	retryBackoff = 5 * time.Millisecond
+)
+
 // replayRetry runs attempt, which replays the (w, layout) recording it
 // obtains from recordingFor and returns it alongside any error. On a
 // *CorruptionError the recording is evicted and rebuilt from source —
 // the workload re-executes — under an exponential backoff, up to
-// RetryBudget rebuilds. Other errors (including cancellation) return
+// retryBudget rebuilds. Other errors (including cancellation) return
 // immediately.
 func (r *Runner) replayRetry(ctx context.Context, w *Workload, layout Layout, attempt func(context.Context) (*trace.Recording, error)) error {
-	budget := r.opts.retryBudget()
 	for try := 0; ; try++ {
 		rec, err := attempt(ctx)
 		var ce *trace.CorruptionError
 		if err == nil || !errors.As(err, &ce) || ctx.Err() != nil {
 			return err
 		}
-		if try >= budget {
+		if try >= retryBudget {
 			return fmt.Errorf("cgp: %s/%s: retry budget exhausted after %d rebuilds: %w",
 				w.Name, layout, try, err)
 		}
 		r.opts.Log("corrupt recording %s/%s: %v; rebuilding from source (retry %d/%d)",
-			w.Name, layout, err, try+1, budget)
+			w.Name, layout, err, try+1, retryBudget)
 		r.obsWall().Incr("trace_rebuilds", 1)
 		if rec != nil {
 			r.evictRecordingIf(w, layout, rec)
 		}
 		sp := r.obsSpan("backoff", "retry").
 			Arg("workload", w.Name).Arg("try", fmt.Sprint(try+1))
-		sleepCtx(ctx, r.opts.RetryBackoff<<try)
+		sleepCtx(ctx, retryBackoff<<try)
 		sp.End()
 	}
 }
@@ -729,7 +713,7 @@ func groupJobs(jobs []Job) []*jobGroup {
 			groups[gk] = g
 			order = append(order, g)
 		}
-		rk := CellKey(j.Workload.Name, cfg)
+		rk := cellKey(j.Workload.Name, cfg)
 		if _, ok := g.cfgs[rk]; !ok {
 			g.keys = append(g.keys, rk)
 			g.cfgs[rk] = cfg
@@ -934,7 +918,6 @@ func (r *Runner) runBatch(ctx context.Context, w *Workload, batch []hubCell) {
 			r.obsWall().Incr("checkpoint_hits", 1)
 			r.obsJob(obs.JobResumed, w.Name, c.cfg, "checkpoint")
 			r.noteResult(res)
-			r.emitRecord(w, c.cfg, res, nil)
 			c.f.resolve(res, nil)
 			continue
 		}

@@ -32,7 +32,8 @@ func samplingTestOpts(seed int64, workers int) RunnerOptions {
 // samplingTestSchedule measures a far larger fraction of the stream
 // than a production campaign schedule would: the differential suite
 // exists to bound estimator error tightly, not to demonstrate
-// throughput (BENCH_sampling.json does that at campaign scale).
+// throughput (BenchmarkSamplingSampledReplay does that at campaign
+// scale).
 // Random offsets matter at this scale — the Wisconsin queries have
 // per-tuple periodic structure that fixed window offsets alias with.
 func samplingTestSchedule(seed int64) sample.Config {
