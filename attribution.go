@@ -3,10 +3,12 @@ package cgp
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 
 	"cgp/internal/cpu"
 	"cgp/internal/isa"
+	"cgp/internal/obs"
 )
 
 // Per-function attribution reporting: the table behind "which functions
@@ -41,11 +43,11 @@ type AttributionTable struct {
 	Rows       []AttrRow
 }
 
-// RankAttribution returns the top n per-function rows (n <= 0 means
+// rankAttribution returns the top n per-function rows (n <= 0 means
 // every row), ranked by prefetch-relevant demand traffic
 // (AttrCounters.Demand, descending), ties broken by start address so
 // the order is deterministic. rows is not modified.
-func RankAttribution(rows []cpu.FuncAttribution, n int) []cpu.FuncAttribution {
+func rankAttribution(rows []cpu.FuncAttribution, n int) []cpu.FuncAttribution {
 	ranked := append([]cpu.FuncAttribution(nil), rows...)
 	sort.SliceStable(ranked, func(i, j int) bool {
 		di, dj := ranked[i].Demand(), ranked[j].Demand()
@@ -61,7 +63,7 @@ func RankAttribution(rows []cpu.FuncAttribution, n int) []cpu.FuncAttribution {
 }
 
 // AttributionTable simulates (or serves from cache) one cell and
-// returns its top-n attribution rows in RankAttribution order. n <= 0
+// returns its top-n attribution rows in rankAttribution order. n <= 0
 // means every function. The runner must have been built with
 // Attribution set; otherwise the result carries no rows to tabulate
 // and an error says so.
@@ -83,7 +85,7 @@ func (r *Runner) AttributionTable(ctx context.Context, w *Workload, cfg Config, 
 		Config:     cfg.Label(),
 		TotalFuncs: len(res.CPU.Attribution),
 	}
-	ranked := RankAttribution(res.CPU.Attribution, n)
+	ranked := rankAttribution(res.CPU.Attribution, n)
 	t.Rows = make([]AttrRow, 0, len(ranked))
 	for _, fa := range ranked {
 		name := "(pre-main)"
@@ -100,14 +102,34 @@ func (r *Runner) AttributionTable(ctx context.Context, w *Workload, cfg Config, 
 }
 
 // QueryAttributionTable is the per-trace-ID prefetch breakdown of one
-// (workload, config) cell — the library-level form of `cgptrace replay
-// -by-query`. Rows exist only for workloads whose trace carries query
-// tags (live captures of trace-tagged traffic); they arrive from the
-// simulator already sorted by trace ID, so the table is replay-stable.
+// (workload, config) cell, as `cgpsim -trace FILE -by-query` prints it.
+// Rows exist only for workloads whose trace carries query tags (live
+// captures of trace-tagged traffic); they arrive from the simulator
+// already sorted by trace ID, so the table is replay-stable.
 type QueryAttributionTable struct {
 	Workload string
 	Config   string
 	Rows     []cpu.QueryAttribution
+	// Log holds the serving layer's slow-query log entries by trace ID
+	// once JoinQueryLog has run; each row then also shows what its
+	// query cost on the wire: status, wall-clock total and stages.
+	Log map[uint64]obs.QueryLogEntry
+}
+
+// JoinQueryLog reads a slow-query log (JSONL, validated by
+// obs.ValidateQueryLog) and joins it into the table by trace ID,
+// linking what each query cost the server in wall-clock time to what
+// it cost in the simulated memory hierarchy.
+func (t *QueryAttributionTable) JoinQueryLog(log io.Reader) error {
+	entries, err := obs.ValidateQueryLog(log)
+	if err != nil {
+		return err
+	}
+	t.Log = make(map[uint64]obs.QueryLogEntry, len(entries))
+	for _, e := range entries {
+		t.Log[e.ID()] = e
+	}
+	return nil
 }
 
 // QueryAttributionTable simulates (or serves from cache) one cell and
@@ -126,7 +148,7 @@ func (r *Runner) QueryAttributionTable(ctx context.Context, w *Workload, cfg Con
 		return nil, err
 	}
 	if len(res.CPU.QueryAttr) == 0 {
-		return nil, fmt.Errorf("cgp: workload %q carries no query trace tags (capture trace-tagged traffic: cgpserve drive -traced)", w.Name)
+		return nil, fmt.Errorf("cgp: workload %q carries no query trace tags (capture trace-tagged traffic: cgpserve -drive ADDR -traced)", w.Name)
 	}
 	return &QueryAttributionTable{
 		Workload: w.Name,

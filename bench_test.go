@@ -26,7 +26,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	var instrs units.Instrs
 	for i := 0; i < b.N; i++ {
-		c, _ := (Config{Layout: LayoutO5, Prefetcher: PrefCGP, Degree: 4}).NewCPU(nil)
+		c, _ := (Config{Layout: LayoutO5, Prefetcher: PrefCGP, Degree: 4}).newCPU(nil)
 		if err := w.Run(img, c); err != nil {
 			b.Fatal(err)
 		}

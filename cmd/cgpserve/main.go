@@ -6,8 +6,8 @@
 //	cgpserve -addr 127.0.0.1:7744 -http 127.0.0.1:7745 -capture live.cgptrc
 //
 // A capture, when requested, records every served query at the probe
-// level and seals on graceful shutdown; cgptrace replays the sealed
-// file, and cgp.Captured loads it as the "captured" workload.
+// level and seals on graceful shutdown; cgpsim -trace simulates the
+// sealed file, which cgp.LoadTrace loads as the "captured" workload.
 //
 // Drive (hammer a serving process, report queries/sec):
 //
@@ -16,8 +16,8 @@
 // -traced tags every driven query with a client-minted trace ID
 // (client i uses IDs (i+1)<<32 + seq), which the server threads
 // through its spans, the slow-query log and — when capturing — the
-// sealed capture, so `cgptrace replay -by-query` can join wall-clock
-// latency to simulated CGP attribution per query.
+// sealed capture, so `cgpsim -trace FILE -by-query` can join
+// wall-clock latency to simulated CGP attribution per query.
 //
 // CI check modes (exit nonzero on violation):
 //

@@ -8,16 +8,35 @@
 //	cgpsim -workload wisc-prof -perfect
 //	cgpsim -workload wisc-prof -prefetch cgp -attribution -stats-json stats.json
 //	cgpsim -workload wisc-large-1 -prefetch nl -sample
+//	cgpsim -trace wisc.cgptrc -prefetch cgp -n 4
+//	cgpsim -trace live.cgptrc -prefetch cgp -by-query -querylog slow.jsonl
 //
 // -sample switches to sampled simulation: most of the event stream is
 // skipped or functionally warmed and only periodic windows run in
 // detail, printing estimated whole-run cycles and misses with 95%
 // confidence intervals instead of measured totals. The schedule knobs
 // are -sample-period, -sample-fwarm, -sample-warmup, -sample-window
-// (all in events) and -sample-random-offset.
+// (all in events) and -sample-random-offset, whose offsets -seed seeds.
 //
 // Workloads: wisc-prof, wisc-large-1, wisc-large-2, wisc+tpch,
 // gzip, gcc, crafty, parser, gap, bzip2, twolf.
+//
+// -trace FILE runs a sealed trace file instead of -workload, the way a
+// figure cell runs (cgp.LoadTrace). A probe-level capture of served
+// traffic (cgpserve -capture) is synthesized over the database
+// system's image, seeded by -seed, on either layout. An address-level
+// recording (cgptrace record) replays its own events, on the O5 layout
+// only; a sampled run skips through the loaded file. Recorded streams
+// carry no symbols, so -attribution names their functions by start
+// address.
+//
+// -by-query joins the simulation back to the serving layer: a capture
+// of trace-tagged traffic (cgpserve -drive -traced) carries each
+// query's trace ID, and -by-query prints per-trace-ID attribution
+// (fetches, misses, coverage, accuracy, timeliness). -querylog
+// slow.jsonl joins in the server's status, wall-clock total and stage
+// latencies for the same IDs, so one table links what a query cost on
+// the wire to what it cost in the simulated memory hierarchy.
 //
 // -stats-json dumps the full measurement — cpu.Stats including the
 // per-function attribution rows when -attribution is set — as JSON
@@ -37,11 +56,13 @@ import (
 
 	"cgp"
 	"cgp/internal/sample"
+	"cgp/internal/workload"
 )
 
 func main() {
 	var (
 		workloadName = flag.String("workload", "wisc-prof", "workload name")
+		traceFile    = flag.String("trace", "", "run this sealed trace file (probe capture or address-level recording) instead of -workload")
 		layout       = flag.String("layout", "o5", "binary layout: o5 or om")
 		pref         = flag.String("prefetch", "none", "prefetcher: none, nl, ranl, cgp")
 		degree       = flag.Int("n", 4, "lines prefetched per trigger (NL_n / CGP_n)")
@@ -49,45 +70,41 @@ func main() {
 		cghc         = flag.String("cghc", "2k+32k", "CGHC size: e.g. 1k, 32k, 1k+16k, 2k+32k, inf")
 		perfect      = flag.Bool("perfect", false, "perfect I-cache")
 		wiscN        = flag.Int("wisc-n", 10000, "Wisconsin big-relation cardinality")
-		seed         = flag.Int64("seed", 42, "workload seed")
+		seed         = flag.Int64("seed", 42, "workload seed (also seeds probe-capture synthesis and -sample-random-offset)")
 		attribution  = flag.Bool("attribution", false, "collect per-function prefetch attribution")
+		byQuery      = flag.Bool("by-query", false, "print per-trace-ID attribution for a capture of trace-tagged traffic")
+		querylog     = flag.String("querylog", "", "with -by-query: join the server's slow-query log (JSONL) into the table")
 		statsJSON    = flag.String("stats-json", "", "dump the full statistics as stable-key-order JSON to this file ('-' for stdout)")
 		attrTop      = flag.Int("attr-top", 10, "attribution rows to print with -attribution")
 		verbose      = flag.Bool("v", false, "progress output")
-
-		sampled      = flag.Bool("sample", false, "sampled simulation: estimate whole-run cycles/misses from periodic detailed windows")
-		samplePeriod = flag.Int64("sample-period", sample.Default().PeriodEvents, "events per sampling period")
-		sampleFWarm  = flag.Int64("sample-fwarm", sample.Default().FunctionalWarmEvents, "functionally warmed events before each window")
-		sampleWarm   = flag.Int64("sample-warmup", sample.Default().DetailWarmEvents, "detailed warm-up events before each window")
-		sampleWin    = flag.Int64("sample-window", sample.Default().WindowEvents, "measured events per window")
-		sampleRand   = flag.Bool("sample-random-offset", false, "place each period's window at a seeded random offset instead of a fixed one")
 	)
+	sampling := sample.RegisterFlags(flag.CommandLine, "sampled simulation: estimate whole-run cycles/misses from periodic detailed windows")
 	flag.Parse()
 
 	cfg, err := buildConfig(*layout, *pref, *degree, *runAheadM, *cghc, *perfect)
+	if err == nil && *querylog != "" && !*byQuery {
+		err = fmt.Errorf("-querylog needs -by-query")
+	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "cgpsim:", err)
+		os.Exit(2)
 	}
-	if *sampled {
-		cfg.Sampling = sample.Config{
-			PeriodEvents:         *samplePeriod,
-			FunctionalWarmEvents: *sampleFWarm,
-			DetailWarmEvents:     *sampleWarm,
-			WindowEvents:         *sampleWin,
-			RandomOffset:         *sampleRand,
-			Seed:                 uint64(*seed),
-		}
-	}
+	cfg.Sampling = sampling(*seed)
 	opts := cgp.RunnerOptions{
 		DB: cgp.DBOptions{WiscN: *wiscN, Seed: *seed}, Seed: *seed,
-		Attribution: *attribution,
+		Attribution: *attribution || *byQuery,
 	}
 	if *verbose {
 		opts.Log = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
 	}
 	r := cgp.NewRunner(opts)
 
-	w, err := findWorkload(r, *workloadName, *seed)
+	var w *cgp.Workload
+	if *traceFile != "" {
+		w, err = cgp.LoadTrace(*traceFile, *seed)
+	} else {
+		w, err = workload.ByName(*workloadName, *wiscN, *seed)
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -111,12 +128,23 @@ func main() {
 		fmt.Println()
 		fmt.Print(tab.Markdown())
 	}
+	if *byQuery {
+		tab, err := r.QueryAttributionTable(ctx, w, cfg)
+		if err == nil && *querylog != "" {
+			var f *os.File
+			if f, err = os.Open(*querylog); err == nil {
+				err = tab.JoinQueryLog(f)
+				f.Close()
+			}
+		}
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println()
+		fmt.Print(tab.Markdown())
+	}
 }
 
-// dumpStatsJSON writes the full Result — cpu.Stats (with attribution
-// rows when enabled), trace stats and CGP stats — as indented JSON.
-// encoding/json emits struct fields in declaration order, so the key
-// order is stable across runs and diffs line up.
 func dumpStatsJSON(path string, res *cgp.Result) error {
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -152,6 +180,9 @@ func buildConfig(layout, pref string, n, m int, cghc string, perfect bool) (cgp.
 	default:
 		return cfg, fmt.Errorf("unknown prefetcher %q", pref)
 	}
+	if n <= 0 || m <= 0 {
+		return cfg, fmt.Errorf("-n and -m must be positive (got -n %d -m %d)", n, m)
+	}
 	cfg.Degree = n
 	cfg.RunAheadM = m
 	cfg.PerfectICache = perfect
@@ -165,11 +196,13 @@ func parseCGHC(s string) (cgp.CGHCConfig, error) {
 	if s == "inf" || s == "infinite" {
 		return cgp.CGHCConfig{Infinite: true}, nil
 	}
+	// A direct-mapped level of v KB has a power-of-two set count only
+	// when v is a power of two.
 	parse := func(part string) (int, error) {
 		part = strings.TrimSuffix(part, "k")
 		var v int
-		if _, err := fmt.Sscanf(part, "%d", &v); err != nil {
-			return 0, fmt.Errorf("bad CGHC size %q", s)
+		if _, err := fmt.Sscanf(part, "%d", &v); err != nil || v <= 0 || v&(v-1) != 0 {
+			return 0, fmt.Errorf("bad CGHC size %q: each level is a power-of-two number of KB", s)
 		}
 		return v * 1024, nil
 	}
@@ -185,18 +218,6 @@ func parseCGHC(s string) (cgp.CGHCConfig, error) {
 		}
 	}
 	return cfg, nil
-}
-
-func findWorkload(r *cgp.Runner, name string, seed int64) (*cgp.Workload, error) {
-	for _, w := range r.DBWorkloads() {
-		if w.Name == name {
-			return w, nil
-		}
-	}
-	if w, err := cgp.CPU2000(name, seed); err == nil {
-		return w, nil
-	}
-	return nil, fmt.Errorf("unknown workload %q (try wisc-prof, wisc-large-1, wisc-large-2, wisc+tpch, gzip, gcc, crafty, parser, gap, bzip2, twolf)", name)
 }
 
 func printResult(res *cgp.Result) {

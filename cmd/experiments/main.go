@@ -73,22 +73,18 @@ func main() {
 		logJSON     = flag.String("log-json", "", "write job lifecycle events as JSON Lines to this file")
 		attribution = flag.Bool("attribution", false, "collect per-function prefetch attribution and append its table to the report")
 
-		sampled       = flag.Bool("sample", false, "run the cycle-comparison figures as sampled simulations (estimated cycles ±CI, much faster); counter figures (fig7/8/9) stay full-detail")
-		samplePeriod  = flag.Int64("sample-period", sample.Default().PeriodEvents, "events per sampling period")
-		sampleFWarm   = flag.Int64("sample-fwarm", sample.Default().FunctionalWarmEvents, "functionally warmed events before each window")
-		sampleWarm    = flag.Int64("sample-warmup", sample.Default().DetailWarmEvents, "detailed warm-up events before each window")
-		sampleWin     = flag.Int64("sample-window", sample.Default().WindowEvents, "measured events per window")
-		sampleRand    = flag.Bool("sample-random-offset", false, "place each period's window at a seeded random offset instead of a fixed one")
 		sampleFigures = flag.String("sample-figures", "", "with -sample: comma-separated figure IDs to sample, or none (default: the cycle-comparison figures)")
 	)
+	sampling := sample.RegisterFlags(flag.CommandLine, "run the cycle-comparison figures as sampled simulations (estimated cycles ±CI, much faster); counter figures (fig7/8/9) stay full-detail")
 	flag.Parse()
+	smp := sampling(*seed)
 
 	// A bad -sample-figures is a usage error, caught before any work
 	// starts: exit status 2, as the flag package uses.
 	var sampledFigures []string
 	if *sampleFigures != "" {
 		ids, err := cgp.ParseFigureIDs(*sampleFigures)
-		if err == nil && !*sampled {
+		if err == nil && !smp.Enabled() {
 			err = fmt.Errorf("needs -sample (figures: %s)",
 				strings.Join(append(cgp.PaperFigureIDs(), cgp.ExtensionFigureIDs()...), ", "))
 		}
@@ -124,17 +120,7 @@ func main() {
 		DB: cgp.DBOptions{WiscN: *wiscN, Seed: *seed}, Seed: *seed,
 		Workers: *workers, CheckpointDir: *checkpoint, FailFast: *failFast,
 		Obs: o, Attribution: *attribution,
-	}
-	if *sampled {
-		opts.Sampling = sample.Config{
-			PeriodEvents:         *samplePeriod,
-			FunctionalWarmEvents: *sampleFWarm,
-			DetailWarmEvents:     *sampleWarm,
-			WindowEvents:         *sampleWin,
-			RandomOffset:         *sampleRand,
-			Seed:                 uint64(*seed),
-		}
-		opts.SampledFigures = sampledFigures
+		Sampling: smp, SampledFigures: sampledFigures,
 	}
 	if *verbose {
 		opts.Log = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }

@@ -182,15 +182,15 @@ func (c Config) fingerprint() string {
 	return fp
 }
 
-// NewCPU builds the machine the config describes: the CPU model (the
+// newCPU builds the machine the config describes: the CPU model (the
 // Table-1 machine unless CPU overrides it) with its prefetch engine
 // attached, ready for a sampling plan when the config is sampled. The
 // second result is the CGP core when the prefetcher is CGP, for Figure
 // 9's portion split. The software-CGP variant prefetches from sw, its
 // profiled call-sequence table bound to one image's addresses; a nil
 // sw leaves it without prefetching. Every cell the runner simulates is
-// built here, and so is cgptrace's replay machine.
-func (c Config) NewCPU(sw *core.Software) (*cpu.CPU, *core.CGP) {
+// built here.
+func (c Config) newCPU(sw *core.Software) (*cpu.CPU, *core.CGP) {
 	c = c.withDefaults()
 	mc := cpu.DefaultConfig()
 	if c.CPU != nil {

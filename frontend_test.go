@@ -88,7 +88,7 @@ func TestSharedFrontendMatchesStandalone(t *testing.T) {
 	opts := harnessOpts(2)
 	opts.Attribution = true
 	r := NewRunner(opts)
-	captured, err := Captured(path, opts.Seed)
+	captured, err := LoadTrace(path, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

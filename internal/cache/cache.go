@@ -41,14 +41,6 @@ type Stats struct {
 	Inserts   int64
 }
 
-// MissRate returns Misses/Accesses.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // orderedAssocMax is the widest associativity the packed LRU order word
 // supports: 16 ways of 4 bits each in a uint64. Wider (and
 // fully-associative) geometries fall back to per-way timestamps.
@@ -157,9 +149,6 @@ func promote(o uint64, w int) uint64 {
 
 // Stats returns a copy of the access counters.
 func (c *Cache[P]) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without touching contents.
-func (c *Cache[P]) ResetStats() { c.stats = Stats{} }
 
 // Sets returns the number of sets.
 func (c *Cache[P]) Sets() int { return len(c.tags) / c.assoc }

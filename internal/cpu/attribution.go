@@ -285,7 +285,7 @@ func (a *attribution) sorted() []FuncAttribution {
 
 // qsorted returns a copy of the query rows, minus the scratch row,
 // ordered by trace ID: the deterministic order Stats exposes (and the
-// join key order `cgptrace replay -by-query` prints). It returns nil
+// join key order `cgpsim -trace FILE -by-query` prints). It returns nil
 // when no query was tagged.
 func (a *attribution) qsorted() []QueryAttribution {
 	if len(a.qrows) == 1 {

@@ -145,9 +145,6 @@ func (c *CPU) EnableAttribution() {
 	}
 }
 
-// AttributionEnabled reports whether EnableAttribution was called.
-func (c *CPU) AttributionEnabled() bool { return c.attr != nil }
-
 // Cycle returns the current cycle count.
 func (c *CPU) Cycle() units.Cycles { return c.cycle }
 

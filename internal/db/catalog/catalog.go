@@ -230,15 +230,6 @@ func (c *Catalog) Get(name string) (*Table, error) {
 	return t, nil
 }
 
-// MustGet returns the named table or panics.
-func (c *Catalog) MustGet(name string) *Table {
-	t, err := c.Get(name)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Drop removes a table (temp cleanup).
 func (c *Catalog) Drop(name string) { delete(c.tables, name) }
 

@@ -143,10 +143,6 @@ func (e *Engine) MustTable(name string) *Table {
 	return t
 }
 
-// DropTable removes a table from the catalog (its pages are not
-// reclaimed; the simulated disk only grows).
-func (e *Engine) DropTable(name string) { delete(e.tables, name) }
-
 // CreateIndex builds a B+-tree on an integer column from the table's
 // current contents. clustered records that the heap is physically
 // ordered by this column (the loader's responsibility).

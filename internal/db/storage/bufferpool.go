@@ -73,9 +73,6 @@ func NewBufferPool(disk *Disk, nframes int, pr *probe.Probe, fns Funcs) *BufferP
 // Stats returns a copy of the pool counters.
 func (bp *BufferPool) Stats() PoolStats { return bp.stats }
 
-// NumFrames returns the pool capacity.
-func (bp *BufferPool) NumFrames() int { return len(bp.frames) }
-
 // FindPage checks whether id is resident, pinning and returning its
 // frame if so. This is the paper's Find_page_in_buffer_pool: with a
 // large, mostly-warm pool it almost always hits, which is exactly the

@@ -417,15 +417,3 @@ func (t *Tracer) branchTarget(f *frame) int {
 	}
 	return pos
 }
-
-// Region is a convenience for instrumenting a function with a single
-// statement:
-//
-//	defer tr.Region(fnCreateRec)()
-type Region func()
-
-// Region enters fn and returns the matching Exit.
-func (t *Tracer) Region(fn program.FuncID) Region {
-	t.Enter(fn)
-	return t.Exit
-}

@@ -41,18 +41,41 @@ func Captured(name string, rec *trace.Recording, seed int64) (*Workload, error) 
 	}, nil
 }
 
-// CapturedFromFile loads a sealed capture file (the cgptrc container
-// carrying probe-level events) and registers it under the standard
-// "captured" workload name.
-func CapturedFromFile(path string, seed int64) (*Workload, error) {
+// Recorded wraps a sealed address-level recording (cgptrace record's
+// output) as a Workload whose stream is the recording's own events. The
+// addresses were fixed over one image when the stream was recorded, so
+// the workload has no registry to lay out (functions are known only by
+// their start addresses), Run replays the events whatever the image,
+// and Recording hands the runner the sealed stream to replay in place
+// of recording it again.
+func Recorded(name string, rec *trace.Recording) *Workload {
+	return &Workload{
+		Name:        name,
+		Family:      "recorded",
+		NewRegistry: program.NewRegistry,
+		Run: func(_ *program.Image, out trace.Consumer) error {
+			return rec.Replay(out)
+		},
+		Recording: rec,
+	}
+}
+
+// FromFile loads a sealed trace file (the cgptrc container) as a
+// workload: a probe-level capture as the "captured" workload, whose
+// stream is synthesized with seed (see Captured), and any other
+// recording as the "recorded" workload (see Recorded).
+func FromFile(path string, seed int64) (*Workload, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("workload captured: %w", err)
+		return nil, fmt.Errorf("workload: %w", err)
 	}
 	defer f.Close()
 	rec, err := trace.Load(f)
 	if err != nil {
-		return nil, fmt.Errorf("workload captured: %s: %w", path, err)
+		return nil, fmt.Errorf("workload: %s: %w", path, err)
 	}
-	return Captured("captured", rec, seed)
+	if trace.IsProbeRecording(rec) {
+		return Captured("captured", rec, seed)
+	}
+	return Recorded("recorded", rec), nil
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"cgp/internal/db"
 	"cgp/internal/program"
@@ -24,6 +25,11 @@ type Workload struct {
 	NewRegistry func() *program.Registry
 	// Run executes the workload against img, emitting events into out.
 	Run func(img *program.Image, out trace.Consumer) error
+	// Recording, when set, is the workload's whole stream, already
+	// sealed (see Recorded): its addresses are fixed, so it runs on the
+	// O5 layout only, and the runner replays it instead of recording
+	// Run's output.
+	Recording *trace.Recording
 }
 
 // DBOptions scales the database workloads.
@@ -131,4 +137,23 @@ func WiscTPCH(opts DBOptions) *Workload {
 // order.
 func DBWorkloads(opts DBOptions) []*Workload {
 	return []*Workload{WiscProf(opts), WiscLarge1(opts), WiscLarge2(opts), WiscTPCH(opts)}
+}
+
+// ByName returns the named database workload (at Wisconsin cardinality
+// wiscN) or CPU2000 stand-in, both seeded by seed.
+func ByName(name string, wiscN int, seed int64) (*Workload, error) {
+	var names []string
+	for _, w := range DBWorkloads(DBOptions{WiscN: wiscN, Seed: seed}) {
+		if w.Name == name {
+			return w, nil
+		}
+		names = append(names, w.Name)
+	}
+	for _, s := range CPU2000Specs() {
+		if s.Name == name {
+			return NewCPU2000(s, seed), nil
+		}
+		names = append(names, s.Name)
+	}
+	return nil, fmt.Errorf("unknown workload %q (try %s)", name, strings.Join(names, ", "))
 }

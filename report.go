@@ -231,39 +231,70 @@ func (t *AttributionTable) Markdown() string {
 		fmt.Fprintf(&b, "Top %d of %d attributed functions, by prefetch-relevant demand fetches.\n\n",
 			len(t.Rows), t.TotalFuncs)
 	}
-	writeAttrHeader(&b, "function")
+	writeAttrHeader(&b, "function", "", "")
 	for i := range t.Rows {
-		writeAttrRow(&b, t.Rows[i].Name, &t.Rows[i].AttrCounters)
+		writeAttrRow(&b, t.Rows[i].Name, &t.Rows[i].AttrCounters, "")
 	}
 	return b.String()
 }
 
 // Markdown renders the per-query attribution table. Trace IDs print as
-// 16 lower-case hex digits — the same rendering the slow-query log and
-// the replay join use, so a row here greps directly against serving
-// artifacts. Rows are already trace-ID-sorted; regenerating the table
-// yields identical bytes.
+// 16 lower-case hex digits — the same rendering the slow-query log
+// uses, so a row here greps directly against serving artifacts. With a
+// joined query log each row ends in its status, wall-clock total (ns)
+// and stage latencies, "-" where the log lacks the query. Rows are
+// already trace-ID-sorted; regenerating the table yields identical
+// bytes.
 func (t *QueryAttributionTable) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### Per-query prefetch attribution — %s under %s\n\n", t.Workload, t.Config)
-	writeAttrHeader(&b, "trace id")
+	head, align := "", ""
+	if t.Log != nil {
+		head, align = " status | wall_ns | stages |", "---|---:|---|"
+	}
+	writeAttrHeader(&b, "trace id", head, align)
 	for i := range t.Rows {
-		writeAttrRow(&b, obs.FormatTraceID(t.Rows[i].Query), &t.Rows[i].AttrCounters)
+		r := &t.Rows[i]
+		writeAttrRow(&b, obs.FormatTraceID(r.Query), &r.AttrCounters, t.logCells(r.Query))
 	}
 	return b.String()
 }
 
+// logCells renders the query-log join columns of one trace ID's row:
+// none without a joined log, "-" where the log lacks the query.
+func (t *QueryAttributionTable) logCells(id uint64) string {
+	if t.Log == nil {
+		return ""
+	}
+	e, ok := t.Log[id]
+	if !ok {
+		return " - | - | - |"
+	}
+	var stages []string
+	for st := obs.QueryStage(0); st < obs.NumQueryStages; st++ {
+		if ns, ok := e.Stages[st.String()]; ok {
+			stages = append(stages, fmt.Sprintf("%s=%d", st, ns))
+		}
+	}
+	if len(stages) == 0 {
+		stages = []string{"-"}
+	}
+	return fmt.Sprintf(" %s | %d | %s |", e.Status, e.TotalNs, strings.Join(stages, " "))
+}
+
 // writeAttrHeader writes the column header both attribution tables
-// share, under a first column named key.
-func writeAttrHeader(b *strings.Builder, key string) {
-	b.WriteString("| " + key + " | fetches | misses | pref hits | delayed | coverage | issued | useful | accuracy | timeliness (cyc) |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+// share, under a first column named key and followed by any extra
+// columns (head, with their alignment cells in align).
+func writeAttrHeader(b *strings.Builder, key, head, align string) {
+	b.WriteString("| " + key + " | fetches | misses | pref hits | delayed | coverage | issued | useful | accuracy | timeliness (cyc) |" + head + "\n")
+	b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|" + align + "\n")
 }
 
 // writeAttrRow writes one attribution row: the counters and derived
-// metrics of one function or query, keyed by its name or trace ID.
-func writeAttrRow(b *strings.Builder, key string, c *cpu.AttrCounters) {
-	fmt.Fprintf(b, "| %s | %d | %d | %d | %d | %.2f | %d | %d | %.2f | %.1f |\n",
+// metrics of one function or query, keyed by its name or trace ID and
+// followed by the cells in tail.
+func writeAttrRow(b *strings.Builder, key string, c *cpu.AttrCounters, tail string) {
+	fmt.Fprintf(b, "| %s | %d | %d | %d | %d | %.2f | %d | %d | %.2f | %.1f |%s\n",
 		key, c.LineFetches, c.Misses, c.PrefHits, c.DelayedHits, c.Coverage(),
-		c.Issued, c.Useful, c.Accuracy(), c.MeanTimeliness())
+		c.Issued, c.Useful, c.Accuracy(), c.MeanTimeliness(), tail)
 }

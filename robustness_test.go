@@ -155,6 +155,35 @@ func TestReplayHubPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestPanicInCellSetupFailsAlone runs a cell whose machine cannot be
+// built (a 3 KB CGHC has a non-power-of-two set count, so core.New
+// panics) beside a valid cell of the same pass: the invalid cell fails
+// alone, with its workload and config named, and the valid one returns
+// its result.
+func TestPanicInCellSetupFailsAlone(t *testing.T) {
+	r := NewRunner(harnessOpts(2))
+	w := WiscProf(harnessOpts(2).DB)
+	bad := Config{Layout: LayoutO5, Prefetcher: PrefCGP, Degree: 4, CGHC: CGHCConfig{L1Bytes: 3 * 1024}}
+	jobs := []Job{{w, Config{Layout: LayoutO5, Prefetcher: PrefNL, Degree: 4}}, {w, bad}}
+	results, err := r.RunAll(context.Background(), jobs)
+
+	var camp *CampaignError
+	if !errors.As(err, &camp) || len(camp.Jobs) != 1 {
+		t.Fatalf("RunAll error = %v, want one failed job", err)
+	}
+	je := camp.Jobs[0]
+	if je.Index != 1 || je.Workload != w.Name || je.Config != bad.Label() {
+		t.Fatalf("failure attributed to job %d (%q, %q), want job 1 (%s, %s)",
+			je.Index, je.Workload, je.Config, w.Name, bad.Label())
+	}
+	if msg, _ := je.Panic.(string); !strings.Contains(msg, "non-power-of-two") {
+		t.Fatalf("JobError panic = %v, want core.New's geometry panic", je.Panic)
+	}
+	if results[0] == nil || results[0].Cycles() == 0 || results[1] != nil {
+		t.Fatalf("results = %v, want the valid cell's result only", results)
+	}
+}
+
 // TestCorruptionHealedByRebuild corrupts each workload's first sealed
 // recording; the campaign must detect the bad checksum, rebuild the
 // recording from source and finish with clean-run results and no

@@ -46,14 +46,18 @@ func CPU2000(name string, seed int64) (*Workload, error) {
 	return workload.NewCPU2000(spec, seed), nil
 }
 
-// Captured loads a sealed probe-level capture of live served traffic
-// (written by cgpserve -capture, or server.LiveCapture.Seal) as the
-// "captured" workload. It replays through per-session tracers seeded
-// from seed (0 means 42) over whatever layout a config asks for, so
-// it runs through Run and RunAll like any other workload. Its name is
-// its identity in a runner's caches: one runner takes one capture.
-func Captured(path string, seed int64) (*Workload, error) {
-	return workload.CapturedFromFile(path, seed)
+// LoadTrace loads a sealed trace file as a workload that runs through
+// Run and RunAll like any other. A probe-level capture of live served
+// traffic (written by cgpserve -capture, or server.LiveCapture.Seal)
+// is the "captured" workload: it replays through per-session tracers
+// seeded from seed (0 means 42) over whatever layout a config asks for.
+// An address-level recording (cgptrace record) is the "recorded"
+// workload: its stream is the file's own events, fixed when they were
+// recorded, so it runs on the O5 layout only, full or sampled, and
+// every pass replays the loaded recording itself. The name is the
+// workload's identity in a runner's caches: one runner takes one file.
+func LoadTrace(path string, seed int64) (*Workload, error) {
+	return workload.FromFile(path, seed)
 }
 
 // Result is everything one simulation run measured.
@@ -106,8 +110,8 @@ type RunnerOptions struct {
 	// nil-safe, so no path checks the field more than once.
 	Obs *obs.Observability
 	// Attribution enables per-function prefetch attribution on every
-	// simulated CPU (Stats.Attribution, the attribution table, the
-	// cgptrace subreport). It is deliberately not part of Config —
+	// simulated CPU (Stats.Attribution, Stats.QueryAttr and the two
+	// attribution tables). It is deliberately not part of Config —
 	// enabling it must not change config fingerprints or run cache
 	// keys — but it is part of the checkpoint scope, so attributed and
 	// plain campaigns never serve each other's checkpoints.
@@ -483,8 +487,16 @@ func (r *Runner) imageFor(ctx context.Context, w *Workload, layout Layout) (*pro
 // every config replays the same buffer instead of re-executing the
 // workload. The recording lives for the life of the Runner (unless
 // evicted after corruption); its encoded size is reported through Log.
+// A workload that is a sealed recording already is its own recording,
+// on the O5 layout it was recorded over.
 func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout) (*trace.Recording, error) {
 	v, err := r.once(ctx, recKey(w, layout), func(ctx context.Context) (any, error) {
+		if w.Recording != nil {
+			if layout != LayoutO5 {
+				return nil, fmt.Errorf("cgp: workload %s replays a recording with fixed addresses; it runs on the O5 layout only", w.Name)
+			}
+			return w.Recording, nil
+		}
 		img, err := r.imageFor(ctx, w, layout)
 		if err != nil {
 			return nil, err
@@ -586,13 +598,23 @@ func (r *Runner) Run(ctx context.Context, w *Workload, cfg Config) (*Result, err
 
 // prepare builds the prefetcher and CPU for one cell, as a pass
 // consumer: the CPU behind the fault-injection hook, when set, and
-// ready for its sampling plan when the cell is sampled.
-func (r *Runner) prepare(ctx context.Context, w *Workload, c hubCell) (*passCell, error) {
+// ready for its sampling plan when the cell is sampled. A config the
+// machine's constructors refuse (a CGHC geometry core.New panics on,
+// say) fails as the cell's own *JobError, so its pass mates still run.
+func (r *Runner) prepare(ctx context.Context, w *Workload, c hubCell) (b *passCell, err error) {
 	cfg := c.cfg
+	defer func() {
+		if p := recover(); p != nil {
+			b, err = nil, &JobError{Workload: w.Name, Config: cfg.Label(), Index: -1, Panic: p, Stack: debug.Stack()}
+		}
+	}()
 	var sw *core.Software
 	if cfg.Prefetcher == PrefSoftwareCGP && !cfg.PerfectICache {
 		// The software variant needs the profiled call sequences bound
-		// to this image's addresses.
+		// to this image's addresses, through the workload's registry.
+		if w.Recording != nil {
+			return nil, fmt.Errorf("cgp: software CGP needs a function registry; workload %s replays a recording, which has none", w.Name)
+		}
 		prof, err := r.profilesFor(ctx, w)
 		if err != nil {
 			return nil, err
@@ -603,8 +625,8 @@ func (r *Runner) prepare(ctx context.Context, w *Workload, c hubCell) (*passCell
 		}
 		sw = buildSoftwareCGP(cfg, prof.seq, img)
 	}
-	b := &passCell{cell: c}
-	b.cpu, b.gp = cfg.NewCPU(sw)
+	b = &passCell{cell: c}
+	b.cpu, b.gp = cfg.newCPU(sw)
 	if r.opts.Attribution {
 		b.cpu.EnableAttribution()
 	}
@@ -982,15 +1004,16 @@ func (r *Runner) runPass(ctx context.Context, w *Workload, smp sample.Config, to
 // pass walks w's event stream on layout once, feeding every consumer
 // build returns, and returns the stream's stats. It is the one place a
 // pass's source is chosen, by one rule: a pass replays the sealed
-// recording when it is sampled (skipping needs the recording's index)
-// or when the runner samples at all (its sampled passes record the
-// stream anyway, so its full-detail passes share that recording); any
-// other pass executes the workload live. A recording is walked per
-// smp's plan, the whole stream for full detail, and rebuilt from
-// source under the retry budget if corrupt. build runs once the source
-// is ready, again after a rebuild, so a retry feeds fresh consumers; a
-// pass with no consumers ends there. The error is stream-level: a
-// consumer's panic lands in its own cell's err.
+// recording when it is sampled (skipping needs the recording's index),
+// when the runner samples at all (its sampled passes record the stream
+// anyway, so its full-detail passes share that recording) or when the
+// workload is a recording already; any other pass executes the
+// workload live. A recording is walked per smp's plan, the whole
+// stream for full detail, and rebuilt from source under the retry
+// budget if corrupt. build runs once the source is ready, again after
+// a rebuild, so a retry feeds fresh consumers; a pass with no consumers
+// ends there. The error is stream-level: a consumer's panic lands in
+// its own cell's err.
 func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sample.Config, build func() []*passCell) (trace.Stats, error) {
 	var st trace.Stats
 	span := func(cells []*passCell, source string) *obs.Span {
@@ -1000,7 +1023,7 @@ func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sampl
 			Arg("cells", fmt.Sprint(len(cells)))
 	}
 	var err error
-	if !smp.Enabled() && !r.opts.Sampling.Enabled() {
+	if !smp.Enabled() && !r.opts.Sampling.Enabled() && w.Recording == nil {
 		img, ierr := r.imageFor(ctx, w, layout)
 		if ierr != nil {
 			return st, ierr
