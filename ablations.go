@@ -43,7 +43,7 @@ func (r *Runner) SoftwareCGPAblation(ctx context.Context) (*Figure, error) {
 }
 
 // ExtensionFigures runs every ablation study (ExtensionFigureIDs). Like
-// AllFigures, the figures generate concurrently with deterministic
+// AllFigures, it runs the studies from one plan, with deterministic
 // results.
 func (r *Runner) ExtensionFigures(ctx context.Context) ([]*Figure, error) {
 	return r.runFigures(ctx, ExtensionFigureIDs())

@@ -143,12 +143,12 @@ func TestCapturedWorkloadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		rr := NewRunner(capturedRunnerOpts())
-		fig, err := rr.runFigure(context.Background(), &figureSpec{id: "captured", title: "Live traffic replay",
-			cells: grid(func(*Runner) []*Workload { return []*Workload{cw} }, Config.Label, configs...)})
-		if err != nil {
-			t.Fatal(err)
+		figs, errs := rr.figures(context.Background(), []*figureSpec{{id: "captured", title: "Live traffic replay",
+			cells: grid(func(*Runner) []*Workload { return []*Workload{cw} }, Config.Label, configs...)}}, false)
+		if errs[0] != nil {
+			t.Fatal(errs[0])
 		}
-		return fig.Markdown()
+		return figs[0].Markdown()
 	}
 	first, second := row(), row()
 	if first != second {

@@ -118,10 +118,10 @@ func info(args []string) error {
 	fmt.Printf("data refs       %d (%d bytes)\n", st.DataRefs, st.DataBytes)
 	fmt.Printf("ctx switches    %d\n", st.Switches)
 	if st.QueryTags > 0 {
-		fmt.Printf("query tags      %d (trace-tagged queries; replay -by-query joins attribution)\n", st.QueryTags)
+		fmt.Printf("query tags      %d (trace-tagged queries; cgpsim -trace FILE -by-query joins attribution)\n", st.QueryTags)
 	}
 	if st.ProbeOps > 0 {
-		fmt.Printf("probe ops       %d (probe-level capture; replay synthesizes addresses)\n", st.ProbeOps)
+		fmt.Printf("probe ops       %d (probe-level capture; cgpsim -trace FILE synthesizes addresses)\n", st.ProbeOps)
 		return nil
 	}
 	fmt.Printf("instr/call      %.1f\n", st.InstructionsPerCall())

@@ -1,11 +1,12 @@
 package cgp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
 	"cgp/internal/cpu"
 )
@@ -325,44 +326,118 @@ func (r *Runner) cellsOf(f *figureSpec) []figureCell {
 	return cells
 }
 
-// runFigure measures a figure's cells through one RunAll and builds its
-// rows in cell order, regardless of which simulations finished first.
+// figures measures the cells of specs through one RunAll and builds
+// each figure's rows in cell order from its results, regardless of
+// which simulations finished first. The plan holds every cell once,
+// however many figures share it, so each (workload, layout) stream runs
+// in one pass. With byCost the plan lists its streams costliest first
+// (planOrder); otherwise it keeps row order, the order a lone figure
+// keeps so that concurrent callers of single figures reach a shared
+// stream's hub together instead of each starting its largest stream.
 //
-// A partially failed campaign still yields the figure: failed cells
-// become degraded rows (Err set, numbers absent), and the campaign's
-// *CampaignError is returned alongside it so the caller can report and
-// exit non-zero.
-func (r *Runner) runFigure(ctx context.Context, f *figureSpec) (*Figure, error) {
-	cells := r.cellsOf(f)
-	// A figure span groups the figure's campaign in the Chrome trace,
-	// so the Perfetto timeline shows which figure each batch served.
-	sp := r.obsSpan("figure", "figure").Arg("id", f.id).Arg("cells", fmt.Sprint(len(cells)))
-	defer sp.End()
-	jobs := make([]Job, len(cells))
-	for i, c := range cells {
-		jobs[i] = c.job
+// A partially failed plan still yields every figure: failed cells
+// become degraded rows (Err set, numbers absent), and the figure's
+// failures come back as a *CampaignError indexed by the figure's own
+// cells, so the caller can report and exit non-zero.
+func (r *Runner) figures(ctx context.Context, specs []*figureSpec, byCost bool) ([]*Figure, []error) {
+	cells := make([][]figureCell, len(specs))
+	ids := make([]string, len(specs))
+	var jobs []Job
+	planned := map[string]bool{}
+	for i, f := range specs {
+		ids[i], cells[i] = f.id, r.cellsOf(f)
+		for _, c := range cells[i] {
+			if k := jobKey(c.job); !planned[k] {
+				planned[k] = true
+				jobs = append(jobs, c.job)
+			}
+		}
 	}
+	if byCost {
+		r.planOrder(jobs)
+	}
+	// A figure span groups the plan's campaign in the Chrome trace, so
+	// the Perfetto timeline shows which figures its passes served.
+	sp := r.obsSpan("figure", "figure").Arg("ids", strings.Join(ids, ",")).Arg("cells", fmt.Sprint(len(jobs)))
 	results, err := r.RunAll(ctx, jobs)
-	failed := map[int]*JobError{}
+	sp.End()
+	done := make(map[string]*Result, len(jobs))
+	for i, j := range jobs {
+		done[jobKey(j)] = results[i]
+	}
+	failed := map[string]*JobError{}
 	var camp *CampaignError
 	if errors.As(err, &camp) {
 		for _, je := range camp.Jobs {
-			failed[je.Index] = je
+			failed[jobKey(jobs[je.Index])] = je
 		}
 	}
+	figs := make([]*Figure, len(specs))
+	errs := make([]error, len(specs))
+	for i, f := range specs {
+		figs[i], errs[i] = f.build(cells[i], done, failed)
+	}
+	return figs, errs
+}
+
+// jobKey is a job's run key, which dedupes a plan.
+func jobKey(j Job) string { return cellKey(j.Workload.Name, j.Config.withDefaults()) }
+
+// planOrder sorts a plan's jobs by the expected cost of their stream,
+// largest first. RunAll hands out worker slots in that order, so the
+// longest pass starts first instead of being left to start last. A
+// stream's cost is its cells times the event count of its workload, as
+// a pass has counted it (Runner.events). A workload no pass has run yet
+// ranks as the largest one seen, an upper bound on its size, so among
+// equal costs the counted streams go first; other ties keep plan order.
+func (r *Runner) planOrder(jobs []Job) {
+	stream := func(j Job) string { return recKey(j.Workload, j.Config.withDefaults().Layout) }
+	cells := map[string]int64{}
+	for _, j := range jobs {
+		cells[stream(j)]++
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	largest := int64(1)
+	for _, n := range r.events {
+		largest = max(largest, n) //cgplint:ignore maporder a maximum is the same in any iteration order
+	}
+	// rank is twice the cost, plus one for a counted workload.
+	rank := func(j Job) int64 {
+		n, counted := r.events[j.Workload.Name]
+		if !counted {
+			return 2 * cells[stream(j)] * largest
+		}
+		return 2*cells[stream(j)]*n + 1
+	}
+	slices.SortStableFunc(jobs, func(a, b Job) int { return cmp.Compare(rank(b), rank(a)) })
+}
+
+// build turns f's cells' results into its figure, and its failed cells
+// into degraded rows and a *CampaignError indexed by cell.
+func (f *figureSpec) build(cells []figureCell, done map[string]*Result, failed map[string]*JobError) (*Figure, error) {
 	fig := &Figure{ID: f.id, Title: f.title, Baseline: cells[0].config}
 	base := map[string]*Result{}
+	var jes []*JobError
 	for i, c := range cells {
+		res, je := done[jobKey(c.job)], failed[jobKey(c.job)]
+		if je != nil {
+			je = jobError(c.job, i, je)
+			jes = append(jes, je)
+		}
 		if _, ok := base[c.workload]; !ok {
-			base[c.workload] = results[i]
+			base[c.workload] = res
 		}
 		if f.portions {
-			fig.Rows = append(fig.Rows, portionRows(c, results[i], failed[i])...)
+			fig.Rows = append(fig.Rows, portionRows(c, res, je)...)
 		} else {
-			fig.Rows = append(fig.Rows, gridRow(c, results[i], base[c.workload], failed[i]))
+			fig.Rows = append(fig.Rows, gridRow(c, res, base[c.workload], je))
 		}
 	}
-	return fig, err
+	if jes != nil {
+		return fig, &CampaignError{Jobs: jes}
+	}
+	return fig, nil
 }
 
 // gridRow is one cell's row: its cycles, I-cache misses and prefetch
@@ -417,30 +492,25 @@ func portionRows(c figureCell, res *Result, je *JobError) []Row {
 
 // figure generates the catalogue figure id.
 func (r *Runner) figure(ctx context.Context, id string) (*Figure, error) {
-	return r.runFigure(ctx, lookupFigure(id))
+	figs, errs := r.figures(ctx, []*figureSpec{lookupFigure(id)}, false)
+	return figs[0], errs[0]
 }
 
-// runFigures generates the figures ids concurrently and returns them in
-// ids order. Figures sharing (workload, config) cells share the
-// runner's cached simulations, so concurrent generation does the same
-// work as sequential generation, just overlapped, with identical
-// results. Failures degrade rather than abort: every figure is
-// returned, partial ones with their degraded rows, and the error joins
-// every figure's failure.
+// runFigures generates the figures ids from one plan (figures),
+// ordered by stream cost, and returns them in ids order. Failures degrade rather than abort: every
+// figure is returned, partial ones with their degraded rows, and the
+// error joins every figure's failure.
 func (r *Runner) runFigures(ctx context.Context, ids []string) ([]*Figure, error) {
-	figs := make([]*Figure, len(ids))
-	errs := make([]error, len(ids))
-	var wg sync.WaitGroup
+	specs := make([]*figureSpec, len(ids))
 	for i, id := range ids {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if figs[i], errs[i] = r.figure(ctx, id); errs[i] != nil {
-				errs[i] = fmt.Errorf("cgp: %s: %w", id, errs[i])
-			}
-		}()
+		specs[i] = lookupFigure(id)
 	}
-	wg.Wait()
+	figs, errs := r.figures(ctx, specs, true)
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("cgp: %s: %w", ids[i], err)
+		}
+	}
 	return figs, errors.Join(errs...)
 }
 
@@ -480,10 +550,10 @@ func (r *Runner) RunAheadAblation(ctx context.Context) (*Figure, error) {
 }
 
 // AllFigures runs every experiment of the paper (PaperFigureIDs) in
-// report order. The figures generate concurrently; results are
-// deterministic and identical to generating each figure sequentially.
-// On partial failure every figure is returned, with degraded rows,
-// alongside the joined error.
+// report order, from one plan: each stream runs once, the costliest
+// first. Results are deterministic and identical to generating each
+// figure alone. On partial failure every figure is returned, with
+// degraded rows, alongside the joined error.
 func (r *Runner) AllFigures(ctx context.Context) ([]*Figure, error) {
 	return r.runFigures(ctx, PaperFigureIDs())
 }

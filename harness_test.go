@@ -2,8 +2,13 @@ package cgp
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
+	"slices"
+	"strconv"
 	"testing"
 
 	"cgp/internal/obs"
@@ -263,4 +268,126 @@ func TestConcurrentFigureGenerators(t *testing.T) {
 	if from6 == nil || from7 == nil || from6 != from7 {
 		t.Error("shared (workload, config) cell not deduplicated across concurrent figures")
 	}
+}
+
+// TestOnePlanPerFigureSet: after the DB profile, AllFigures makes one
+// pass per (workload, layout) stream of its figures, one worker takes
+// the passes in cost order (cells times the workload's event count,
+// where a workload no pass has run yet counts as the largest one seen),
+// and the figures are byte-identical at one worker and at the default
+// count.
+func TestOnePlanPerFigureSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	var want []byte
+	for _, workers := range []int{1, 0} {
+		opts := harnessOpts(workers)
+		opts.Obs = obs.New()
+		r := NewRunner(opts)
+		if _, err := r.DBProfile(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		known := maps.Clone(r.events)
+		figs, err := r.AllFigures(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var md bytes.Buffer
+		for _, f := range figs {
+			md.WriteString(f.Markdown())
+		}
+		if want == nil {
+			want = md.Bytes()
+		} else if !bytes.Equal(md.Bytes(), want) {
+			t.Errorf("workers=%d: figures differ from the one-worker run", workers)
+		}
+
+		// The streams the plan holds.
+		plan := map[string]bool{}
+		for _, id := range PaperFigureIDs() {
+			for _, c := range r.cellsOf(lookupFigure(id)) {
+				plan[c.job.Workload.Name+"/"+c.job.Config.Layout.String()] = true
+			}
+		}
+		passes := figurePasses(t, opts.Obs)
+		seen := map[string]int{}
+		for _, p := range passes {
+			seen[p.stream]++
+		}
+		for s := range plan {
+			if seen[s] != 1 {
+				t.Errorf("workers=%d: stream %s ran in %d passes, want 1", workers, s, seen[s])
+			}
+		}
+		if workers != 1 {
+			continue
+		}
+		var largest int64
+		for _, n := range known {
+			largest = max(largest, n)
+		}
+		var order []string
+		prev := int64(-1)
+		for _, p := range passes {
+			if !plan[p.stream] {
+				continue // a CPU2000 profile pass, run for its OM image
+			}
+			events, ok := known[p.workload]
+			if !ok {
+				events = largest
+			}
+			cost := int64(p.cells) * events
+			order = append(order, fmt.Sprintf("%s %d", p.stream, cost))
+			if prev >= 0 && cost > prev {
+				t.Errorf("passes did not start in cost order: %v", order)
+				break
+			}
+			prev = cost
+		}
+	}
+}
+
+// figurePass is one replay span of a figure plan.
+type figurePass struct {
+	workload, stream string
+	cells            int
+}
+
+// figurePasses returns the replay spans that started inside the
+// campaign's figure span, in start order.
+func figurePasses(t *testing.T, o *obs.Observability) []figurePass {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := o.Spans.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		Name string            `json:"name"`
+		Ts   int64             `json:"ts"`
+		Args map[string]string `json:"args"`
+	}
+	var parsed struct {
+		TraceEvents []span `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
+		t.Fatal(err)
+	}
+	evs := parsed.TraceEvents
+	slices.SortStableFunc(evs, func(a, b span) int { return cmp.Compare(a.Ts, b.Ts) })
+	var passes []figurePass
+	inFigure := false
+	for _, ev := range evs {
+		switch {
+		case ev.Name == "figure":
+			inFigure = true
+		case ev.Name == "replay" && inFigure:
+			cells, err := strconv.Atoi(ev.Args["cells"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			passes = append(passes, figurePass{ev.Args["workload"], ev.Args["workload"] + "/" + ev.Args["layout"], cells})
+		}
+	}
+	return passes
 }

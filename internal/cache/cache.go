@@ -283,6 +283,21 @@ func (c *Cache[P]) Contains(line Line) bool {
 	return false
 }
 
+// Slot returns the index of line's way among the cache's Config.Lines()
+// ways, or -1 when line is not resident. A line keeps its slot until it
+// is evicted, and the line Insert fills takes its victim's slot, so a
+// caller can keep per-line state beside the cache in a table with one
+// entry per line of capacity.
+func (c *Cache[P]) Slot(line Line) int {
+	base := int(line&c.setMask) * c.assoc
+	for w := 0; w < c.assoc; w++ {
+		if c.tags[base+w] == line {
+			return base + w
+		}
+	}
+	return -1
+}
+
 // Evicted describes a line displaced by Insert.
 type Evicted[P any] struct {
 	Line    Line

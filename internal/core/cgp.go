@@ -144,6 +144,10 @@ func (p *CGP) OnFetch(line isa.Addr, issue prefetch.Issue) {
 	p.nl.OnFetch(line, issue)
 }
 
+// Sequential implements prefetch.Sequential with the internal NL's
+// run, so the CPU issues it without calling OnFetch.
+func (p *CGP) Sequential() (ahead, lines int) { return p.nl.Sequential() }
+
 // OnCall implements prefetch.Prefetcher. Both CGHC accesses for a call
 // instruction happen here: the prefetch access keyed by the predicted
 // call target, then the update access keyed by the caller.

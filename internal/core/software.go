@@ -62,6 +62,10 @@ func (p *Software) OnFetch(line isa.Addr, issue prefetch.Issue) {
 	p.nl.OnFetch(line, issue)
 }
 
+// Sequential implements prefetch.Sequential with the internal NL's
+// run, as CGP does.
+func (p *Software) Sequential() (ahead, lines int) { return p.nl.Sequential() }
+
 // OnCall implements prefetch.Prefetcher: the prologue of the callee
 // contains an inserted prefetch for its profiled first callee; the call
 // site in the caller advances the caller's position.

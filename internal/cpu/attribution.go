@@ -156,13 +156,32 @@ type attribution struct {
 	qindex map[uint64]int32
 	qrows  []QueryAttribution
 	curQ   int32
+
+	// prov holds the provenance of the prefetched lines resident in
+	// L1I, indexed by the line's L1I slot (cache.Cache.Slot). A slot's
+	// entry is written when a prefetch fills it and read until the line
+	// is first used or evicted; the table is sized once, to the L1I.
+	prov []provenance
 }
 
-func newAttribution() *attribution {
+// provenance records where a prefetch came from: the cycle it was
+// issued and the function and query rows that triggered it (query row
+// 0 outside any tagged query). A queued prefetch carries it in its FIFO
+// entry, a prefetched L1I line in the attribution's table.
+type provenance struct {
+	issuedAt units.Cycles
+	issuer   int32
+	qissuer  int32
+}
+
+// newAttribution builds a collector for a CPU whose L1I holds l1iLines
+// lines.
+func newAttribution(l1iLines int) *attribution {
 	a := &attribution{
 		index:  make(map[isa.Addr]int32, 64),
 		qindex: make(map[uint64]int32, 16),
 		qrows:  make([]QueryAttribution, 1, 16),
+		prov:   make([]provenance, l1iLines),
 	}
 	a.curIdx = a.rowFor(0)
 	return a
@@ -233,11 +252,12 @@ func (a *attribution) missed() {
 	a.qrows[a.curQ].Misses++
 }
 
-// used settles the first demand touch of a prefetched line, d cycles
-// after its issue: a prefetch hit (or a delayed hit, if the line was
-// still enroute) for the executing function and query, and a useful
-// prefetch for the rows that issued it.
-func (a *attribution) used(delayed bool, d units.Cycles, issuer, qissuer int32) {
+// used settles the first demand touch, at cycle now, of a line
+// prefetched with provenance p: a prefetch hit (or a delayed hit, if
+// the line was still enroute) for the executing function and query,
+// and a useful prefetch for the rows that issued it.
+func (a *attribution) used(delayed bool, now units.Cycles, p provenance) {
+	d := now - p.issuedAt
 	f, q := &a.rows[a.curIdx], &a.qrows[a.curQ]
 	if delayed {
 		f.DelayedHits++
@@ -248,8 +268,8 @@ func (a *attribution) used(delayed bool, d units.Cycles, issuer, qissuer int32) 
 	}
 	f.observeTimeliness(d, &f.Timeliness)
 	q.observeTimeliness(d, nil)
-	a.rows[issuer].Useful++
-	a.qrows[qissuer].Useful++
+	a.rows[p.issuer].Useful++
+	a.qrows[p.qissuer].Useful++
 }
 
 // Issue-side hooks charge the function and query on whose behalf a
@@ -261,18 +281,19 @@ func (a *attribution) squashed() {
 	a.qrows[a.curQ].Squashed++
 }
 
-// issued charges one prefetch sent to L2 and returns the row indices
-// its inflight entry carries until the line is used or evicted.
-func (a *attribution) issued() (issuer, qissuer int32) {
+// issued charges one prefetch sent to L2 at cycle now and returns the
+// provenance the prefetch carries until its line is used or evicted.
+func (a *attribution) issued(now units.Cycles) provenance {
 	a.rows[a.curIdx].Issued++
 	a.qrows[a.curQ].Issued++
-	return a.curIdx, a.curQ
+	return provenance{issuedAt: now, issuer: a.curIdx, qissuer: a.curQ}
 }
 
-// useless settles a prefetched line evicted untouched.
-func (a *attribution) useless(issuer, qissuer int32) {
-	a.rows[issuer].Useless++
-	a.qrows[qissuer].Useless++
+// useless settles a line prefetched with provenance p and evicted
+// untouched.
+func (a *attribution) useless(p provenance) {
+	a.rows[p.issuer].Useless++
+	a.qrows[p.qissuer].Useless++
 }
 
 // sorted returns a copy of the function rows ordered by start address,

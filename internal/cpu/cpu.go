@@ -8,20 +8,15 @@ import (
 	"cgp/internal/units"
 )
 
-// lineMeta is the per-L1I-line bookkeeping used for the prefetch
-// effectiveness accounting of Figures 8 and 9.
+// lineMeta is the per-L1I-line state the demand path reads, for the
+// prefetch effectiveness accounting of Figures 8 and 9. It is 3 bytes,
+// so the L1I payload array stays small in the host's caches; a
+// prefetched line's attribution provenance lives beside it, in the
+// attribution collector's table.
 type lineMeta struct {
 	prefetched bool
 	used       bool
 	portion    prefetch.Portion
-	// issuedAt / issuer / qissuer record when the prefetch was
-	// launched and which function and query attribution rows triggered
-	// it (query row 0 outside any tagged query). They are only
-	// meaningful for prefetched lines on a CPU with attribution
-	// enabled; otherwise they stay zero.
-	issuedAt units.Cycles
-	issuer   int32
-	qissuer  int32
 }
 
 // CPU consumes a trace and accounts execution cycles. It implements
@@ -45,6 +40,13 @@ type CPU struct {
 	// fetch/call/return. It is bound once here: creating the method
 	// value at each call site would heap-allocate a closure per event.
 	issueFn prefetch.Issue
+
+	// seqAhead and seqLines are the run a prefetch.Sequential
+	// prefetcher declares: seqLines lines from seqAhead bytes past each
+	// new fetch line. seqLines is 0 for any other prefetcher, whose
+	// OnFetch runs on new lines instead.
+	seqAhead isa.Addr
+	seqLines int
 
 	cycle     units.Cycles
 	busFreeAt units.Cycles
@@ -108,6 +110,10 @@ func New(cfg Config, pf prefetch.Prefetcher) *CPU {
 		pf:  pf,
 	}
 	c.issueFn = c.issue
+	if s, ok := pf.(prefetch.Sequential); ok {
+		ahead, lines := s.Sequential()
+		c.seqAhead, c.seqLines = isa.Addr(ahead*isa.LineBytes), lines
+	}
 	c.fifo.init()
 	c.forgetPresent()
 	return c
@@ -141,7 +147,7 @@ func (c *CPU) Prefetcher() prefetch.Prefetcher { return c.pf }
 // keys.
 func (c *CPU) EnableAttribution() {
 	if c.attr == nil {
-		c.attr = newAttribution()
+		c.attr = newAttribution(c.cfg.L1I.Lines())
 	}
 }
 
@@ -206,7 +212,7 @@ func (c *CPU) RunOps() {
 			case ff:
 				c.ffFetchLine(o.addr)
 			default:
-				c.fetchLine(o.addr)
+				c.fetchLine(o.addr, o.newLine)
 			}
 		case opCall:
 			if c.attr != nil {
@@ -280,8 +286,9 @@ func (c *CPU) Finish() *Stats {
 // ---- instruction side ----
 
 // fetchLine performs one demand instruction fetch of a full line,
-// charging any miss stall, and triggers the prefetcher.
-func (c *CPU) fetchLine(line isa.Addr) {
+// charging any miss stall, and on a new line runs the prefetcher's
+// fetch hook: the declared sequential run, or else OnFetch.
+func (c *CPU) fetchLine(line isa.Addr, newLine bool) {
 	c.stats.ILineAccesses++
 	if c.attr != nil {
 		c.attr.fetched()
@@ -295,12 +302,13 @@ func (c *CPU) fetchLine(line isa.Addr) {
 			c.drainLoop()
 		}
 	}
-	if meta, hit := c.l1i.Access(cache.Line(isa.Line(line))); hit {
+	cl := cache.Line(isa.Line(line))
+	if meta, hit := c.l1i.Access(cl); hit {
 		if meta.prefetched && !meta.used {
 			meta.used = true
 			c.portionStats(meta.portion).PrefHits++
 			if c.attr != nil {
-				c.attr.used(false, c.cycle-meta.issuedAt, meta.issuer, meta.qissuer)
+				c.attr.used(false, c.cycle, c.attr.prov[c.l1i.Slot(cl)])
 			}
 		}
 	} else if inf := c.fifo.lookup(line); inf != nil {
@@ -313,15 +321,14 @@ func (c *CPU) fetchLine(line isa.Addr) {
 		c.stats.IMissStallCycles += wait
 		c.portionStats(inf.portion).DelayedHits++
 		if c.attr != nil {
-			c.attr.used(true, c.cycle-inf.issuedAt, inf.issuer, inf.qissuer)
+			c.attr.used(true, c.cycle, inf.prov)
 		}
 		// The entry stays queued (the bus transfer already happened)
-		// but is marked consumed and unindexed so drain skips it.
-		done := lineMeta{prefetched: true, used: true, portion: inf.portion,
-			issuedAt: inf.issuedAt, issuer: inf.issuer, qissuer: inf.qissuer}
+		// but is marked consumed and unindexed so drain skips it. The
+		// line lands used, so its provenance is never read again.
 		inf.done = true
 		c.fifo.remove(line)
-		c.insertL1I(line, done)
+		c.insertL1I(line, lineMeta{prefetched: true, used: true, portion: inf.portion})
 	} else {
 		// Full miss: go to L2 through the shared FIFO.
 		c.stats.ICacheMisses++
@@ -333,13 +340,21 @@ func (c *CPU) fetchLine(line isa.Addr) {
 		c.stats.IMissStallCycles += lat
 		c.insertL1I(line, lineMeta{})
 	}
-	c.pf.OnFetch(line, c.issueFn)
+	if !newLine {
+		return
+	}
+	if c.seqLines > 0 {
+		c.issue(prefetch.Request{Addr: line + c.seqAhead, Lines: c.seqLines, Portion: prefetch.PortionNL})
+	} else {
+		c.pf.OnFetch(line, c.issueFn)
+	}
 }
 
 // insertL1I fills a line and settles the useless-prefetch accounting for
 // the victim, which also leaves the squash filter.
 func (c *CPU) insertL1I(line isa.Addr, meta lineMeta) {
-	ev, had := c.l1i.Insert(cache.Line(isa.Line(line)), meta)
+	cl := cache.Line(isa.Line(line))
+	ev, had := c.l1i.Insert(cl, meta)
 	if !had {
 		return
 	}
@@ -349,8 +364,21 @@ func (c *CPU) insertL1I(line isa.Addr, meta lineMeta) {
 	if ev.Payload.prefetched && !ev.Payload.used {
 		c.portionStats(ev.Payload.portion).Useless++
 		if c.attr != nil {
-			c.attr.useless(ev.Payload.issuer, ev.Payload.qissuer)
+			// The line took its victim's slot, which still holds the
+			// victim's provenance.
+			c.attr.useless(c.attr.prov[c.l1i.Slot(cl)])
 		}
+	}
+}
+
+// fillPrefetched moves a queued prefetch whose data has arrived into
+// L1I, unused, with its provenance when attribution is on.
+func (c *CPU) fillPrefetched(inf *inflight) {
+	line, portion, prov := inf.line, inf.portion, inf.prov
+	c.fifo.remove(line)
+	c.insertL1I(line, lineMeta{prefetched: true, portion: portion})
+	if c.attr != nil {
+		c.attr.prov[c.l1i.Slot(cache.Line(isa.Line(line)))] = prov
 	}
 }
 
@@ -392,9 +420,9 @@ func (c *CPU) issue(req prefetch.Request) {
 // to L2.
 func (c *CPU) prefetchLine(line isa.Addr, portion prefetch.Portion) {
 	c.portionStats(portion).Issued++
-	var issuer, qissuer int32
+	var prov provenance
 	if c.attr != nil {
-		issuer, qissuer = c.attr.issued()
+		prov = c.attr.issued(c.cycle)
 	}
 	if c.cfg.PrefetchIntoL2Only {
 		// The line is staged in L2 only: warm the L2 (paying the memory
@@ -405,8 +433,7 @@ func (c *CPU) prefetchLine(line isa.Addr, portion prefetch.Portion) {
 		return
 	}
 	lat := c.l2LineAccess(line)
-	c.fifo.push(inflight{line: line, readyAt: c.cycle + lat, portion: portion,
-		issuedAt: c.cycle, issuer: issuer, qissuer: qissuer})
+	c.fifo.push(inflight{line: line, readyAt: c.cycle + lat, portion: portion, prov: prov})
 	cl := cache.Line(isa.Line(line))
 	c.present[cl&(squashSlots-1)] = cl
 }
@@ -421,16 +448,11 @@ func (c *CPU) drainLoop() {
 		if !inf.done && inf.readyAt > c.cycle {
 			break
 		}
-		line, done := inf.line, inf.done
-		meta := lineMeta{prefetched: true, portion: inf.portion,
-			issuedAt: inf.issuedAt, issuer: inf.issuer, qissuer: inf.qissuer}
-		c.fifo.popFront()
-		if done {
-			// Already consumed as a delayed hit (and unindexed then).
-			continue
+		// An entry consumed as a delayed hit was unindexed then.
+		if !inf.done {
+			c.fillPrefetched(inf)
 		}
-		c.fifo.remove(line)
-		c.insertL1I(line, meta)
+		c.fifo.popFront()
 	}
 }
 

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"cgp/internal/isa"
@@ -322,13 +323,40 @@ func TestCGPOnCallWiring(t *testing.T) {
 	}
 }
 
+// TestFetchHookSeesNewDetailedLines: the fetch hook runs on a detailed
+// fetch whose line differs from the previous detailed fetch's. A
+// functional-warming span runs no hook and a skipped span decodes
+// nothing, so neither moves the line the next detailed fetch is
+// compared with.
+func TestFetchHookSeesNewDetailedLines(t *testing.T) {
+	rec := &recordingPrefetcher{}
+	c := New(testConfig(), rec)
+	c.EnableSampling()
+	c.BeginSpan(trace.SpanDetailWarm)
+	feed(c, run(0x400000, 8), run(0x400000, 4)) // line A, then A again
+	c.BeginSpan(trace.SpanFunctionalWarm)
+	feed(c, run(0x400100, 8)) // line B, warming only
+	c.BeginSpan(trace.SpanMeasure)
+	feed(c, run(0x400100, 8)) // B is new against A
+	c.SkipSpan(100, 400)
+	c.BeginSpan(trace.SpanDetailWarm)
+	feed(c, run(0x400100, 8)) // B again across the skip
+	c.Finish()
+	if want := []isa.Addr{0x400000, 0x400100}; !slices.Equal(rec.fetches, want) {
+		t.Errorf("fetch hook saw lines %#x, want %#x", rec.fetches, want)
+	}
+}
+
 type recordingPrefetcher struct {
+	fetches []isa.Addr
 	calls   []isa.Addr
 	returns []isa.Addr
 }
 
-func (r *recordingPrefetcher) Name() string                     { return "rec" }
-func (r *recordingPrefetcher) OnFetch(isa.Addr, prefetch.Issue) {}
+func (r *recordingPrefetcher) Name() string { return "rec" }
+func (r *recordingPrefetcher) OnFetch(line isa.Addr, _ prefetch.Issue) {
+	r.fetches = append(r.fetches, line)
+}
 func (r *recordingPrefetcher) OnCall(target, _ isa.Addr, _ prefetch.Issue) {
 	r.calls = append(r.calls, target)
 }

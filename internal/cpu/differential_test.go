@@ -19,6 +19,7 @@ import (
 	"cgp/internal/prefetch"
 	"cgp/internal/program"
 	"cgp/internal/refsim"
+	"cgp/internal/sample"
 	"cgp/internal/trace"
 )
 
@@ -268,6 +269,78 @@ func TestSquashFilterStaysExact(t *testing.T) {
 			}
 		}
 		c.Finish()
+	}
+}
+
+// hidden puts a prefetcher behind the bare prefetch.Prefetcher
+// interface, as a counting or timing wrapper does, so the CPU cannot
+// see a prefetch.Sequential declaration and calls OnFetch instead.
+type hidden struct{ prefetch.Prefetcher }
+
+// TestFetchHookPathsAgree runs every built-in prefetcher twice: once as
+// itself, so the CPU issues its declared sequential run, and once
+// hidden, so the CPU calls its OnFetch on each new line. CGP runs at
+// both degrees over the figure catalogue's CGHC geometries. In full
+// detail and under a sampling plan, with attribution off and on, the
+// two must give the same stats.
+func TestFetchHookPathsAgree(t *testing.T) {
+	type pfCase struct {
+		name string
+		pf   func() prefetch.Prefetcher
+	}
+	profile := swProfile(99)
+	cases := []pfCase{
+		{"none", func() prefetch.Prefetcher { return prefetch.None{} }},
+		{"nl2", func() prefetch.Prefetcher { return prefetch.NewNL(2) }},
+		{"nl4", func() prefetch.Prefetcher { return prefetch.NewNL(4) }},
+		{"ranl4", func() prefetch.Prefetcher { return prefetch.NewRunAheadNL(4, 4) }},
+		{"swcgp4", func() prefetch.Prefetcher { return core.NewSoftware(4, profile) }},
+	}
+	for _, lines := range []int{2, 4} {
+		for _, g := range []core.Config{
+			{L1Bytes: 1024}, {L1Bytes: 32 * 1024}, {L1Bytes: 1024, L2Bytes: 16 * 1024},
+			{L1Bytes: 2 * 1024, L2Bytes: 32 * 1024}, {Infinite: true},
+			{L1Bytes: 1024, Ways: 2}, {L1Bytes: 1024, Ways: 4},
+			{L1Bytes: 2 * 1024, L2Bytes: 32 * 1024, Slots: 2}, {L1Bytes: 2 * 1024, L2Bytes: 32 * 1024, Slots: 4},
+		} {
+			g.Lines = lines
+			cases = append(cases, pfCase{g.Describe(), func() prefetch.Prefetcher { return core.New(g) }})
+		}
+	}
+	rec := trace.NewRecorder()
+	rec.EventBatch(genEvents(21, 40000))
+	sealed, err := rec.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := sample.Config{PeriodEvents: 8000, FunctionalWarmEvents: 1500, DetailWarmEvents: 500, WindowEvents: 1000}.Plan(sealed.Events())
+	for _, sampled := range []bool{false, true} {
+		for _, attributed := range []bool{false, true} {
+			run := func(pf prefetch.Prefetcher) *cpu.Stats {
+				c := cpu.New(cpu.DefaultConfig(), pf)
+				if attributed {
+					c.EnableAttribution()
+				}
+				var err error
+				if sampled {
+					c.EnableSampling()
+					err = sealed.ReplaySampledInto(plan, c)
+				} else {
+					err = sealed.Replay(c)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c.Finish()
+			}
+			for _, pc := range cases {
+				direct, wrapped := run(pc.pf()), run(hidden{pc.pf()})
+				if !reflect.DeepEqual(direct, wrapped) {
+					t.Errorf("%s (sampled %v, attribution %v): declared run and OnFetch diverged\ndeclared: %+v\nOnFetch:  %+v",
+						pc.name, sampled, attributed, direct, wrapped)
+				}
+			}
+		}
 	}
 }
 

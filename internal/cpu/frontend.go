@@ -41,6 +41,11 @@ type Frontend struct {
 	sampling   bool
 	functional bool
 
+	// lastFetch is the line of the last timed fetch op, which marks the
+	// next one new or not. Before the first it is all ones, which is not
+	// line-aligned, so no fetch line equals it.
+	lastFetch isa.Addr
+
 	// The batch last decoded: ops[:n], the cycles accrued after its
 	// last op, and its event count.
 	ops    []op
@@ -87,12 +92,17 @@ const (
 // the caller start the RAS predicted (0 when it was empty), which CGP
 // looks up; its first is the trace's caller, which attribution follows.
 // A data miss's dirty says its fill evicted a dirty line, whose
-// writeback takes the bus.
+// writeback takes the bus. A timed fetch's newLine says its line
+// differs from the previous timed fetch's: the back end runs the
+// prefetcher's fetch hook on those only, the fetches a next-N-line
+// trigger acts on. Untimed fetches, in functional-warming spans, run
+// no fetch hook, so they neither carry the mark nor move it.
 type op struct {
-	addr  isa.Addr
-	delta uint32
-	kind  opKind
-	dirty bool
+	addr    isa.Addr
+	delta   uint32
+	kind    opKind
+	dirty   bool
+	newLine bool
 }
 
 // maxDelta is the most cycles one op carries.
@@ -106,6 +116,7 @@ func NewFrontend(cfg Config) *Frontend {
 		bp:         branch.NewPredictor(cfg.BranchEntries),
 		ras:        branch.NewRAS(cfg.RASDepth),
 		fetchShift: -1,
+		lastFetch:  ^isa.Addr(0),
 	}
 	if w := cfg.FetchWidth; w > 0 && w&(w-1) == 0 {
 		f.fetchShift = bits.TrailingZeros(uint(w))
@@ -154,7 +165,7 @@ func (f *Frontend) Decode(evs []trace.Event) {
 			if timed {
 				d += f.throughput(units.Instrs(ev.N))
 			}
-			d = f.fetch(ev.Addr, int(ev.N), d)
+			d = f.fetch(ev.Addr, int(ev.N), d, timed)
 		case trace.KindLoop:
 			// The body is fetched once and run Iters times: one fetch
 			// redirect per back edge, and the predictor, locked onto the
@@ -169,7 +180,7 @@ func (f *Frontend) Decode(evs []trace.Event) {
 			if timed {
 				d += f.throughput(n) + units.Cycles(ev.Iters)*cfg.TakenBranchBubble + cfg.MispredictPenalty
 			}
-			d = f.fetch(ev.Addr, int(ev.N), d)
+			d = f.fetch(ev.Addr, int(ev.N), d, timed)
 		case trace.KindBranch:
 			correct := f.bp.Predict(ev.Addr, ev.Taken)
 			if timed && !correct {
@@ -232,13 +243,20 @@ func (f *Frontend) throughput(n units.Instrs) units.Cycles {
 	return c
 }
 
-// fetch emits a fetch op, the first carrying d, for each line n
-// instructions at addr cover; it returns the cycles still to carry.
-func (f *Frontend) fetch(addr isa.Addr, n int, d units.Cycles) units.Cycles {
+// fetch emits a fetch op, the first carrying d, for each line n > 0
+// instructions at addr cover, and returns the cycles still to carry.
+// Every timed op but the first is marked new; the first is new unless
+// its line is the last one fetched.
+func (f *Frontend) fetch(addr isa.Addr, n int, d units.Cycles, timed bool) units.Cycles {
 	line := isa.LineAddr(addr)
-	for covered := isa.LinesCovered(addr, isa.InstrRangeBytes(n)); covered > 0; covered-- {
-		d = f.emit(op{kind: opFetch, addr: line}, d)
+	covered := isa.LinesCovered(addr, isa.InstrRangeBytes(n))
+	d = f.emit(op{kind: opFetch, addr: line, newLine: timed && line != f.lastFetch}, d)
+	for ; covered > 1; covered-- {
 		line += isa.LineBytes
+		f.push(op{kind: opFetch, addr: line, newLine: timed})
+	}
+	if timed {
+		f.lastFetch = line
 	}
 	return d
 }

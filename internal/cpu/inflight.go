@@ -14,12 +14,9 @@ type inflight struct {
 	readyAt units.Cycles
 	portion prefetch.Portion
 	done    bool
-	// issuedAt / issuer / qissuer carry the attribution provenance of
-	// the prefetch (issue cycle and the issuing function's and query's
-	// row indices); all stay zero when attribution is disabled.
-	issuedAt units.Cycles
-	issuer   int32
-	qissuer  int32
+	// prov is the prefetch's attribution provenance, zero when
+	// attribution is disabled.
+	prov provenance
 }
 
 // inflightRing is the prefetch FIFO plus its lookup index. Completion

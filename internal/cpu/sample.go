@@ -150,16 +150,10 @@ func (c *CPU) closeWindow() {
 // detailed span. Entries already consumed as delayed hits just drop.
 func (c *CPU) flushInflight() {
 	for !c.fifo.empty() {
-		inf := c.fifo.front()
-		line, done := inf.line, inf.done
-		meta := lineMeta{prefetched: true, portion: inf.portion,
-			issuedAt: inf.issuedAt, issuer: inf.issuer, qissuer: inf.qissuer}
-		c.fifo.popFront()
-		if done {
-			continue
+		if inf := c.fifo.front(); !inf.done {
+			c.fillPrefetched(inf)
 		}
-		c.fifo.remove(line)
-		c.insertL1I(line, meta)
+		c.fifo.popFront()
 	}
 }
 
@@ -167,11 +161,13 @@ func (c *CPU) flushInflight() {
 
 // ffFetchLine is fetchLine without timing: it keeps L1I/L2 contents and
 // the miss counters moving, charging no stalls and using no ring. The
-// per-fetch prefetcher hook (OnFetch — next-N-line issue in every
-// prefetcher here) is deliberately not run: it is stateless, it costs
-// several cache probes per fetched line, and its short reach is
-// re-established within the first handful of detailed warm-up events.
-// The stateful call-graph hooks (OnCall/OnReturn) do run.
+// per-fetch prefetcher hook (next-N-line issue in every prefetcher
+// here) is deliberately not run: it costs several cache probes per
+// fetched line, and its short reach is re-established within the first
+// handful of detailed warm-up events. Its one piece of state, the last
+// line it triggered on, does not move either: the front end marks new
+// lines on timed fetch ops only. The call-graph hooks (OnCall/OnReturn)
+// do run, since the history they keep is what warming is for.
 func (c *CPU) ffFetchLine(line isa.Addr) {
 	cl := cache.Line(isa.Line(line))
 	c.stats.ILineAccesses++

@@ -56,8 +56,12 @@ type Issue func(Request)
 
 // Prefetcher is driven by the CPU front end.
 //
-// OnFetch is called once per demand-fetched cache line with the line
-// address. OnCall and OnReturn are called when the branch predictor
+// OnFetch is called with the line address of a demand fetch. The CPU
+// calls it only for a fetch whose line differs from the line of the
+// detailed fetch before it, the only fetches a next-N-line trigger acts
+// on; the reference model in internal/refsim calls it for every fetched
+// line. An implementation must therefore ignore a repeat of the line it
+// saw last. OnCall and OnReturn are called when the branch predictor
 // resolves a call or return; sequential prefetchers ignore them. The
 // three event hooks are hot interface methods: they run inside the
 // simulator's per-event loop, so allocfree verifies every
@@ -70,6 +74,16 @@ type Prefetcher interface {
 	OnCall(target, callerStart isa.Addr, issue Issue)
 	//cgplint:hotpath
 	OnReturn(predictedCallerStart, returningStart isa.Addr, issue Issue)
+}
+
+// Sequential is implemented by a prefetcher whose OnFetch is exactly
+// next-N-line prefetching: on a line other than the one it saw last it
+// requests one run of lines lines for its NL portion, starting ahead
+// lines past the fetched line, and it does nothing else. A CPU that
+// finds the declaration issues that run itself and never calls
+// OnFetch, so the run costs no interface call and no trigger check.
+type Sequential interface {
+	Sequential() (ahead, lines int)
 }
 
 // None is the null prefetcher (the O5 and O5+OM baselines).
@@ -120,6 +134,9 @@ func (p *NL) OnFetch(line isa.Addr, issue Issue) {
 	issue(Request{Addr: line + isa.LineBytes, Lines: p.N, Portion: PortionNL})
 }
 
+// Sequential implements Sequential: N lines from the next line on.
+func (p *NL) Sequential() (ahead, lines int) { return 1, p.N }
+
 // OnCall implements Prefetcher.
 func (p *NL) OnCall(isa.Addr, isa.Addr, Issue) {}
 
@@ -157,6 +174,9 @@ func (p *RunAheadNL) OnFetch(line isa.Addr, issue Issue) {
 	p.lastTrigger = line
 	issue(Request{Addr: line + isa.Addr(p.M*isa.LineBytes), Lines: p.N, Portion: PortionNL})
 }
+
+// Sequential implements Sequential: N lines from M lines on.
+func (p *RunAheadNL) Sequential() (ahead, lines int) { return p.M, p.N }
 
 // OnCall implements Prefetcher.
 func (p *RunAheadNL) OnCall(isa.Addr, isa.Addr, Issue) {}

@@ -191,6 +191,10 @@ type Runner struct {
 	mu      sync.Mutex
 	flights map[string]*flight
 	hubs    map[string]*replayHub
+	// events holds the event count of each workload's stream, by
+	// workload name, once a pass has walked one; a figure plan ranks
+	// its streams by it (planOrder).
+	events map[string]int64
 }
 
 // flight memoizes one unit of keyed work (a run, a trace recording, an
@@ -242,6 +246,7 @@ func NewRunner(opts RunnerOptions) *Runner {
 		sem:     make(chan struct{}, opts.Workers),
 		flights: make(map[string]*flight),
 		hubs:    make(map[string]*replayHub),
+		events:  make(map[string]int64),
 	}
 }
 
@@ -654,7 +659,10 @@ type Job struct {
 }
 
 // RunAll executes jobs with up to Workers batches in flight and
-// returns results in input order regardless of completion order.
+// returns results in input order regardless of completion order. Its
+// (workload, layout) streams take worker slots in the order their jobs
+// first appear, so a caller that lists its costliest stream first
+// starts that pass first.
 // Duplicate jobs — and cells shared with earlier figures — are
 // deduplicated through the result cache, so overlapping grids never
 // repeat a simulation.
@@ -689,14 +697,20 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) ([]*Result, error) {
 		}
 	}
 	var wg sync.WaitGroup
+	// Each group asks for its first worker slot once the group before
+	// it got one or gave up: turn closes when that has happened.
+	turn := make(chan struct{})
+	close(turn)
 	for _, g := range groupJobs(jobs) {
+		next := make(chan struct{})
 		wg.Add(1)
 		// runGroup acquires a worker slot itself, only around the drain
 		// phase: claiming and waiting hold no slot.
-		go func(g *jobGroup) {
+		go func(turn <-chan struct{}, next chan<- struct{}) {
 			defer wg.Done()
-			r.runGroup(ctx, g, results, errs, fail)
-		}(g)
+			r.runGroup(ctx, g, turn, next, results, errs, fail)
+		}(turn, next)
+		turn = next
 	}
 	wg.Wait()
 	var failed []*JobError
@@ -826,11 +840,13 @@ func (r *Runner) resolveCell(c hubCell, res *Result, err error) {
 // cells another goroutine computed) into the RunAll output slots.
 // Claiming and enqueueing happen before the worker slot is acquired —
 // they do no simulation work — so even a single-worker pool sees every
-// concurrent figure's cells before the first drain begins. A cell that
-// another campaign's cancellation aborted (hubs are shared across
-// concurrent RunAll calls) was evicted as transient, so it goes round
-// again: claimed and enqueued under this campaign's live context.
-func (r *Runner) runGroup(ctx context.Context, g *jobGroup, results []*Result, errs []error, fail func(error)) {
+// concurrent figure's cells before the first drain begins. The first
+// slot is asked for once turn closes, and next closes once this group
+// got it or gave up. A cell that another campaign's cancellation
+// aborted (hubs are shared across concurrent RunAll calls) was evicted
+// as transient, so it goes round again: claimed and enqueued under this
+// campaign's live context.
+func (r *Runner) runGroup(ctx context.Context, g *jobGroup, turn <-chan struct{}, next chan<- struct{}, results []*Result, errs []error, fail func(error)) {
 	type cellRef struct {
 		key   string
 		f     *flight
@@ -852,11 +868,26 @@ func (r *Runner) runGroup(ctx context.Context, g *jobGroup, results []*Result, e
 			h.pending = append(h.pending, enq...)
 			h.mu.Unlock()
 		}
+		// The first round asks for a slot once turn closes; later rounds,
+		// which run only while ctx lives, find it closed.
+		acquired := false
 		select {
-		case r.sem <- struct{}{}:
+		case <-turn:
+			select {
+			case r.sem <- struct{}{}:
+				acquired = true
+			case <-ctx.Done():
+			}
+		case <-ctx.Done():
+		}
+		if next != nil {
+			close(next)
+			next = nil
+		}
+		if acquired {
 			r.pump(ctx, g.w, h)
 			<-r.sem //cgplint:ignore ctxflow held worker token guarantees a free slot, the release cannot block
-		case <-ctx.Done():
+		} else {
 			// Canceled before a worker slot freed up. Withdraw our still-
 			// pending cells so their flights don't dangle unresolved;
 			// cells an active drainer already took will be resolved by it.
@@ -1065,6 +1096,11 @@ func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sampl
 	}
 	if errors.Is(err, errNoLiveCells) {
 		err = nil // each cell reports its own panic
+	}
+	if err == nil && st.Events > 0 {
+		r.mu.Lock()
+		r.events[w.Name] = st.Events
+		r.mu.Unlock()
 	}
 	return st, err
 }
