@@ -42,11 +42,10 @@ func (r *Runner) SoftwareCGPAblation(ctx context.Context) (*Figure, error) {
 	return r.figure(ctx, "abl-swcgp")
 }
 
-// ExtensionFigures runs every ablation study (ExtensionFigureIDs). Like
-// AllFigures, it runs the studies from one plan, with deterministic
-// results.
+// ExtensionFigures runs every ablation study (ExtensionFigureIDs) in
+// report order: Figures of the extension set.
 func (r *Runner) ExtensionFigures(ctx context.Context) ([]*Figure, error) {
-	return r.runFigures(ctx, ExtensionFigureIDs())
+	return r.Figures(ctx, ExtensionFigureIDs())
 }
 
 // DegreeSweep extends Figures 4/6 along the N axis: the paper evaluates

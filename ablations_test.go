@@ -308,7 +308,8 @@ func TestCampaignCellsMatchGenerators(t *testing.T) {
 
 // TestParseFigureIDs: -sample-figures lists parse against the figure
 // catalogue; blank entries are skipped, "none" is the empty set, and an
-// unknown ID fails with the valid ones listed.
+// unknown ID fails with the valid ones listed. Figures refuses an
+// unknown ID before running anything.
 func TestParseFigureIDs(t *testing.T) {
 	cases := []struct {
 		in      string
@@ -341,6 +342,9 @@ func TestParseFigureIDs(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("ParseFigureIDs(%q) = %#v, %v; want %#v", tc.in, got, err, tc.want)
 		}
+	}
+	if figs, err := NewRunner(RunnerOptions{}).Figures(context.Background(), []string{"fig4", "fig44"}); err == nil || figs != nil {
+		t.Errorf("Figures with unknown ID fig44 = %v, %v; want no figures and an error", figs, err)
 	}
 	none, _ := ParseFigureIDs("none")
 	opts := RunnerOptions{Sampling: sample.Default(), SampledFigures: none}

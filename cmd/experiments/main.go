@@ -137,17 +137,17 @@ func main() {
 
 	start := time.Now() //cgplint:ignore detrand wall-clock run duration is harness log metadata, not simulated data
 	var failures []error
-	figs, err := r.AllFigures(ctx)
+	// The paper's figures and the extensions run as one plan, so each
+	// stream of the campaign runs in one pass.
+	paper := cgp.PaperFigureIDs()
+	all, err := r.Figures(ctx, append(paper, cgp.ExtensionFigureIDs()...))
 	if err != nil {
 		failures = append(failures, err)
 	}
+	figs, exts := all[:len(paper)], all[len(paper):]
 	fan, fanErr := r.CallFanoutStats(ctx)
 	if fanErr != nil {
 		failures = append(failures, fmt.Errorf("cgp: fanout stats: %w", fanErr))
-	}
-	exts, err := r.ExtensionFigures(ctx)
-	if err != nil {
-		failures = append(failures, err)
 	}
 
 	var b strings.Builder

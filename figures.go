@@ -496,14 +496,20 @@ func (r *Runner) figure(ctx context.Context, id string) (*Figure, error) {
 	return figs[0], errs[0]
 }
 
-// runFigures generates the figures ids from one plan (figures),
-// ordered by stream cost, and returns them in ids order. Failures degrade rather than abort: every
-// figure is returned, partial ones with their degraded rows, and the
-// error joins every figure's failure.
-func (r *Runner) runFigures(ctx context.Context, ids []string) ([]*Figure, error) {
+// Figures generates the catalogue figures ids (PaperFigureIDs,
+// ExtensionFigureIDs or any mix of them) from one plan, ordered by
+// stream cost, so each stream of the whole set runs in one pass, and
+// returns them in ids order. Results are deterministic and identical to
+// generating each figure alone. Failures degrade rather than abort:
+// every figure is returned, partial ones with their degraded rows, and
+// the error joins every figure's failure. An ID the catalogue does not
+// hold is an error, and nothing runs.
+func (r *Runner) Figures(ctx context.Context, ids []string) ([]*Figure, error) {
 	specs := make([]*figureSpec, len(ids))
 	for i, id := range ids {
-		specs[i] = lookupFigure(id)
+		if specs[i] = lookupFigure(id); specs[i] == nil {
+			return nil, fmt.Errorf("cgp: unknown figure %q", id)
+		}
 	}
 	figs, errs := r.figures(ctx, specs, true)
 	for i, err := range errs {
@@ -550,10 +556,7 @@ func (r *Runner) RunAheadAblation(ctx context.Context) (*Figure, error) {
 }
 
 // AllFigures runs every experiment of the paper (PaperFigureIDs) in
-// report order, from one plan: each stream runs once, the costliest
-// first. Results are deterministic and identical to generating each
-// figure alone. On partial failure every figure is returned, with
-// degraded rows, alongside the joined error.
+// report order: Figures of the paper's set.
 func (r *Runner) AllFigures(ctx context.Context) ([]*Figure, error) {
-	return r.runFigures(ctx, PaperFigureIDs())
+	return r.Figures(ctx, PaperFigureIDs())
 }

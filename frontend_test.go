@@ -39,7 +39,7 @@ func standaloneStats(t *testing.T, r *Runner, j Job) *cpu.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := r.recordingFor(ctx, j.Workload, cfg.Layout)
+	rec, _, err := r.recordingFor(ctx, j.Workload, cfg.Layout, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func refsimStats(t *testing.T, r *Runner, j Job) *cpu.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := r.recordingFor(ctx, j.Workload, cfg.Layout)
+	rec, _, err := r.recordingFor(ctx, j.Workload, cfg.Layout, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,10 @@ func harnessOpts(workers int) RunnerOptions {
 	}
 }
 
-// recorded gives o's runner a sampling schedule, so every pass it makes
-// records its stream and replays the sealed recording, the way a
-// sampling campaign's full-detail cells run. Jobs submitted with
+// recorded gives o's runner a sampling schedule, so its passes record
+// their streams the way a sampling campaign's full-detail cells run:
+// the first pass over a stream records it as it feeds its cells, and
+// later passes replay the sealed recording. Jobs submitted with
 // full-detail configs stay full detail: the schedule samples only the
 // figures in the sampled set, and RunAll jobs only by their own Config.
 func recorded(o RunnerOptions) RunnerOptions {
@@ -111,9 +112,12 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 
 // TestPassSourceRule pins how a pass picks its source. On a runner
 // without a sampling schedule the Figure-4 grid runs every pass live and
-// records nothing; with a schedule (its jobs still full detail) each of
-// the grid's eight (workload, layout) streams is recorded once — the
-// profile passes included — and every pass replays a recording.
+// records nothing. With a schedule (its jobs still full detail) each of
+// the grid's eight (workload, layout) streams is recorded exactly once,
+// by the first full-detail pass over it, whose consumers ride the
+// record walk; the only passes that replay a recording are the later
+// O5 passes of wisc-prof and wisc+tpch, whose streams the DB profile
+// run and the grid's O5 cells both walk.
 func TestPassSourceRule(t *testing.T) {
 	for _, schedule := range []bool{false, true} {
 		opts := harnessOpts(2)
@@ -138,22 +142,39 @@ func TestPassSourceRule(t *testing.T) {
 		if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 			t.Fatal(err)
 		}
-		records, sources := 0, map[string]int{}
+		records, replays, sources := map[string]int{}, map[string]int{}, map[string]int{}
 		for _, ev := range parsed.TraceEvents {
+			stream := ev.Args["workload"] + "/" + ev.Args["layout"]
 			switch ev.Name {
 			case "record":
-				records++
+				records[stream]++
+				if n, err := strconv.Atoi(ev.Args["cells"]); err != nil || n == 0 {
+					t.Errorf("schedule=%v: record walk of %s fed cells=%q, want the pass that recorded it", schedule, stream, ev.Args["cells"])
+				}
 			case "replay":
 				sources[ev.Args["source"]]++
+				if ev.Args["source"] == "recording" {
+					replays[stream]++
+				}
 			}
 		}
-		wantRecords, wantSource := 0, "live"
-		if schedule {
-			wantRecords, wantSource = 8, "recording"
+		if !schedule {
+			if len(records) != 0 || len(sources) != 1 || sources["live"] == 0 {
+				t.Errorf("no schedule: recordings %v and pass sources %v, want none and only live passes", records, sources)
+			}
+			continue
 		}
-		if records != wantRecords || len(sources) != 1 || sources[wantSource] == 0 {
-			t.Errorf("schedule=%v: %d recordings and pass sources %v, want %d and only %q",
-				schedule, records, sources, wantRecords, wantSource)
+		if len(records) != 8 {
+			t.Errorf("schedule: recorded %d streams %v, want fig4's 8", len(records), records)
+		}
+		for stream, n := range records {
+			if n != 1 {
+				t.Errorf("schedule: stream %s recorded %d times, want once", stream, n)
+			}
+		}
+		want := map[string]int{"wisc-prof/O5": 1, "wisc+tpch/O5": 1}
+		if len(sources) != 1 || !maps.Equal(replays, want) {
+			t.Errorf("schedule: pass sources %v, replays by stream %v; want only recordings, replayed %v", sources, replays, want)
 		}
 	}
 }
@@ -237,7 +258,7 @@ func TestConcurrentFigureGenerators(t *testing.T) {
 		t.Skip("short mode")
 	}
 	conc := NewRunner(harnessOpts(8))
-	figs, err := conc.runFigures(context.Background(), []string{"fig6", "fig7", "fig8"})
+	figs, err := conc.Figures(context.Background(), []string{"fig6", "fig7", "fig8"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,12 +291,13 @@ func TestConcurrentFigureGenerators(t *testing.T) {
 	}
 }
 
-// TestOnePlanPerFigureSet: after the DB profile, AllFigures makes one
-// pass per (workload, layout) stream of its figures, one worker takes
-// the passes in cost order (cells times the workload's event count,
-// where a workload no pass has run yet counts as the largest one seen),
-// and the figures are byte-identical at one worker and at the default
-// count.
+// TestOnePlanPerFigureSet: after the DB profile, Figures over the
+// paper's figures and the extensions together, the set experiments
+// runs, makes one pass per (workload, layout) stream of the whole set;
+// one worker takes the passes in cost order (cells times the workload's
+// event count, where a workload no pass has run yet counts as the
+// largest one seen), and the figures are byte-identical at one worker
+// and at the default count.
 func TestOnePlanPerFigureSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -289,7 +311,8 @@ func TestOnePlanPerFigureSet(t *testing.T) {
 			t.Fatal(err)
 		}
 		known := maps.Clone(r.events)
-		figs, err := r.AllFigures(context.Background())
+		ids := append(PaperFigureIDs(), ExtensionFigureIDs()...)
+		figs, err := r.Figures(context.Background(), ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +328,7 @@ func TestOnePlanPerFigureSet(t *testing.T) {
 
 		// The streams the plan holds.
 		plan := map[string]bool{}
-		for _, id := range PaperFigureIDs() {
+		for _, id := range ids {
 			for _, c := range r.cellsOf(lookupFigure(id)) {
 				plan[c.job.Workload.Name+"/"+c.job.Config.Layout.String()] = true
 			}

@@ -57,8 +57,10 @@ func BuildRegistry() (*program.Registry, Funcs) {
 
 // Options configures an engine instance.
 type Options struct {
-	// BufferFrames is the buffer-pool size in pages (default 4096 =
-	// 16MB, enough to keep the paper's workloads memory-resident).
+	// BufferFrames caps the buffer pool in pages (default 4096, enough
+	// to keep the paper's workloads memory-resident). A frame's 4 KB page
+	// is allocated the first time the pool uses the frame, so the cap
+	// costs memory only as far as the working set reaches it.
 	BufferFrames int
 }
 

@@ -37,10 +37,13 @@ type PoolStats struct {
 	Flushes   int64
 }
 
-// BufferPool caches disk pages in a fixed set of frames with a clock
-// replacement policy. All methods are instrumented through the shared
-// probe so page lookups show up in the simulated call graph exactly as
-// the paper's Figure 2 describes.
+// BufferPool caches disk pages in up to a fixed number of frames with a
+// clock replacement policy. A frame gets its page buffer the first time
+// the clock picks it, so the frame count is a cap: a pool costs memory
+// for the frames its pages have reached, not for every frame it may
+// use. All methods are instrumented through the shared probe so page
+// lookups show up in the simulated call graph exactly as the paper's
+// Figure 2 describes.
 type BufferPool struct {
 	disk   *Disk
 	frames []Frame
@@ -51,7 +54,8 @@ type BufferPool struct {
 	stats  PoolStats
 }
 
-// NewBufferPool builds a pool of nframes frames over disk.
+// NewBufferPool builds a pool of at most nframes frames over disk. It
+// allocates only the frame headers; pages come on first use (victim).
 func NewBufferPool(disk *Disk, nframes int, pr *probe.Probe, fns Funcs) *BufferPool {
 	if nframes <= 0 {
 		panic("storage: buffer pool needs at least one frame")
@@ -59,13 +63,12 @@ func NewBufferPool(disk *Disk, nframes int, pr *probe.Probe, fns Funcs) *BufferP
 	bp := &BufferPool{
 		disk:   disk,
 		frames: make([]Frame, nframes),
-		table:  make(map[PageID]int, nframes),
+		table:  make(map[PageID]int),
 		pr:     pr,
 		fns:    fns,
 	}
 	for i := range bp.frames {
 		bp.frames[i].id = InvalidPageID
-		bp.frames[i].buf = make([]byte, PageSize)
 	}
 	return bp
 }
@@ -120,10 +123,11 @@ func (bp *BufferPool) getpageFromDisk(id PageID) (*Frame, error) {
 	bp.pr.Enter(bp.fns.GetpageFromDisk)
 	defer bp.pr.Exit()
 	bp.pr.Work(70)
-	f, err := bp.victim()
+	i, err := bp.victim()
 	if err != nil {
 		return nil, err
 	}
+	f := &bp.frames[i]
 	if err := bp.disk.Read(id, f.buf); err != nil {
 		return nil, err
 	}
@@ -134,7 +138,7 @@ func (bp *BufferPool) getpageFromDisk(id PageID) (*Frame, error) {
 	f.pin = 1
 	f.dirty = false
 	f.ref = true
-	bp.table[id] = bp.frameIndex(f)
+	bp.table[id] = i
 	return f, nil
 }
 
@@ -145,17 +149,18 @@ func (bp *BufferPool) NewPage() (*Frame, error) {
 	defer bp.pr.Exit()
 	bp.pr.Work(30)
 	id := bp.disk.Allocate()
-	f, err := bp.victim()
+	i, err := bp.victim()
 	if err != nil {
 		return nil, err
 	}
+	f := &bp.frames[i]
 	Format(f.buf, id)
 	bp.pr.Data(PageAddr(id), headerSize, true)
 	f.id = id
 	f.pin = 1
 	f.dirty = true
 	f.ref = true
-	bp.table[id] = bp.frameIndex(f)
+	bp.table[id] = i
 	return f, nil
 }
 
@@ -188,13 +193,16 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 // count (for callers that unpin through a generic cleanup path).
 func (bp *BufferPool) MarkDirty(f *Frame) { f.dirty = true }
 
-// victim finds a free or evictable frame via the clock algorithm.
-func (bp *BufferPool) victim() (*Frame, error) {
+// victim finds a free or evictable frame via the clock algorithm and
+// returns its index, giving the frame its page buffer the first time
+// it is picked.
+func (bp *BufferPool) victim() (int, error) {
 	n := len(bp.frames)
 	// Two sweeps: the first clears reference bits, the second takes the
 	// first unreferenced unpinned frame.
 	for sweep := 0; sweep < 2*n; sweep++ {
-		f := &bp.frames[bp.hand]
+		i := bp.hand
+		f := &bp.frames[i]
 		bp.hand = (bp.hand + 1) % n
 		if f.pin > 0 {
 			continue
@@ -207,15 +215,18 @@ func (bp *BufferPool) victim() (*Frame, error) {
 			bp.stats.Evictions++
 			if f.dirty {
 				if err := bp.flush(f); err != nil {
-					return nil, err
+					return -1, err
 				}
 			}
 			delete(bp.table, f.id)
 			f.id = InvalidPageID
 		}
-		return f, nil
+		if f.buf == nil {
+			f.buf = make([]byte, PageSize)
+		}
+		return i, nil
 	}
-	return nil, ErrNoFreeFrames
+	return -1, ErrNoFreeFrames
 }
 
 // flush writes a dirty frame back to disk (the paper's Flush_page).
@@ -255,13 +266,4 @@ func (bp *BufferPool) PinnedFrames() int {
 		}
 	}
 	return n
-}
-
-func (bp *BufferPool) frameIndex(f *Frame) int {
-	for i := range bp.frames {
-		if &bp.frames[i] == f {
-			return i
-		}
-	}
-	panic("storage: frame not in pool")
 }

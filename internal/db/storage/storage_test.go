@@ -334,3 +334,98 @@ func TestBufferPoolContentProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewBufferPoolAllocatesNoPages: building a pool allocates its
+// frame headers and page table only, the same few objects for 8 frames
+// as for 8192; a frame's page comes the first time the clock picks it.
+func TestNewBufferPoolAllocatesNoPages(t *testing.T) {
+	d := NewDisk()
+	small := testing.AllocsPerRun(20, func() { NewBufferPool(d, 8, nil, Funcs{}) })
+	large := testing.AllocsPerRun(20, func() { NewBufferPool(d, 8192, nil, Funcs{}) })
+	if large != small || large > 4 {
+		t.Errorf("NewBufferPool allocs: %v at 8 frames, %v at 8192; want the same small constant", small, large)
+	}
+}
+
+// heldPages counts the frames that have been given a page buffer.
+func heldPages(bp *BufferPool) int {
+	n := 0
+	for i := range bp.frames {
+		if bp.frames[i].buf != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBufferPoolPagesOnFirstUse: k distinct pages through a pool far
+// larger than k leave exactly k frames holding a page, however often
+// the pages are fetched again.
+func TestBufferPoolPagesOnFirstUse(t *testing.T) {
+	const k = 37
+	d := NewDisk()
+	bp := NewBufferPool(d, 8192, nil, Funcs{})
+	if got := heldPages(bp); got != 0 {
+		t.Fatalf("fresh pool holds %d pages, want 0", got)
+	}
+	var ids []PageID
+	for i := 0; i < k; i++ {
+		f, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, f.ID())
+		bp.Unpin(f, true)
+	}
+	for round := 0; round < 3; round++ {
+		for _, id := range ids {
+			f, err := bp.GetPage(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp.Unpin(f, false)
+		}
+	}
+	if got := heldPages(bp); got != k {
+		t.Errorf("%d distinct pages left %d frames holding a page, want %d", k, got, k)
+	}
+}
+
+// TestBufferPoolEvictionReusesPages: once both frames of a 2-frame pool
+// hold a page, evicting and reloading pages allocates nothing: a
+// reloaded page goes into the evicted frame's buffer.
+func TestBufferPoolEvictionReusesPages(t *testing.T) {
+	d := NewDisk()
+	bp := NewBufferPool(d, 2, nil, Funcs{})
+	var ids []PageID
+	for i := 0; i < 5; i++ {
+		f, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Page().Raw()[100] = byte(i)
+		ids = append(ids, f.ID())
+		bp.Unpin(f, true)
+	}
+	if got := heldPages(bp); got != 2 {
+		t.Fatalf("2-frame pool holds %d pages, want 2", got)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err := bp.GetPage(ids[next%len(ids)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Page().Raw()[100] != byte(next%len(ids)) {
+			t.Fatalf("page %d lost its contents", next%len(ids))
+		}
+		bp.Unpin(f, false)
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("eviction allocated %v objects per fetch, want 0", allocs)
+	}
+	if bp.Stats().Evictions < 100 {
+		t.Errorf("only %d evictions: the fetches did not cycle the pool", bp.Stats().Evictions)
+	}
+}

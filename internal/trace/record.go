@@ -101,17 +101,22 @@ func newRecorder(chunkSize int) *Recorder {
 	return &Recorder{buf: buf, w: newWriter(buf)}
 }
 
-// EventBatch implements Consumer.
+// EventBatch implements Consumer. It encodes and counts the batch a
+// part at a time, splitting it at skip-index checkpoints, so each
+// checkpoint holds the exact counts of the events before it.
 //
 //cgplint:hotpath
 func (r *Recorder) EventBatch(evs []Event) {
-	for i := range evs {
-		ev := &evs[i]
-		r.stats.add(ev)
-		r.w.event(ev)
+	for len(evs) > 0 {
+		part := evs[:min(len(evs), skipIndexEvery-int(r.stats.Events%skipIndexEvery))]
+		for i := range part {
+			r.w.event(&part[i])
+		}
+		r.stats.EventBatch(part)
 		if r.stats.Events%skipIndexEvery == 0 {
 			r.checkpoint()
 		}
+		evs = evs[len(part):]
 	}
 }
 

@@ -195,45 +195,61 @@ func TestLoadRoundTrip(t *testing.T) {
 // takes while encoding (stream position, events, instructions, delta
 // bases) must be exactly the decoder state a decode pass over the
 // sealed stream reaches, with records straddling many chunks, and Load
-// must rebuild the same index from the same bytes.
+// must rebuild the same index from the same bytes. That holds however
+// the stream arrives: in one batch, or in batches of 1, 511, 4095, 4097
+// or 9000 events, which straddle checkpoints in every way, and every
+// split encodes the same bytes.
 func TestRecorderSkipIndexMatchesDecodePass(t *testing.T) {
 	const n = 5*skipIndexEvery + 17
-	r := newRecorder(1000)
-	r.EventBatch(recordTestEvents(n))
-	rec, err := r.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.buf.chunks) < 100 {
-		t.Fatalf("only %d chunks; the test needs a multi-chunk recording", len(rec.buf.chunks))
-	}
-	if len(rec.idx) != n/skipIndexEvery {
-		t.Fatalf("recorder took %d checkpoints, want %d", len(rec.idx), n/skipIndexEvery)
-	}
-	for i, p := range rec.idx {
-		if p.events != int64(i+1)*skipIndexEvery || p.bases == (bases{}) {
-			t.Fatalf("checkpoint %d = %+v", i, p)
+	evs := recordTestEvents(n)
+	var want []byte
+	for _, split := range []int{n, 1, 511, skipIndexEvery - 1, skipIndexEvery + 1, 9000} {
+		r := newRecorder(1000)
+		for rest := evs; len(rest) > 0; {
+			m := min(split, len(rest))
+			r.EventBatch(rest[:m])
+			rest = rest[m:]
 		}
-	}
-	st, idx, err := rec.scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != rec.Stats {
-		t.Fatalf("decode pass counts %+v, recorder %+v", st, rec.Stats)
-	}
-	if !reflect.DeepEqual(idx, rec.idx) {
-		t.Fatalf("decode pass checkpoints\n%+v\nrecorder checkpoints\n%+v", idx, rec.idx)
-	}
-	var buf bytes.Buffer
-	if _, err := rec.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.idx, rec.idx) {
-		t.Fatal("Load built a different skip index")
+		rec, err := r.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.buf.chunks) < 100 {
+			t.Fatalf("only %d chunks; the test needs a multi-chunk recording", len(rec.buf.chunks))
+		}
+		if len(rec.idx) != n/skipIndexEvery {
+			t.Fatalf("split %d: recorder took %d checkpoints, want %d", split, len(rec.idx), n/skipIndexEvery)
+		}
+		for i, p := range rec.idx {
+			if p.events != int64(i+1)*skipIndexEvery || p.bases == (bases{}) {
+				t.Fatalf("split %d: checkpoint %d = %+v", split, i, p)
+			}
+		}
+		st, idx, err := rec.scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != rec.Stats {
+			t.Fatalf("split %d: decode pass counts %+v, recorder %+v", split, st, rec.Stats)
+		}
+		if !reflect.DeepEqual(idx, rec.idx) {
+			t.Fatalf("split %d: decode pass checkpoints\n%+v\nrecorder checkpoints\n%+v", split, idx, rec.idx)
+		}
+		var buf bytes.Buffer
+		if _, err := rec.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = bytes.Clone(buf.Bytes())
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("split %d encodes different bytes from the one-batch recording", split)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(loaded.idx, rec.idx) {
+			t.Fatalf("split %d: Load built a different skip index", split)
+		}
 	}
 }

@@ -30,44 +30,51 @@ type Stats struct {
 	QueryTags int64
 }
 
-// EventBatch implements Consumer.
+// EventBatch sums a batch per kind in kindSlots slots: one per kind,
+// rounded up to a power of two, and spareSlot, where every kind above
+// KindQueryTag lands and which folds into nothing but Events.
+const (
+	kindSlots = 16
+	spareSlot = kindSlots - 1
+)
+
+// EventBatch implements Consumer. It sums the batch per kind, with no
+// branch per event, and folds the sums into the fields once.
+//
+//cgplint:hotpath
 func (s *Stats) EventBatch(evs []Event) {
+	var count, n, iters, work, taken [kindSlots]int64
 	for i := range evs {
-		s.add(&evs[i])
+		ev := &evs[i]
+		k := (ev.Kind | spareSlot*Kind(b2i(ev.Kind > KindQueryTag))) & spareSlot
+		count[k]++
+		n[k] += int64(ev.N)
+		iters[k] += int64(ev.Iters)
+		work[k] += int64(ev.N) * int64(ev.Iters)
+		taken[k] += int64(b2i(ev.Taken))
 	}
+	s.Events += int64(len(evs))
+	s.Instructions += units.Instrs(n[KindRun] + work[KindLoop])
+	s.Loops += count[KindLoop]
+	// One backward branch per loop iteration, taken on all but the last.
+	s.Branches += count[KindBranch] + iters[KindLoop]
+	s.TakenBrs += taken[KindBranch] + iters[KindLoop] - count[KindLoop]
+	s.Calls += count[KindCall]
+	s.Returns += count[KindReturn]
+	s.DataRefs += count[KindData]
+	s.DataBytes += n[KindData]
+	s.Switches += count[KindSwitch]
+	s.ProbeOps += count[KindProbeEnter] + count[KindProbeExit] + count[KindProbeWork] + count[KindProbeData]
+	s.QueryTags += count[KindQueryTag]
 }
 
-// add counts one event.
-func (s *Stats) add(ev *Event) {
-	s.Events++
-	switch ev.Kind {
-	case KindRun:
-		s.Instructions += ev.Instructions()
-	case KindLoop:
-		s.Instructions += ev.Instructions()
-		s.Loops++
-		// One backward branch per iteration.
-		s.Branches += int64(ev.Iters)
-		s.TakenBrs += int64(ev.Iters) - 1
-	case KindBranch:
-		s.Branches++
-		if ev.Taken {
-			s.TakenBrs++
-		}
-	case KindCall:
-		s.Calls++
-	case KindReturn:
-		s.Returns++
-	case KindData:
-		s.DataRefs++
-		s.DataBytes += int64(ev.N)
-	case KindSwitch:
-		s.Switches++
-	case KindProbeEnter, KindProbeExit, KindProbeWork, KindProbeData:
-		s.ProbeOps++
-	case KindQueryTag:
-		s.QueryTags++
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) uint8 {
+	if b {
+		return 1
 	}
+	return 0
 }
 
 // InstructionsPerCall reports the average number of instructions between

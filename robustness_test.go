@@ -22,6 +22,7 @@ import (
 	"cgp/internal/faultinject"
 	"cgp/internal/obs"
 	"cgp/internal/program"
+	"cgp/internal/sample"
 	"cgp/internal/trace"
 )
 
@@ -184,16 +185,28 @@ func TestPanicInCellSetupFailsAlone(t *testing.T) {
 	}
 }
 
+// withSampling gives every job a sampling schedule. A full-detail pass
+// that records its stream feeds its cells from the record walk itself,
+// so only sampled cells are sure to replay a sealed recording, the one
+// a corruption hook has damaged.
+func withSampling(jobs []Job) []Job {
+	for i := range jobs {
+		jobs[i].Config.Sampling = sample.Default()
+	}
+	return jobs
+}
+
 // TestCorruptionHealedByRebuild corrupts each workload's first sealed
 // recording; the campaign must detect the bad checksum, rebuild the
 // recording from source and finish with clean-run results and no
 // errors.
 func TestCorruptionHealedByRebuild(t *testing.T) {
 	r := NewRunner(chaosOpts(4))
-	var firstSeals atomic.Int64
+	var firstSeals, seals atomic.Int64
 	var mu sync.Mutex
 	corrupted := map[string]bool{}
 	r.hooks.afterRecord = func(w *Workload, layout Layout, rec *trace.Recording) {
+		seals.Add(1)
 		mu.Lock()
 		first := !corrupted[recKey(w, layout)]
 		corrupted[recKey(w, layout)] = true
@@ -203,13 +216,17 @@ func TestCorruptionHealedByRebuild(t *testing.T) {
 			faultinject.Corrupt(rec, 99, 2)
 		}
 	}
-	jobs := o5Grid(r.DBWorkloads()[:2])
+	jobs := withSampling(o5Grid(r.DBWorkloads()[:2]))
 	results, err := r.RunAll(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("campaign failed despite retry budget: %v", err)
 	}
 	if firstSeals.Load() == 0 {
 		t.Fatal("corruption hook never fired — test is vacuous")
+	}
+	if seals.Load() != 2*firstSeals.Load() {
+		t.Fatalf("%d recordings sealed after %d corruptions, want one rebuild each: no cell replayed the corrupted bytes",
+			seals.Load(), firstSeals.Load())
 	}
 	clean := NewRunner(chaosOpts(1))
 	for i, j := range jobs {
@@ -240,7 +257,7 @@ func TestPersistentCorruptionExhaustsBudget(t *testing.T) {
 			faultinject.Corrupt(rec, int64(seals.Load()), 2)
 		}
 	}
-	jobs := o5Grid(ws)
+	jobs := withSampling(o5Grid(ws))
 	results, err := r.RunAll(context.Background(), jobs)
 	var camp *CampaignError
 	if !errors.As(err, &camp) {

@@ -427,9 +427,9 @@ func (r *Runner) profileFor(ctx context.Context, w *Workload) (*program.Profile,
 
 // collectProfiles gathers w's feedback artifacts from its O5 event
 // stream, in a pass whose only consumer is the collectors. It is a
-// full-detail pass, so its source follows pass's rule: the shared
-// recording in a sampling campaign, whose sampled O5 cells replay that
-// recording too, and a live execution otherwise.
+// full-detail pass, so its source follows pass's rule: a live execution,
+// which in a sampling campaign records the stream for the sampled O5
+// cells to replay, or the recording an earlier pass left.
 func (r *Runner) collectProfiles(ctx context.Context, w *Workload) (*profiles, error) {
 	var (
 		pc   *trace.ProfileCollector
@@ -486,15 +486,18 @@ func (r *Runner) imageFor(ctx context.Context, w *Workload, layout Layout) (*pro
 	return v.(*program.Image), nil
 }
 
-// recordingFor captures w's event stream on the given layout once and
-// memoizes the sealed recording. The stream for a (workload, layout)
-// pair is deterministic and independent of the CPU configuration, so
-// every config replays the same buffer instead of re-executing the
-// workload. The recording lives for the life of the Runner (unless
-// evicted after corruption); its encoded size is reported through Log.
-// A workload that is a sealed recording already is its own recording,
-// on the O5 layout it was recorded over.
-func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout) (*trace.Recording, error) {
+// recordingFor returns w's event stream on layout as a sealed
+// recording, recording it on first use. The stream for a (workload,
+// layout) pair is deterministic and independent of the CPU
+// configuration, so every later pass replays the same buffer instead of
+// re-executing the workload. The call that records the stream walks the
+// workload live (walk) and feeds cells, which may be none, from that
+// same walk; fed reports that it did. Every other call waits for the
+// recording and feeds no one. The recording lives for the life of the
+// Runner (unless evicted after corruption); its encoded size is
+// reported through Log. A workload that is a sealed recording already
+// is its own recording, on the O5 layout it was recorded over.
+func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout, cells []*passCell) (rec *trace.Recording, fed bool, err error) {
 	v, err := r.once(ctx, recKey(w, layout), func(ctx context.Context) (any, error) {
 		if w.Recording != nil {
 			if layout != LayoutO5 {
@@ -506,14 +509,13 @@ func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout) (
 		if err != nil {
 			return nil, err
 		}
+		fed = len(cells) > 0
 		rec := trace.NewRecorder()
 		r.opts.Log("record %-12s %s", w.Name, layout)
 		sp := r.obsSpan("record", "record").
-			Arg("workload", w.Name).Arg("layout", layout.String())
-		err = runWorkload(ctx, w, img, func(evs []trace.Event) error {
-			rec.EventBatch(evs)
-			return nil
-		})
+			Arg("workload", w.Name).Arg("layout", layout.String()).
+			Arg("cells", fmt.Sprint(len(cells)))
+		_, err = walk(ctx, w, img, cells, rec)
 		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("cgp: record %s under %s: %w", w.Name, layout, err)
@@ -531,9 +533,9 @@ func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout) (
 		return rg, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fed, err
 	}
-	return v.(*trace.Recording), nil
+	return v.(*trace.Recording), fed, nil
 }
 
 // evictRecordingIf drops the cached recording for (w, layout) if it
@@ -558,11 +560,11 @@ const (
 )
 
 // replayRetry runs attempt, which replays the (w, layout) recording it
-// obtains from recordingFor and returns it alongside any error. On a
-// *CorruptionError the recording is evicted and rebuilt from source —
-// the workload re-executes — under an exponential backoff, up to
-// retryBudget rebuilds. Other errors (including cancellation) return
-// immediately.
+// obtains from recordingFor, or records it, and returns it alongside
+// any error. On a *CorruptionError the recording is evicted and rebuilt
+// from source — the workload re-executes — under an exponential
+// backoff, up to retryBudget rebuilds. Other errors (including
+// cancellation) return immediately.
 func (r *Runner) replayRetry(ctx context.Context, w *Workload, layout Layout, attempt func(context.Context) (*trace.Recording, error)) error {
 	for try := 0; ; try++ {
 		rec, err := attempt(ctx)
@@ -961,7 +963,9 @@ func (r *Runner) runBatchGuarded(ctx context.Context, w *Workload, batch []hubCe
 // resolving each cell's flight with its Result or failure. Cells with a
 // valid checkpoint are served from disk; the rest run in one pass per
 // sampling schedule, so every full-detail cell shares one pass and so
-// do the cells of each sampled schedule.
+// do the cells of each sampled schedule. The full-detail pass goes
+// first: when it records the stream its cells ride the record walk,
+// and the sampled passes replay the recording it leaves.
 func (r *Runner) runBatch(ctx context.Context, w *Workload, batch []hubCell) {
 	var order []sample.Config
 	passes := map[sample.Config][]hubCell{}
@@ -976,7 +980,11 @@ func (r *Runner) runBatch(ctx context.Context, w *Workload, batch []hubCell) {
 		}
 		smp := c.cfg.Sampling
 		if _, ok := passes[smp]; !ok {
-			order = append(order, smp)
+			if smp.Enabled() {
+				order = append(order, smp)
+			} else {
+				order = slices.Insert(order, 0, smp)
+			}
 		}
 		passes[smp] = append(passes[smp], c)
 	}
@@ -1036,15 +1044,21 @@ func (r *Runner) runPass(ctx context.Context, w *Workload, smp sample.Config, to
 // build returns, and returns the stream's stats. It is the one place a
 // pass's source is chosen, by one rule: a pass replays the sealed
 // recording when it is sampled (skipping needs the recording's index),
-// when the runner samples at all (its sampled passes record the stream
-// anyway, so its full-detail passes share that recording) or when the
-// workload is a recording already; any other pass executes the
-// workload live. A recording is walked per smp's plan, the whole
-// stream for full detail, and rebuilt from source under the retry
-// budget if corrupt. build runs once the source is ready, again after
-// a rebuild, so a retry feeds fresh consumers; a pass with no consumers
-// ends there. The error is stream-level: a consumer's panic lands in
-// its own cell's err.
+// when the workload is a recording already, or when the runner samples
+// and the stream is recorded. Otherwise it executes the workload live,
+// and in a runner that samples that walk records the stream as it
+// feeds the pass, so later passes replay it. A sampled pass over an
+// unrecorded stream first records it with a walk that feeds no one. A
+// recording is walked per smp's plan, the whole stream for full
+// detail, and rebuilt from source under the retry budget if corrupt.
+// build runs once the source is ready, again after a rebuild, so a
+// retry feeds fresh consumers; a pass with no consumers ends there. A
+// full-detail pass builds before it asks for the recording, so that
+// its consumers can ride the record walk: building inside the
+// recording's flight could wait on that same flight, since a
+// software-CGP cell's profile run walks its workload's O5 stream. The
+// error is stream-level: a consumer's panic lands in its own cell's
+// err.
 func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sample.Config, build func() []*passCell) (trace.Stats, error) {
 	var st trace.Stats
 	span := func(cells []*passCell, source string) *obs.Span {
@@ -1061,30 +1075,36 @@ func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sampl
 		}
 		if cells := build(); len(cells) > 0 {
 			sp := span(cells, "live")
-			_, batch, _ := fanout(ctx, cells)
-			err = runWorkload(ctx, w, img, func(evs []trace.Event) error {
-				st.EventBatch(evs)
-				return batch(evs)
-			})
+			st, err = walk(ctx, w, img, cells, nil)
 			sp.End()
 		}
 	} else {
 		err = r.replayRetry(ctx, w, layout, func(ctx context.Context) (*trace.Recording, error) {
-			rec, err := r.recordingFor(ctx, w, layout)
-			if err != nil {
-				return nil, err
+			var cells []*passCell
+			if !smp.Enabled() {
+				if cells = build(); len(cells) == 0 {
+					return nil, nil
+				}
 			}
-			// Check integrity before building consumers: a corrupt
-			// recording retries with no per-cell state to unwind.
+			rec, fed, err := r.recordingFor(ctx, w, layout, cells)
+			if err != nil || fed {
+				if err == nil {
+					st = rec.Stats
+				}
+				return rec, err
+			}
+			// Check integrity before building a sampled pass's consumers:
+			// a corrupt recording retries with no per-cell state to unwind.
 			vsp := r.obsSpan("verify", "verify").Arg("workload", w.Name)
 			err = rec.Verify()
 			vsp.End()
 			if err != nil {
 				return rec, err
 			}
-			cells := build()
-			if len(cells) == 0 {
-				return rec, nil
+			if cells == nil {
+				if cells = build(); len(cells) == 0 {
+					return rec, nil
+				}
 			}
 			sp := span(cells, "recording")
 			begin, batch, skip := fanout(ctx, cells)
@@ -1102,6 +1122,34 @@ func (r *Runner) pass(ctx context.Context, w *Workload, layout Layout, smp sampl
 		r.events[w.Name] = st.Events
 		r.mu.Unlock()
 	}
+	return st, err
+}
+
+// walk executes w on img once, the runner's one live walk of a stream,
+// and hands each batch to rec, when recording, and to cells. A walk
+// that records takes the stream's stats from the recorder, so it
+// returns none itself, and runs to the end of the stream even once
+// every cell has failed: the recording serves later passes. Any other
+// walk counts the stream's stats and stops when no cell is left.
+func walk(ctx context.Context, w *Workload, img *program.Image, cells []*passCell, rec *trace.Recorder) (trace.Stats, error) {
+	var st trace.Stats
+	_, batch, _ := fanout(ctx, cells)
+	feeding := len(cells) > 0
+	err := runWorkload(ctx, w, img, func(evs []trace.Event) error {
+		if rec != nil {
+			rec.EventBatch(evs)
+		} else {
+			st.EventBatch(evs)
+		}
+		if !feeding {
+			return nil
+		}
+		err := batch(evs)
+		if rec != nil && errors.Is(err, errNoLiveCells) {
+			feeding, err = false, nil
+		}
+		return err
+	})
 	return st, err
 }
 
