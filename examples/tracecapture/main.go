@@ -64,16 +64,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, pf := range []prefetch.Prefetcher{
-		prefetch.None{},
-		prefetch.NewNL(4),
-		prefetch.NewRunAheadNL(4, 4),
+	for _, r := range []struct {
+		name string
+		pf   prefetch.Prefetcher
+	}{
+		{"none", prefetch.None{}},
+		{"nl_4", prefetch.NewNL(4)},
+		{"ranl_4", prefetch.NewRunAheadNL(4, 4)},
 	} {
-		c := cpu.New(cpu.DefaultConfig(), pf)
+		c := cpu.New(cpu.DefaultConfig(), r.pf)
 		if err := rec.Replay(c); err != nil {
 			log.Fatal(err)
 		}
 		s := c.Finish()
-		fmt.Printf("replay %-8s cycles=%-9d I-misses=%d\n", pf.Name(), s.Cycles, s.ICacheMisses)
+		fmt.Printf("replay %-8s cycles=%-9d I-misses=%d\n", r.name, s.Cycles, s.ICacheMisses)
 	}
 }

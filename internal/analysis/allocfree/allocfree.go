@@ -41,9 +41,10 @@
 // Hot paths cross dynamic dispatch in two sanctioned ways, both of
 // which shift the verification site rather than abandoning it:
 //
-//   - An interface method marked //cgplint:hotpath (core.History
-//     style) makes every in-module implementation an implicit root,
-//     verified in its own package via the "hotiface:" fact.
+//   - An interface method marked //cgplint:hotpath (the event hooks
+//     of prefetch.Prefetcher) makes every in-module implementation an
+//     implicit root, verified in its own package via the "hotiface:"
+//     fact.
 //   - A named func type marked //cgplint:hotpath (prefetch.Issue)
 //     makes every function value bound to it an implicit root at the
 //     binding site: literals are walked in place, method values and

@@ -41,11 +41,6 @@ type Entry struct {
 	Valid bool
 }
 
-// reset prepares an entry for a new tag.
-func (e *Entry) reset(fn isa.Addr) {
-	*e = Entry{Fn: fn, Index: 1}
-}
-
 // live reports whether the way holds a valid tag.
 func (e *Entry) live() bool { return e.Index > 0 }
 
@@ -54,15 +49,14 @@ func (e *Entry) live() bool { return e.Index > 0 }
 // stream, identical across re-runs, and safe to surface in report
 // bodies and the metrics exposition.
 type HistoryStats struct {
-	PrefetchHits     int64
-	PrefetchMisses   int64
-	UpdateHits       int64
-	UpdateMisses     int64
-	LevelTwoHits     int64
-	LevelTwoMisses   int64
-	Swaps            int64
-	Allocations      int64
-	PrefetchesIssued int64
+	PrefetchHits   int64
+	PrefetchMisses int64
+	UpdateHits     int64
+	UpdateMisses   int64
+	LevelTwoHits   int64
+	LevelTwoMisses int64
+	Swaps          int64
+	Allocations    int64
 }
 
 // PrefetchHitRate returns the fraction of prefetch-access lookups that
@@ -83,25 +77,6 @@ func (h HistoryStats) UpdateHitRate() float64 {
 		return 0
 	}
 	return float64(h.UpdateHits) / float64(total)
-}
-
-// History is the storage abstraction behind CGP: one-level, two-level or
-// infinite CGHC (§5.3). Lookup returns the entry for a function start
-// address, allocating on miss when alloc is true. The returned pointer
-// is mutable in place.
-type History interface {
-	// Lookup finds (or allocates) the entry tagged fn. hit reports
-	// whether the tag was already present at any level. It runs twice
-	// per simulated call and return, so it is a hot interface method:
-	// allocfree verifies every implementation ("allocating" above means
-	// claiming a preallocated way, never heap allocation).
-	//
-	//cgplint:hotpath
-	Lookup(fn isa.Addr, alloc bool) (e *Entry, hit bool)
-	// Stats returns traffic counters.
-	Stats() HistoryStats
-	// Describe returns a human-readable configuration string.
-	Describe() string
 }
 
 // level is one CGHC array: sets x ways entries with LRU replacement
@@ -179,125 +154,55 @@ func (l *level) install(e Entry) {
 	*l.victim(e.Fn) = e
 }
 
-// invalidate clears the way holding fn, if any.
-func (l *level) invalidate(fn isa.Addr) {
-	if e := l.find(fn); e != nil {
-		e.Index = 0
-	}
-}
-
-// OneLevel is a single CGHC array (the CGHC-1K and CGHC-32K
-// configurations of Figure 5; direct-mapped unless ways > 1).
-type OneLevel struct {
-	level *level
-	size  int
-	ways  int
-	stats HistoryStats
-}
-
-// NewOneLevel builds a direct-mapped one-level CGHC of the given
-// data-array size.
-func NewOneLevel(sizeBytes int) *OneLevel { return NewOneLevelAssoc(sizeBytes, 1) }
-
-// NewOneLevelAssoc builds a set-associative one-level CGHC (the
-// ablation variant; the paper uses ways=1).
-func NewOneLevelAssoc(sizeBytes, ways int) *OneLevel {
-	return &OneLevel{level: newLevel(sizeBytes, ways), size: sizeBytes, ways: ways}
-}
-
-// Lookup implements History.
-func (h *OneLevel) Lookup(fn isa.Addr, alloc bool) (*Entry, bool) {
-	if e := h.level.find(fn); e != nil {
-		return e, true
-	}
-	if !alloc {
-		return nil, false
-	}
-	h.stats.Allocations++
-	e := h.level.victim(fn)
-	e.reset(fn)
-	return e, false
-}
-
-// Stats implements History.
-func (h *OneLevel) Stats() HistoryStats { return h.stats }
-
-// Describe implements History.
-func (h *OneLevel) Describe() string {
-	if h.ways > 1 {
-		return fmt.Sprintf("CGHC-%dK-%dway", h.size/1024, h.ways)
-	}
-	return fmt.Sprintf("CGHC-%dK", h.size/1024)
-}
-
-// TwoLevel is the two-level CGHC of §5.3: a small first level backed by
-// a larger second level. On an L1 miss that hits in L2 the two entries
-// are exchanged; on a full miss the new entry is allocated in L1 and the
-// displaced L1 entry is written back to L2.
-type TwoLevel struct {
-	l1, l2 *level
-	s1, s2 int
-	ways   int
+// cghc is the finite CGHC: a first level, plus, when Config.L2Bytes is
+// set, the larger second level of §5.3 it swaps with. On a first-level
+// miss that hits in the second level the two entries are exchanged; on
+// a full miss the new entry is allocated in the first level and the
+// displaced first-level entry is written back to the second.
+type cghc struct {
+	l1, l2 *level // l2 is nil for a one-level CGHC
 	stats  HistoryStats
 }
 
-// NewTwoLevel builds a direct-mapped two-level CGHC (sizes are
-// data-array bytes; the paper's preferred configuration is 2KB+32KB).
-func NewTwoLevel(l1Bytes, l2Bytes int) *TwoLevel { return NewTwoLevelAssoc(l1Bytes, l2Bytes, 1) }
-
-// NewTwoLevelAssoc builds a set-associative two-level CGHC.
-func NewTwoLevelAssoc(l1Bytes, l2Bytes, ways int) *TwoLevel {
-	return &TwoLevel{
-		l1: newLevel(l1Bytes, ways), l2: newLevel(l2Bytes, ways),
-		s1: l1Bytes, s2: l2Bytes, ways: ways,
+// newCGHC builds the finite CGHC cfg's L1Bytes, L2Bytes and Ways select.
+func newCGHC(cfg Config) *cghc {
+	h := &cghc{l1: newLevel(cfg.L1Bytes, cfg.Ways)}
+	if cfg.L2Bytes > 0 {
+		h.l2 = newLevel(cfg.L2Bytes, cfg.Ways)
 	}
+	return h
 }
 
-// Lookup implements History.
-func (h *TwoLevel) Lookup(fn isa.Addr, alloc bool) (*Entry, bool) {
+// lookup returns the entry tagged fn, moving it to the first level or
+// allocating it there on a miss ("allocating" means claiming a way,
+// never heap allocation). hit reports whether the tag was present at
+// either level.
+func (h *cghc) lookup(fn isa.Addr) (*Entry, bool) {
 	if e := h.l1.find(fn); e != nil {
 		return e, true
 	}
-	if e2 := h.l2.find(fn); e2 != nil {
-		h.stats.LevelTwoHits++
-		h.stats.Swaps++
-		// Exchange: the hit entry moves to L1; the displaced L1 entry
-		// is written back to L2 (into the slot the hit entry vacates
-		// when the sets coincide, else into its own set).
-		hit := *e2
-		e2.Index = 0
-		v := h.l1.victim(fn)
-		displaced := *v
-		*v = hit
-		if displaced.live() {
-			h.l2.install(displaced)
+	next, hit := Entry{Fn: fn, Index: 1}, false
+	if h.l2 != nil {
+		if e2 := h.l2.find(fn); e2 != nil {
+			next, hit = *e2, true
+			e2.Index = 0
+			h.stats.LevelTwoHits++
+			h.stats.Swaps++
+		} else {
+			h.stats.LevelTwoMisses++
 		}
-		return v, true
 	}
-	if !alloc {
-		return nil, false
+	if !hit {
+		h.stats.Allocations++
 	}
-	h.stats.LevelTwoMisses++
-	h.stats.Allocations++
 	v := h.l1.victim(fn)
-	displaced := *v
-	v.reset(fn)
-	if displaced.live() {
-		h.l2.install(displaced)
+	if h.l2 != nil && v.live() {
+		// Into the way the hit entry vacated when the sets coincide,
+		// else into the displaced entry's own set.
+		h.l2.install(*v)
 	}
-	return v, false
-}
-
-// Stats implements History.
-func (h *TwoLevel) Stats() HistoryStats { return h.stats }
-
-// Describe implements History.
-func (h *TwoLevel) Describe() string {
-	s := fmt.Sprintf("CGHC-%dK+%dK", h.s1/1024, h.s2/1024)
-	if h.ways > 1 {
-		s += fmt.Sprintf("-%dway", h.ways)
-	}
-	return s
+	*v = next
+	return v, hit
 }
 
 // Infinite is the unbounded CGHC of Figure 5: every function has an
@@ -320,25 +225,15 @@ func NewInfinite() *Infinite {
 	return &Infinite{entries: make(map[isa.Addr]*InfEntry)}
 }
 
-// LookupInf finds or allocates the unbounded entry for fn.
-func (h *Infinite) LookupInf(fn isa.Addr, alloc bool) (*InfEntry, bool) {
+// lookup finds or allocates the unbounded entry for fn.
+func (h *Infinite) lookup(fn isa.Addr) (*InfEntry, bool) {
 	if e, ok := h.entries[fn]; ok {
 		return e, true
-	}
-	if !alloc {
-		return nil, false
 	}
 	h.stats.Allocations++
 	e := &InfEntry{Fn: fn, Index: 1}
 	h.entries[fn] = e
 	return e, false
-}
-
-// Lookup implements History; it is unused for Infinite (CGP special-
-// cases the unbounded entry type) but satisfies the interface so the
-// configuration plumbing stays uniform.
-func (h *Infinite) Lookup(fn isa.Addr, alloc bool) (*Entry, bool) {
-	panic("core: Infinite.Lookup: use LookupInf")
 }
 
 // The four methods below are the unbounded CGHC's halves of CGP's
@@ -353,7 +248,7 @@ func (h *Infinite) Lookup(fn isa.Addr, alloc bool) (*Entry, bool) {
 //
 //cgplint:coldpath the unbounded CGHC is an idealized limit study that allocates per newly seen function by design
 func (h *Infinite) callPrefetch(target isa.Addr) (isa.Addr, bool) {
-	e, hit := h.LookupInf(target, true)
+	e, hit := h.lookup(target)
 	countPrefetch(hit, &h.stats)
 	if hit && len(e.Callees) > 0 && e.Callees[0] != 0 {
 		return e.Callees[0], true
@@ -366,7 +261,7 @@ func (h *Infinite) callPrefetch(target isa.Addr) (isa.Addr, bool) {
 //
 //cgplint:coldpath the unbounded CGHC is an idealized limit study that grows its callee sequences by design
 func (h *Infinite) callUpdate(caller, target isa.Addr) {
-	e, hit := h.LookupInf(caller, true)
+	e, hit := h.lookup(caller)
 	countUpdate(hit, &h.stats)
 	idx := e.Index // 1-based write position; unbounded history
 	for len(e.Callees) < idx {
@@ -381,7 +276,7 @@ func (h *Infinite) callUpdate(caller, target isa.Addr) {
 //
 //cgplint:coldpath the unbounded CGHC is an idealized limit study that allocates per newly seen function by design
 func (h *Infinite) returnPrefetch(callerStart isa.Addr) (isa.Addr, bool) {
-	e, hit := h.LookupInf(callerStart, true)
+	e, hit := h.lookup(callerStart)
 	countPrefetch(hit, &h.stats)
 	if hit && e.Index >= 1 && e.Index <= len(e.Callees) && e.Callees[e.Index-1] != 0 {
 		return e.Callees[e.Index-1], true
@@ -394,7 +289,7 @@ func (h *Infinite) returnPrefetch(callerStart isa.Addr) (isa.Addr, bool) {
 //
 //cgplint:coldpath the unbounded CGHC is an idealized limit study that allocates per newly seen function by design
 func (h *Infinite) returnUpdate(returning isa.Addr) {
-	e, hit := h.LookupInf(returning, true)
+	e, hit := h.lookup(returning)
 	countUpdate(hit, &h.stats)
 	e.Index = 1
 }
@@ -416,12 +311,3 @@ func countUpdate(hit bool, s *HistoryStats) {
 		s.UpdateMisses++
 	}
 }
-
-// Stats implements History.
-func (h *Infinite) Stats() HistoryStats { return h.stats }
-
-// Describe implements History.
-func (h *Infinite) Describe() string { return "CGHC-Inf" }
-
-// Size returns the number of live entries.
-func (h *Infinite) Size() int { return len(h.entries) }

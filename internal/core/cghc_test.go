@@ -112,8 +112,8 @@ func TestCGHCIndexResetOnReturnUpdate(t *testing.T) {
 	playCall(p, fnA, fnC)
 	// A returns: return update resets A's index to 1.
 	playReturn(p, fnE, fnA)
-	e, hit := p.finite.Lookup(fnA, false)
-	if !hit {
+	e := p.finite.l1.find(fnA)
+	if e == nil {
 		t.Fatal("A's entry evicted unexpectedly")
 	}
 	if e.Index != 1 {
@@ -132,8 +132,8 @@ func TestCGHCOnlyFirstEightCalleesStored(t *testing.T) {
 		callees[i] = isa.Addr(0x500020 + i*0x20)
 		playCall(p, fnA, callees[i])
 	}
-	e, hit := p.finite.Lookup(fnA, false)
-	if !hit {
+	e := p.finite.l1.find(fnA)
+	if e == nil {
 		t.Fatal("entry missing")
 	}
 	for i := 0; i < MaxCallees; i++ {
@@ -157,8 +157,8 @@ func TestCGHCMissAllocatesInvalid(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("prefetch issued on cold CGHC: %v", got)
 	}
-	e, hit := p.finite.Lookup(fnB, false)
-	if !hit {
+	e := p.finite.l1.find(fnB)
+	if e == nil {
 		t.Fatal("entry not allocated on miss")
 	}
 	if e.Valid {
@@ -170,50 +170,50 @@ func TestCGHCUpdateMissSeedsSlot1(t *testing.T) {
 	p := New(Config{Lines: 4, L1Bytes: 2048})
 	// The update access for "A calls B" misses on A: slot 1 is set to B.
 	playCall(p, fnA, fnB)
-	e, hit := p.finite.Lookup(fnA, false)
-	if !hit || !e.Valid || e.Callees[0] != fnB {
-		t.Fatalf("update miss did not seed slot 1: %+v (hit=%v)", e, hit)
+	e := p.finite.l1.find(fnA)
+	if e == nil || !e.Valid || e.Callees[0] != fnB {
+		t.Fatalf("update miss did not seed slot 1: %+v", e)
 	}
 }
 
 func TestDirectMappedConflict(t *testing.T) {
 	// 1KB CGHC = 32 entries. Two functions 32 entries apart collide.
-	h := NewOneLevel(1024)
+	h := newCGHC(Config{L1Bytes: 1024})
 	a := isa.Addr(0x400000)
 	b := a + 32*isa.LineBytes
-	e1, _ := h.Lookup(a, true)
+	e1, _ := h.lookup(a)
 	e1.Valid = true
 	e1.Callees[0] = fnB
-	if _, hit := h.Lookup(b, true); hit {
+	if _, hit := h.lookup(b); hit {
 		t.Fatal("conflicting tag reported hit")
 	}
-	if _, hit := h.Lookup(a, false); hit {
+	if h.l1.find(a) != nil {
 		t.Fatal("original entry should have been displaced")
 	}
 }
 
 func TestTwoLevelSwap(t *testing.T) {
-	h := NewTwoLevel(1024, 32*1024)
+	h := newCGHC(Config{L1Bytes: 1024, L2Bytes: 32 * 1024})
 	a := isa.Addr(0x400000)
 	b := a + 32*isa.LineBytes // collides with a in L1 (32 entries)
-	ea, _ := h.Lookup(a, true)
+	ea, _ := h.lookup(a)
 	ea.Valid = true
 	ea.Callees[0] = fnC
 	// b displaces a from L1; a is written back to L2.
-	h.Lookup(b, true)
+	h.lookup(b)
 	// a hits again: must come back from L2 with its history intact.
-	ea2, hit := h.Lookup(a, false)
+	ea2, hit := h.lookup(a)
 	if !hit {
 		t.Fatal("entry lost despite two-level CGHC")
 	}
 	if ea2.Callees[0] != fnC {
 		t.Errorf("history lost in swap: %v", ea2.Callees[0])
 	}
-	if h.Stats().LevelTwoHits == 0 {
+	if h.stats.LevelTwoHits == 0 {
 		t.Error("no L2 hit recorded")
 	}
 	// And b must now live in L2 (it was displaced by the swap).
-	if _, hit := h.Lookup(b, false); !hit {
+	if h.l2.find(b) == nil {
 		t.Error("swapped-out entry lost")
 	}
 }
@@ -223,8 +223,8 @@ func TestInfiniteKeepsWholeSequence(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		playCall(p, fnA, isa.Addr(0x500020+i*0x20))
 	}
-	e, hit := p.infinite.LookupInf(fnA, false)
-	if !hit {
+	e := p.infinite.entries[fnA]
+	if e == nil {
 		t.Fatal("entry missing")
 	}
 	if len(e.Callees) != 20 {
@@ -256,22 +256,6 @@ func TestInfinitePredictsDeepSequences(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("after return %d: %v does not include %#x", i, reqs, want)
-		}
-	}
-}
-
-func TestConfigDescribe(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{Lines: 4, L1Bytes: 2048, L2Bytes: 32768}, "cgp_4/CGHC-2K+32K"},
-		{Config{Lines: 2, L1Bytes: 1024}, "cgp_2/CGHC-1K"},
-		{Config{Lines: 4, Infinite: true}, "cgp_4/CGHC-Inf"},
-	}
-	for _, c := range cases {
-		if got := c.cfg.Describe(); got != c.want {
-			t.Errorf("Describe() = %q, want %q", got, c.want)
 		}
 	}
 }

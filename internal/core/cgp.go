@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"cgp/internal/isa"
 	"cgp/internal/prefetch"
 )
@@ -12,8 +10,8 @@ type Config struct {
 	// Lines is N in CGP_N: how many cache lines of a predicted function
 	// are prefetched per CGHC hit (§3.2; the paper evaluates 2 and 4).
 	Lines int
-	// L1Bytes is the first-level CGHC data-array size. Zero with
-	// Infinite=false and L2Bytes=0 is invalid.
+	// L1Bytes is the first-level CGHC data-array size. It must be set
+	// unless Infinite is.
 	L1Bytes int
 	// L2Bytes, if nonzero, adds a second-level CGHC.
 	L2Bytes int
@@ -34,30 +32,6 @@ func DefaultConfig() Config {
 	return Config{Lines: 4, L1Bytes: 2 * 1024, L2Bytes: 32 * 1024}
 }
 
-// Describe returns e.g. "cgp_4/CGHC-2K+32K".
-func (c Config) Describe() string {
-	d := fmt.Sprintf("cgp_%d/%s", c.Lines, c.describeHistory())
-	if c.Slots > 0 && c.Slots != MaxCallees {
-		d += fmt.Sprintf("/slots%d", c.Slots)
-	}
-	return d
-}
-
-func (c Config) describeHistory() string {
-	way := ""
-	if c.Ways > 1 {
-		way = fmt.Sprintf("-%dway", c.Ways)
-	}
-	switch {
-	case c.Infinite:
-		return "CGHC-Inf"
-	case c.L2Bytes > 0:
-		return fmt.Sprintf("CGHC-%dK+%dK%s", c.L1Bytes/1024, c.L2Bytes/1024, way)
-	default:
-		return fmt.Sprintf("CGHC-%dK%s", c.L1Bytes/1024, way)
-	}
-}
-
 // Stats aggregates CGP-level counters.
 type Stats struct {
 	History HistoryStats
@@ -75,8 +49,8 @@ type CGP struct {
 	cfg   Config
 	slots int
 
-	finite   History
-	infinite *Infinite
+	finite   *cghc     // nil for the unbounded CGHC
+	infinite *Infinite // nil for a finite CGHC
 
 	nl *prefetch.NL
 
@@ -97,36 +71,21 @@ func New(cfg Config) *CGP {
 		slots = MaxCallees
 	}
 	p := &CGP{cfg: cfg, slots: slots, nl: prefetch.NewNL(cfg.Lines)}
-	ways := cfg.Ways
-	if ways <= 0 {
-		ways = 1
-	}
-	switch {
-	case cfg.Infinite:
+	if cfg.Infinite {
 		p.infinite = NewInfinite()
-	case cfg.L2Bytes > 0:
-		p.finite = NewTwoLevelAssoc(cfg.L1Bytes, cfg.L2Bytes, ways)
-	case cfg.L1Bytes > 0:
-		p.finite = NewOneLevelAssoc(cfg.L1Bytes, ways)
-	default:
-		panic("core: CGP config selects no CGHC")
+	} else {
+		p.finite = newCGHC(cfg)
 	}
 	return p
 }
-
-// Name implements prefetch.Prefetcher.
-func (p *CGP) Name() string { return p.cfg.Describe() }
-
-// Config returns the configuration.
-func (p *CGP) Config() Config { return p.cfg }
 
 // Stats returns a snapshot of the prefetcher's counters.
 func (p *CGP) Stats() Stats {
 	var hs HistoryStats
 	if p.infinite != nil {
-		hs = p.infinite.Stats()
+		hs = p.infinite.stats
 	} else {
-		hs = p.finite.Stats()
+		hs = p.finite.stats
 	}
 	return Stats{
 		History:        hs,
@@ -197,8 +156,8 @@ func (p *CGP) callPrefetchLookup(target isa.Addr) (isa.Addr, bool) {
 	if p.infinite != nil {
 		return p.infinite.callPrefetch(target)
 	}
-	e, hit := p.lookupFinite(target)
-	p.countPrefetchAccessFinite(hit)
+	e, hit := p.finite.lookup(target)
+	countPrefetch(hit, &p.finite.stats)
 	if hit && e.Valid && e.Callees[0] != 0 {
 		return e.Callees[0], true
 	}
@@ -210,8 +169,8 @@ func (p *CGP) callUpdate(caller, target isa.Addr) {
 		p.infinite.callUpdate(caller, target)
 		return
 	}
-	e, hit := p.lookupFinite(caller)
-	p.countUpdateAccessFinite(hit)
+	e, hit := p.finite.lookup(caller)
+	countUpdate(hit, &p.finite.stats)
 	e.Valid = true
 	if e.Index <= p.slots {
 		e.Callees[e.Index-1] = target
@@ -225,8 +184,8 @@ func (p *CGP) returnPrefetchLookup(callerStart isa.Addr) (isa.Addr, bool) {
 	if p.infinite != nil {
 		return p.infinite.returnPrefetch(callerStart)
 	}
-	e, hit := p.lookupFinite(callerStart)
-	p.countPrefetchAccessFinite(hit)
+	e, hit := p.finite.lookup(callerStart)
+	countPrefetch(hit, &p.finite.stats)
 	if hit && e.Valid && e.Index <= p.slots && e.Callees[e.Index-1] != 0 {
 		return e.Callees[e.Index-1], true
 	}
@@ -238,29 +197,7 @@ func (p *CGP) returnUpdate(returning isa.Addr) {
 		p.infinite.returnUpdate(returning)
 		return
 	}
-	e, hit := p.lookupFinite(returning)
-	p.countUpdateAccessFinite(hit)
+	e, hit := p.finite.lookup(returning)
+	countUpdate(hit, &p.finite.stats)
 	e.Index = 1
-}
-
-func (p *CGP) lookupFinite(fn isa.Addr) (*Entry, bool) {
-	return p.finite.Lookup(fn, true)
-}
-
-func (p *CGP) countPrefetchAccessFinite(hit bool) {
-	switch h := p.finite.(type) {
-	case *OneLevel:
-		countPrefetch(hit, &h.stats)
-	case *TwoLevel:
-		countPrefetch(hit, &h.stats)
-	}
-}
-
-func (p *CGP) countUpdateAccessFinite(hit bool) {
-	switch h := p.finite.(type) {
-	case *OneLevel:
-		countUpdate(hit, &h.stats)
-	case *TwoLevel:
-		countUpdate(hit, &h.stats)
-	}
 }

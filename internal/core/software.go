@@ -14,8 +14,9 @@ import (
 // observed call sequence diverges from the profiled one.
 //
 // The issue-slot cost of the inserted prefetch instructions is not
-// modelled (matching how the paper discusses the variant); Stats()
-// exposes the inserted-prefetch count so callers can bound it.
+// modelled (matching how the paper discusses the variant); the CPU
+// counts the inserted prefetches as its CGHC portion, so callers can
+// bound it.
 type Software struct {
 	lines int
 	// seq maps a function's start address to its profiled callee
@@ -26,8 +27,6 @@ type Software struct {
 	idx map[isa.Addr]int
 
 	nl *prefetch.NL
-
-	inserted int64
 }
 
 var _ prefetch.Prefetcher = (*Software)(nil)
@@ -45,16 +44,6 @@ func NewSoftware(lines int, seq map[isa.Addr][]isa.Addr) *Software {
 		nl:    prefetch.NewNL(lines),
 	}
 }
-
-// Name implements prefetch.Prefetcher.
-func (p *Software) Name() string { return "swcgp_" + itoa(p.lines) }
-
-// Inserted returns how many call-graph line prefetches the "inserted
-// instructions" issued.
-func (p *Software) Inserted() int64 { return p.inserted }
-
-// TableSize returns the number of functions with profiled sequences.
-func (p *Software) TableSize() int { return len(p.seq) }
 
 // OnFetch implements prefetch.Prefetcher (within-function NL, as in
 // hardware CGP).
@@ -94,20 +83,5 @@ func (p *Software) OnReturn(predictedCallerStart, returningStart isa.Addr, issue
 }
 
 func (p *Software) issueFunc(fn isa.Addr, issue prefetch.Issue) {
-	p.inserted += int64(p.lines)
 	issue(prefetch.Request{Addr: isa.LineAddr(fn), Lines: p.lines, Portion: prefetch.PortionCGHC})
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

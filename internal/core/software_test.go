@@ -97,16 +97,10 @@ func TestSoftwareNLWithinFunction(t *testing.T) {
 
 func TestSoftwareCounters(t *testing.T) {
 	p := NewSoftware(4, swTable())
-	sink := func(prefetch.Request) {}
-	p.OnCall(fnA, 0, sink)
-	if p.Inserted() != 4 {
-		t.Errorf("inserted = %d", p.Inserted())
-	}
-	if p.TableSize() != 2 {
-		t.Errorf("table size = %d", p.TableSize())
-	}
-	if p.Name() != "swcgp_4" {
-		t.Errorf("name = %q", p.Name())
+	inserted := 0
+	p.OnCall(fnA, 0, func(r prefetch.Request) { inserted += r.Lines })
+	if inserted != 4 {
+		t.Errorf("inserted = %d", inserted)
 	}
 }
 
@@ -115,21 +109,21 @@ func TestAssocCGHCRetainsConflictingTags(t *testing.T) {
 	// a 2-way one.
 	a := isa.Addr(0x400000)
 	b := a + 16*isa.LineBytes // same set in a 2-way 1KB CGHC (16 sets)
-	h := NewOneLevelAssoc(1024, 2)
-	ea, _ := h.Lookup(a, true)
+	h := newCGHC(Config{L1Bytes: 1024, Ways: 2})
+	ea, _ := h.lookup(a)
 	ea.Valid = true
-	h.Lookup(b, true)
-	if _, hit := h.Lookup(a, false); !hit {
+	h.lookup(b)
+	if h.l1.find(a) == nil {
 		t.Error("2-way CGHC evicted a non-conflicting tag")
 	}
-	// That lookup refreshed a, so b is now the LRU way: a third tag in
+	// That find refreshed a, so b is now the LRU way: a third tag in
 	// the set evicts b.
 	c := a + 32*isa.LineBytes
-	h.Lookup(c, true)
-	if _, hit := h.Lookup(b, false); hit {
+	h.lookup(c)
+	if h.l1.find(b) != nil {
 		t.Error("LRU way survived a third conflicting tag")
 	}
-	if _, hit := h.Lookup(a, false); !hit {
+	if h.l1.find(a) == nil {
 		t.Error("MRU way was evicted")
 	}
 }
@@ -140,8 +134,8 @@ func TestSlotsCapRestrictsHistory(t *testing.T) {
 	p.OnCall(fnB, fnA, sink)
 	p.OnCall(fnC, fnA, sink)
 	p.OnCall(fnD, fnA, sink) // beyond the 2-slot cap: dropped
-	e, hit := p.finite.Lookup(fnA, false)
-	if !hit {
+	e := p.finite.l1.find(fnA)
+	if e == nil {
 		t.Fatal("entry missing")
 	}
 	if e.Callees[0] != fnB || e.Callees[1] != fnC {
@@ -149,20 +143,5 @@ func TestSlotsCapRestrictsHistory(t *testing.T) {
 	}
 	if e.Callees[2] != 0 {
 		t.Errorf("third callee recorded despite Slots=2: %#x", e.Callees[2])
-	}
-}
-
-func TestConfigDescribeAblations(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{Lines: 4, L1Bytes: 1024, Ways: 2}, "cgp_4/CGHC-1K-2way"},
-		{Config{Lines: 4, L1Bytes: 2048, L2Bytes: 32768, Slots: 4}, "cgp_4/CGHC-2K+32K/slots4"},
-	}
-	for _, c := range cases {
-		if got := c.cfg.Describe(); got != c.want {
-			t.Errorf("Describe = %q, want %q", got, c.want)
-		}
 	}
 }

@@ -353,7 +353,6 @@ type recordingPrefetcher struct {
 	returns []isa.Addr
 }
 
-func (r *recordingPrefetcher) Name() string { return "rec" }
 func (r *recordingPrefetcher) OnFetch(line isa.Addr, _ prefetch.Issue) {
 	r.fetches = append(r.fetches, line)
 }

@@ -9,6 +9,7 @@ package cpu_test
 // These tests live in an external package because refsim imports cpu.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -304,7 +305,7 @@ func TestFetchHookPathsAgree(t *testing.T) {
 			{L1Bytes: 2 * 1024, L2Bytes: 32 * 1024, Slots: 2}, {L1Bytes: 2 * 1024, L2Bytes: 32 * 1024, Slots: 4},
 		} {
 			g.Lines = lines
-			cases = append(cases, pfCase{g.Describe(), func() prefetch.Prefetcher { return core.New(g) }})
+			cases = append(cases, pfCase{fmt.Sprintf("cgp %+v", g), func() prefetch.Prefetcher { return core.New(g) }})
 		}
 	}
 	rec := trace.NewRecorder()

@@ -1,8 +1,9 @@
 // Package prefetch defines the instruction-prefetcher interface the CPU
-// front end drives, plus the sequential prefetchers the paper compares
-// against: next-N-line (NL, Smith & Hsu) and the run-ahead NL variant of
-// §5.6. The paper's own contribution, Call Graph Prefetching, lives in
-// internal/core and implements the same interface.
+// front end drives, plus the sequential prefetcher the paper compares
+// against: next-N-line (NL, Smith & Hsu), which with a start offset is
+// also the run-ahead NL variant of §5.6. The paper's own contribution,
+// Call Graph Prefetching, lives in internal/core and implements the
+// same interface.
 package prefetch
 
 import "cgp/internal/isa"
@@ -65,9 +66,8 @@ type Issue func(Request)
 // resolves a call or return; sequential prefetchers ignore them. The
 // three event hooks are hot interface methods: they run inside the
 // simulator's per-event loop, so allocfree verifies every
-// implementation. Name is configuration-time only and stays unmarked.
+// implementation.
 type Prefetcher interface {
-	Name() string
 	//cgplint:hotpath
 	OnFetch(line isa.Addr, issue Issue)
 	//cgplint:hotpath
@@ -89,9 +89,6 @@ type Sequential interface {
 // None is the null prefetcher (the O5 and O5+OM baselines).
 type None struct{}
 
-// Name implements Prefetcher.
-func (None) Name() string { return "none" }
-
 // OnFetch implements Prefetcher.
 func (None) OnFetch(isa.Addr, Issue) {}
 
@@ -102,10 +99,14 @@ func (None) OnCall(isa.Addr, isa.Addr, Issue) {}
 func (None) OnReturn(isa.Addr, isa.Addr, Issue) {}
 
 // NL is next-N-line prefetching: when the CPU fetches a line, the next N
-// sequential lines are prefetched unless already present (§2).
+// sequential lines are prefetched unless already present (§2). The
+// run-ahead variant starts the N lines further ahead.
 type NL struct {
 	// N is the number of sequential lines to prefetch.
 	N int
+	// ahead is how many lines past the fetched line the run starts: 1
+	// for NL, M for run-ahead NL.
+	ahead int
 	// lastTrigger suppresses re-issuing the same window while fetch
 	// stays within one line.
 	lastTrigger isa.Addr
@@ -113,15 +114,18 @@ type NL struct {
 }
 
 // NewNL returns a next-N-line prefetcher.
-func NewNL(n int) *NL {
-	if n <= 0 {
-		panic("prefetch: NL degree must be positive")
-	}
-	return &NL{N: n}
-}
+func NewNL(n int) *NL { return NewRunAheadNL(n, 1) }
 
-// Name implements Prefetcher.
-func (p *NL) Name() string { return nlName("nl", p.N) }
+// NewRunAheadNL returns the modified NL scheme of §5.6: instead of the
+// next N lines, it prefetches N lines beginning M lines after the
+// current fetch. The paper found it performs much worse than NL on DB
+// workloads; it is included as the ablation.
+func NewRunAheadNL(n, m int) *NL {
+	if n <= 0 || m <= 0 {
+		panic("prefetch: NL degrees must be positive")
+	}
+	return &NL{N: n, ahead: m}
+}
 
 // OnFetch implements Prefetcher.
 func (p *NL) OnFetch(line isa.Addr, issue Issue) {
@@ -131,73 +135,14 @@ func (p *NL) OnFetch(line isa.Addr, issue Issue) {
 	}
 	p.haveTrigger = true
 	p.lastTrigger = line
-	issue(Request{Addr: line + isa.LineBytes, Lines: p.N, Portion: PortionNL})
+	issue(Request{Addr: line + isa.Addr(p.ahead*isa.LineBytes), Lines: p.N, Portion: PortionNL})
 }
 
-// Sequential implements Sequential: N lines from the next line on.
-func (p *NL) Sequential() (ahead, lines int) { return 1, p.N }
+// Sequential implements Sequential: N lines from the start offset on.
+func (p *NL) Sequential() (ahead, lines int) { return p.ahead, p.N }
 
 // OnCall implements Prefetcher.
 func (p *NL) OnCall(isa.Addr, isa.Addr, Issue) {}
 
 // OnReturn implements Prefetcher.
 func (p *NL) OnReturn(isa.Addr, isa.Addr, Issue) {}
-
-// RunAheadNL is the modified NL scheme of §5.6: instead of the next N
-// lines, it prefetches N lines beginning M lines after the current
-// fetch. The paper found it performs much worse than NL on DB workloads;
-// it is included as the ablation.
-type RunAheadNL struct {
-	N, M        int
-	lastTrigger isa.Addr
-	haveTrigger bool
-}
-
-// NewRunAheadNL returns a run-ahead NL prefetcher.
-func NewRunAheadNL(n, m int) *RunAheadNL {
-	if n <= 0 || m <= 0 {
-		panic("prefetch: run-ahead NL degrees must be positive")
-	}
-	return &RunAheadNL{N: n, M: m}
-}
-
-// Name implements Prefetcher.
-func (p *RunAheadNL) Name() string { return nlName("ranl", p.N) }
-
-// OnFetch implements Prefetcher.
-func (p *RunAheadNL) OnFetch(line isa.Addr, issue Issue) {
-	line = isa.LineAddr(line)
-	if p.haveTrigger && p.lastTrigger == line {
-		return
-	}
-	p.haveTrigger = true
-	p.lastTrigger = line
-	issue(Request{Addr: line + isa.Addr(p.M*isa.LineBytes), Lines: p.N, Portion: PortionNL})
-}
-
-// Sequential implements Sequential: N lines from M lines on.
-func (p *RunAheadNL) Sequential() (ahead, lines int) { return p.M, p.N }
-
-// OnCall implements Prefetcher.
-func (p *RunAheadNL) OnCall(isa.Addr, isa.Addr, Issue) {}
-
-// OnReturn implements Prefetcher.
-func (p *RunAheadNL) OnReturn(isa.Addr, isa.Addr, Issue) {}
-
-func nlName(base string, n int) string {
-	return base + "_" + itoa(n)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}

@@ -71,17 +71,8 @@ func TestRunAheadNLOffsets(t *testing.T) {
 	if reqs[1].Addr != 0x400000+5*isa.LineBytes {
 		t.Errorf("second run-ahead addr %#x", reqs[1].Addr)
 	}
-}
-
-func TestNames(t *testing.T) {
-	if got := NewNL(4).Name(); got != "nl_4" {
-		t.Errorf("NL name %q", got)
-	}
-	if got := NewRunAheadNL(2, 4).Name(); got != "ranl_2" {
-		t.Errorf("run-ahead name %q", got)
-	}
-	if got := (None{}).Name(); got != "none" {
-		t.Errorf("none name %q", got)
+	if ahead, lines := p.Sequential(); ahead != 4 || lines != 2 {
+		t.Errorf("declared run (%d, %d), want (4, 2)", ahead, lines)
 	}
 }
 

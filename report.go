@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"cgp/internal/cpu"
@@ -205,17 +204,6 @@ func (f *Figure) RowsFor(workload string) []Row {
 		}
 	}
 	return out
-}
-
-// sortRowsStable is used by tests to compare row sets independent of
-// generation order.
-func sortRowsStable(rows []Row) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Workload != rows[j].Workload {
-			return rows[i].Workload < rows[j].Workload
-		}
-		return rows[i].Config < rows[j].Config
-	})
 }
 
 // Markdown renders the attribution table as a GitHub-style table:
