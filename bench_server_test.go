@@ -46,17 +46,6 @@ import (
 	"cgp/internal/workload"
 )
 
-// serverBenchQueries is the drive mix: point lookup, range scan,
-// aggregate, group-by — the Wisconsin selection mix cgpserve -drive
-// uses, so the numbers line up with CI's smoke run.
-var serverBenchQueries = []string{
-	"SELECT unique1, unique2 FROM big1 WHERE unique2 = 42",
-	"SELECT unique1 FROM big1 WHERE unique2 BETWEEN 100 AND 199",
-	"SELECT COUNT(*) AS n FROM big1 WHERE ten = 3",
-	"SELECT two, COUNT(*) AS n FROM big1 GROUP BY two",
-	"SELECT unique1 FROM small WHERE unique2 < 20",
-}
-
 // serverBenchTotal is the number of queries one measurement window
 // serves, split across the connections. A window lasts a few tens of
 // milliseconds, so the arms' windows in one round run close together in
@@ -123,7 +112,7 @@ func startBenchServer(t *testing.T, sampleEvery, clients int, traced bool) *benc
 	// window of a few tens of milliseconds would swamp the capture's
 	// cost.
 	for i := 0; i < 100; i++ {
-		if _, err := b.conns[i%clients].Query(serverBenchQueries[i%len(serverBenchQueries)]); err != nil {
+		if _, err := b.conns[i%clients].Query(server.DriveMix[i%len(server.DriveMix)].SQL); err != nil {
 			b.close()
 			t.Fatal(err)
 		}
@@ -145,7 +134,7 @@ func (b *benchServer) window(t *testing.T) float64 {
 		go func(id int, c *server.Client) {
 			defer wg.Done()
 			for j := 0; j < perClient; j++ {
-				if _, err := c.Query(serverBenchQueries[(id+j)%len(serverBenchQueries)]); err != nil {
+				if _, err := c.Query(server.DriveMix[(id+j)%len(server.DriveMix)].SQL); err != nil {
 					errs <- err
 					return
 				}

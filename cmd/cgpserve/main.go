@@ -227,17 +227,6 @@ func serve(cfg serveConfig) error {
 	return nil
 }
 
-// driveQueries is the fixed statement mix the load generator cycles
-// through — point lookups, range scans, an aggregate and a join-free
-// group-by, roughly the Wisconsin selection mix.
-var driveQueries = []string{
-	"SELECT unique1, unique2 FROM big1 WHERE unique2 = 42",
-	"SELECT unique1 FROM big1 WHERE unique2 BETWEEN 100 AND 199",
-	"SELECT COUNT(*) AS n FROM big1 WHERE ten = 3",
-	"SELECT two, COUNT(*) AS n FROM big1 GROUP BY two",
-	"SELECT unique1 FROM small WHERE unique2 < 20",
-}
-
 // driveLoad hammers a serving process and reports throughput. Shed
 // queries (ErrOverloaded) count separately — against an overloaded
 // server they are the expected outcome, not a failure. With traced
@@ -269,7 +258,7 @@ func driveLoad(addr string, clients, queries int, traced bool) error {
 				c.SetTraceBase(uint64(id+1) << 32)
 			}
 			for j := 0; j < queries; j++ {
-				_, err := c.Query(driveQueries[(id+j)%len(driveQueries)])
+				_, err := c.Query(server.DriveMix[(id+j)%len(server.DriveMix)].SQL)
 				mu.Lock()
 				switch {
 				case err == nil:

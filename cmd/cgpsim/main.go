@@ -265,8 +265,8 @@ func printResult(res *cgp.Result) {
 	}
 	if res.CGPStats != nil {
 		h := res.CGPStats.History
-		fmt.Printf("CGHC            pf-hit=%d pf-miss=%d upd-hit=%d upd-miss=%d L2hit=%d swaps=%d\n",
-			h.PrefetchHits, h.PrefetchMisses, h.UpdateHits, h.UpdateMisses, h.LevelTwoHits, h.Swaps)
+		fmt.Printf("CGHC            pf-hit=%d pf-miss=%d upd-hit=%d upd-miss=%d L2hit=%d\n",
+			h.PrefetchHits, h.PrefetchMisses, h.UpdateHits, h.UpdateMisses, h.LevelTwoHits)
 		fmt.Printf("CGHC hit rates  prefetch=%.1f%% update=%.1f%%\n",
 			100*h.PrefetchHitRate(), 100*h.UpdateHitRate())
 	}

@@ -48,15 +48,17 @@ func (e *Entry) live() bool { return e.Index > 0 }
 // deterministic-domain data: derived only from the replayed event
 // stream, identical across re-runs, and safe to surface in report
 // bodies and the metrics exposition.
+//
+// It keeps no count that follows from the others: a swap happens on
+// every level-two hit, a lookup that misses claims one way (so
+// allocations are PrefetchMisses + UpdateMisses), and on a two-level
+// CGHC every level-two miss is such a miss.
 type HistoryStats struct {
 	PrefetchHits   int64
 	PrefetchMisses int64
 	UpdateHits     int64
 	UpdateMisses   int64
 	LevelTwoHits   int64
-	LevelTwoMisses int64
-	Swaps          int64
-	Allocations    int64
 }
 
 // PrefetchHitRate returns the fraction of prefetch-access lookups that
@@ -187,13 +189,7 @@ func (h *cghc) lookup(fn isa.Addr) (*Entry, bool) {
 			next, hit = *e2, true
 			e2.Index = 0
 			h.stats.LevelTwoHits++
-			h.stats.Swaps++
-		} else {
-			h.stats.LevelTwoMisses++
 		}
-	}
-	if !hit {
-		h.stats.Allocations++
 	}
 	v := h.l1.victim(fn)
 	if h.l2 != nil && v.live() {
@@ -230,7 +226,6 @@ func (h *Infinite) lookup(fn isa.Addr) (*InfEntry, bool) {
 	if e, ok := h.entries[fn]; ok {
 		return e, true
 	}
-	h.stats.Allocations++
 	e := &InfEntry{Fn: fn, Index: 1}
 	h.entries[fn] = e
 	return e, false

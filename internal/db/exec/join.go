@@ -98,9 +98,10 @@ func (j *NLJoin) Next() (catalog.Tuple, bool, error) {
 			r := j.inner[j.innerPos]
 			j.innerPos++
 			cand := j.out.emit(j.curOuter, r)
+			on := j.on.to(j.On, cand.Schema)
 			j.Ctx.Pr.Enter(j.Ctx.Fns.EvalPred)
-			j.Ctx.Pr.Work(j.On.Cost())
-			match := j.on.eval(j.On, cand)
+			j.Ctx.Pr.Work(on.cost)
+			match := on.eval(cand)
 			j.Ctx.Pr.Exit()
 			if match {
 				return cand, true, nil

@@ -189,19 +189,34 @@ func (c *term) eval(t catalog.Tuple) bool {
 }
 
 // bound evaluates a Pred with its columns resolved against the schema
-// of the tuples it sees. It binds on the first tuple and again only
-// when the schema pointer changes, so a plan naming an unknown column
-// over an empty input never panics.
+// of the tuples it sees, and keeps the Pred's Cost. An operator binds
+// it on the first tuple and again only when the schema pointer changes,
+// so a plan naming an unknown column over an empty input never panics.
 type bound struct {
 	sch   *catalog.Schema
 	terms []term
+	cost  int
 }
 
-func (b *bound) eval(p Pred, t catalog.Tuple) bool {
-	if t.Schema != b.sch {
-		b.terms = p.bind(b.terms[:0], t.Schema)
-		b.sch = t.Schema
+// to binds b to p over s, unless it is bound to s already, and returns
+// b.
+func (b *bound) to(p Pred, s *catalog.Schema) *bound {
+	if s != b.sch {
+		b.bind(p, s)
 	}
+	return b
+}
+
+// bind resolves p's terms against s and takes p's Cost. It stays out
+// of to, so that to inlines into the per-row loops.
+func (b *bound) bind(p Pred, s *catalog.Schema) {
+	b.terms = p.bind(b.terms[:0], s)
+	b.cost = p.Cost()
+	b.sch = s
+}
+
+// eval reports whether t, a tuple of the schema b is bound to, matches.
+func (b *bound) eval(t catalog.Tuple) bool {
 	for i := range b.terms {
 		if !b.terms[i].eval(t) {
 			return false

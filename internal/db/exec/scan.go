@@ -35,10 +35,11 @@ func (s *SeqScan) Open() error {
 
 // Next implements Iterator.
 func (s *SeqScan) Next() (catalog.Tuple, bool, error) {
-	s.Ctx.Pr.Enter(s.Ctx.Fns.SeqScanNext)
-	defer s.Ctx.Pr.Exit()
-	s.Ctx.Pr.Work(12)
+	pr := s.Ctx.Pr
+	pr.Enter(s.Ctx.Fns.SeqScanNext)
+	pr.Work(12)
 	rec, _, ok, err := s.cursor.Next()
+	pr.Exit()
 	if err != nil || !ok {
 		return catalog.Tuple{}, false, err
 	}
@@ -157,18 +158,21 @@ func (f *Filter) Open() error { return f.Child.Open() }
 
 // Next implements Iterator.
 func (f *Filter) Next() (catalog.Tuple, bool, error) {
-	f.Ctx.Pr.Enter(f.Ctx.Fns.FilterNext)
-	defer f.Ctx.Pr.Exit()
+	pr := f.Ctx.Pr
+	pr.Enter(f.Ctx.Fns.FilterNext)
 	for {
 		t, ok, err := f.Child.Next()
 		if err != nil || !ok {
+			pr.Exit()
 			return catalog.Tuple{}, false, err
 		}
-		f.Ctx.Pr.Enter(f.Ctx.Fns.EvalPred)
-		f.Ctx.Pr.Work(f.Pred.Cost())
-		match := f.pred.eval(f.Pred, t)
-		f.Ctx.Pr.Exit()
+		pred := f.pred.to(f.Pred, t.Schema)
+		pr.Enter(f.Ctx.Fns.EvalPred)
+		pr.Work(pred.cost)
+		match := pred.eval(t)
+		pr.Exit()
 		if match {
+			pr.Exit()
 			return t, true, nil
 		}
 	}

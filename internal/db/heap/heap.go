@@ -104,7 +104,7 @@ func Open(name string, first storage.PageID, pool *storage.BufferPool, locks *lo
 		}
 		page := frame.Page()
 		for s := 0; s < page.NumSlots(); s++ {
-			if _, ok := page.Get(s); ok {
+			if _, _, ok := page.Record(s); ok {
 				f.nRecords++
 			}
 		}
@@ -163,8 +163,8 @@ func (f *File) updatePageInsert(t *txn.Txn, page storage.Page, rec []byte) (int,
 	f.pr.Enter(f.fns.MemcpyRec)
 	f.pr.Work(8 + len(rec)/16)
 	f.pr.Exit()
-	addr, n := page.RecordAddr(slot)
-	f.pr.Data(addr, n, true)
+	stored, addr, _ := page.Record(slot)
+	f.pr.Data(addr, len(stored), true)
 	lsn := t.LogInsert(page.ID(), uint16(slot), rec)
 	page.SetLSN(lsn)
 	return slot, nil
@@ -214,28 +214,33 @@ func (f *File) extend(t *txn.Txn) (*storage.Frame, error) {
 // has room, and returns the copy. A nil buf gets a fresh slice.
 func (f *File) ReadRec(t *txn.Txn, rid storage.RID, buf []byte) ([]byte, error) {
 	f.pr.Enter(f.fns.ReadRec)
-	defer f.pr.Exit()
 	f.pr.Work(14)
-	if err := f.locks.LockRecord(t.Owner(), uint32(rid.Page), rid.Slot, lock.Shared); err != nil {
+	o, pid := t.Owner(), uint32(rid.Page)
+	if err := f.locks.LockRecord(o, pid, rid.Slot, lock.Shared); err != nil {
+		f.pr.Exit()
 		return nil, err
 	}
-	defer f.locks.UnlockRecord(t.Owner(), uint32(rid.Page), rid.Slot)
 	frame, err := f.pool.GetPage(rid.Page)
 	if err != nil {
+		f.locks.UnlockRecord(o, pid, rid.Slot)
+		f.pr.Exit()
 		return nil, err
 	}
-	defer f.pool.Unpin(frame, false)
-	page := frame.Page()
-	rec, ok := page.Get(int(rid.Slot))
+	rec, addr, ok := frame.Page().Record(int(rid.Slot))
+	if ok {
+		f.pr.Data(addr, len(rec), false)
+		f.pr.Enter(f.fns.MemcpyRec)
+		f.pr.Work(8 + len(rec)/16)
+		f.pr.Exit()
+		buf = append(buf[:0], rec...)
+	}
+	f.pool.Unpin(frame, false)
+	f.locks.UnlockRecord(o, pid, rid.Slot)
+	f.pr.Exit()
 	if !ok {
 		return nil, fmt.Errorf("heap %s: no record at %v", f.name, rid)
 	}
-	addr, n := page.RecordAddr(int(rid.Slot))
-	f.pr.Data(addr, n, false)
-	f.pr.Enter(f.fns.MemcpyRec)
-	f.pr.Work(8 + len(rec)/16)
-	f.pr.Exit()
-	return append(buf[:0], rec...), nil
+	return buf, nil
 }
 
 // UpdateRec overwrites the record at rid in place.
@@ -256,8 +261,8 @@ func (f *File) UpdateRec(t *txn.Txn, rid storage.RID, rec []byte) error {
 	f.pr.Enter(f.fns.UpdatePage)
 	err = page.Update(int(rid.Slot), rec)
 	if err == nil {
-		addr, n := page.RecordAddr(int(rid.Slot))
-		f.pr.Data(addr, n, true)
+		stored, addr, _ := page.Record(int(rid.Slot))
+		f.pr.Data(addr, len(stored), true)
 		page.SetLSN(t.LogRecUpdate(rid.Page, rid.Slot, rec))
 	}
 	f.pr.Exit()
@@ -310,33 +315,31 @@ func (f *File) OpenScan(t *txn.Txn) *Scan {
 func (s *Scan) Next() ([]byte, storage.RID, bool, error) {
 	f := s.file
 	f.pr.Enter(f.fns.ScanNext)
-	defer f.pr.Exit()
 	f.pr.Work(10)
 	for {
 		if s.pid == storage.InvalidPageID {
 			s.releaseFrame()
+			f.pr.Exit()
 			return nil, storage.InvalidRID, false, nil
 		}
 		if s.frame == nil {
 			frame, err := f.pool.GetPage(s.pid)
 			if err != nil {
+				f.pr.Exit()
 				return nil, storage.InvalidRID, false, err
 			}
 			s.frame = frame
 		}
 		page := s.frame.Page()
-		for s.slot < page.NumSlots() {
+		for slots := page.NumSlots(); s.slot < slots; {
 			slot := s.slot
 			s.slot++
-			if rec, ok := page.Get(slot); ok {
-				addr, n := page.RecordAddr(slot)
+			if rec, addr, ok := page.Record(slot); ok {
 				// A scan examines the record header and the predicate
 				// columns; only accepted tuples are read in full (by the
 				// consumer), so the scan itself touches a prefix.
-				if n > 96 {
-					n = 96
-				}
-				f.pr.Data(addr, n, false)
+				f.pr.Data(addr, min(len(rec), 96), false)
+				f.pr.Exit()
 				return rec, storage.RID{Page: s.pid, Slot: uint16(slot)}, true, nil
 			}
 		}

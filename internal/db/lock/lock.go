@@ -166,25 +166,32 @@ func (m *Manager) UnlockPage(o Owner, pageID uint32) {
 // a function called from many places, §5.2).
 func (m *Manager) LockRecord(o Owner, pageID uint32, slot uint16, mode Mode) error {
 	m.pr.Enter(m.fns.LockRecord)
-	defer m.pr.Exit()
 	m.pr.Work(12)
-	return m.acquire(o, RecordResource(pageID, slot), mode)
+	err := m.acquire(o, RecordResource(pageID, slot), mode)
+	m.pr.Exit()
+	return err
 }
 
 // UnlockRecord releases a record lock.
 func (m *Manager) UnlockRecord(o Owner, pageID uint32, slot uint16) {
 	m.pr.Enter(m.fns.UnlockRecord)
-	defer m.pr.Exit()
 	m.pr.Work(8)
 	m.release(o, RecordResource(pageID, slot))
+	m.pr.Exit()
 }
 
 // acquire takes r in the given mode for o, upgrading S->X when o is the
 // sole holder.
 func (m *Manager) acquire(o Owner, r Resource, mode Mode) error {
 	m.pr.Enter(m.fns.LockAcquire)
-	defer m.pr.Exit()
 	m.pr.Work(24)
+	err := m.grant(o, r, mode)
+	m.pr.Exit()
+	return err
+}
+
+// grant is acquire's body, between its probe calls.
+func (m *Manager) grant(o Owner, r Resource, mode Mode) error {
 	st := m.table[r]
 	if st == nil {
 		st = m.newState()
@@ -219,21 +226,17 @@ func (m *Manager) acquire(o Owner, r Resource, mode Mode) error {
 // release drops one acquisition of r by o.
 func (m *Manager) release(o Owner, r Resource) {
 	m.pr.Enter(m.fns.LockRelease)
-	defer m.pr.Exit()
 	m.pr.Work(18)
-	st := m.table[r]
-	if st == nil {
-		return // releasing an unheld lock is a no-op, as in SHORE
+	if st := m.table[r]; st != nil { // releasing an unheld lock is a no-op, as in SHORE
+		if n := st.countOf(o); n > 0 {
+			m.stats.Releases++
+			st.set(o, n-1)
+			if st.holders() == 0 {
+				m.freeState(r, st)
+			}
+		}
 	}
-	n := st.countOf(o)
-	if n == 0 {
-		return
-	}
-	m.stats.Releases++
-	st.set(o, n-1)
-	if st.holders() == 0 {
-		m.freeState(r, st)
-	}
+	m.pr.Exit()
 }
 
 // newState takes a state off the free list, or allocates one.

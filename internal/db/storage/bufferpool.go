@@ -82,7 +82,6 @@ func (bp *BufferPool) Stats() PoolStats { return bp.stats }
 // predictability CGP exploits.
 func (bp *BufferPool) FindPage(id PageID) (*Frame, bool) {
 	bp.pr.Enter(bp.fns.FindPageInBufferPool)
-	defer bp.pr.Exit()
 	bp.pr.Work(14)
 	bp.pr.Enter(bp.fns.HashPageID)
 	bp.pr.Work(9)
@@ -90,22 +89,22 @@ func (bp *BufferPool) FindPage(id PageID) (*Frame, bool) {
 	bp.pr.Enter(bp.fns.LatchAcquire)
 	bp.pr.Work(7)
 	bp.pr.Exit()
+	var f *Frame
 	idx, ok := bp.table[id]
-	defer func() {
-		bp.pr.Enter(bp.fns.LatchRelease)
-		bp.pr.Work(6)
-		bp.pr.Exit()
-	}()
-	if !ok {
+	if ok {
+		bp.stats.Hits++
+		f = &bp.frames[idx]
+		bp.pr.Data(PageAddr(id), headerSize, false)
+		f.pin++
+		f.ref = true
+	} else {
 		bp.stats.Misses++
-		return nil, false
 	}
-	bp.stats.Hits++
-	f := &bp.frames[idx]
-	bp.pr.Data(PageAddr(id), headerSize, false)
-	f.pin++
-	f.ref = true
-	return f, true
+	bp.pr.Enter(bp.fns.LatchRelease)
+	bp.pr.Work(6)
+	bp.pr.Exit()
+	bp.pr.Exit()
+	return f, ok
 }
 
 // GetPage returns a pinned frame holding page id, reading it from disk
@@ -178,7 +177,6 @@ func (bp *BufferPool) Pin(f *Frame) {
 // would corrupt replacement decisions.
 func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	bp.pr.Enter(bp.fns.UnpinPage)
-	defer bp.pr.Exit()
 	bp.pr.Work(8)
 	if f.pin <= 0 {
 		panic(fmt.Sprintf("storage: unpin of unpinned page %d", f.id))
@@ -187,6 +185,7 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	if dirty {
 		f.dirty = true
 	}
+	bp.pr.Exit()
 }
 
 // MarkDirty flags a pinned frame as modified without changing its pin

@@ -151,17 +151,19 @@ func (p Page) Insert(rec []byte) (int, error) {
 	return slot, nil
 }
 
-// Get returns the record in slot i. The returned slice aliases the page
-// buffer; callers must copy if they retain it.
-func (p Page) Get(i int) ([]byte, bool) {
+// Record returns the record in slot i and the simulated address of its
+// bytes, for callers that trace the reference, in one decode of the
+// slot. The returned slice aliases the page buffer; callers must copy
+// if they retain it.
+func (p Page) Record(i int) ([]byte, isa.Addr, bool) {
 	if i < 0 || i >= p.NumSlots() {
-		return nil, false
+		return nil, 0, false
 	}
 	off, length := p.slotAt(i)
 	if length == deletedSlot {
-		return nil, false
+		return nil, 0, false
 	}
-	return p.buf[off : off+length], true
+	return p.buf[off : off+length], PageAddr(p.ID()) + isa.Addr(off), true
 }
 
 // Delete marks slot i deleted. The space is not compacted (SHORE-style
@@ -196,16 +198,6 @@ func (p Page) Update(i int, rec []byte) error {
 		p.setSlot(i, off, len(rec))
 	}
 	return nil
-}
-
-// RecordAddr returns the simulated address of slot i's bytes, for data
-// reference tracing.
-func (p Page) RecordAddr(i int) (isa.Addr, int) {
-	off, length := p.slotAt(i)
-	if length == deletedSlot {
-		length = 0
-	}
-	return PageAddr(p.ID()) + isa.Addr(off), length
 }
 
 // PageAddr maps a page to its simulated data address.

@@ -40,16 +40,16 @@ func TestPageInsertGet(t *testing.T) {
 		}
 	}
 	for i, r := range recs {
-		got, ok := p.Get(i)
+		got, _, ok := p.Record(i)
 		if !ok || !bytes.Equal(got, r) {
-			t.Errorf("Get(%d) = %q,%v", i, got, ok)
+			t.Errorf("Record(%d) = %q,%v", i, got, ok)
 		}
 	}
-	if _, ok := p.Get(99); ok {
-		t.Error("Get of missing slot succeeded")
+	if _, _, ok := p.Record(99); ok {
+		t.Error("Record of missing slot succeeded")
 	}
-	if _, ok := p.Get(-1); ok {
-		t.Error("Get(-1) succeeded")
+	if _, _, ok := p.Record(-1); ok {
+		t.Error("Record(-1) succeeded")
 	}
 }
 
@@ -60,13 +60,13 @@ func TestPageDelete(t *testing.T) {
 	if !p.Delete(0) {
 		t.Fatal("delete failed")
 	}
-	if _, ok := p.Get(0); ok {
+	if _, _, ok := p.Record(0); ok {
 		t.Error("deleted record still readable")
 	}
 	if p.Delete(0) {
 		t.Error("double delete succeeded")
 	}
-	if got, ok := p.Get(1); !ok || string(got) != "b" {
+	if got, _, ok := p.Record(1); !ok || string(got) != "b" {
 		t.Errorf("neighbour affected: %q,%v", got, ok)
 	}
 }
@@ -77,7 +77,7 @@ func TestPageUpdate(t *testing.T) {
 	if err := p.Update(0, []byte("xyz")); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := p.Get(0); string(got) != "xyz" {
+	if got, _, _ := p.Record(0); string(got) != "xyz" {
 		t.Errorf("after shrink update: %q", got)
 	}
 	if err := p.Update(0, []byte("toolongnow")); err == nil {
@@ -135,7 +135,7 @@ func TestPageRoundTripProperty(t *testing.T) {
 			kept = append(kept, r)
 		}
 		for i, r := range kept {
-			got, ok := p.Get(i)
+			got, _, ok := p.Record(i)
 			if !ok || !bytes.Equal(got, r) {
 				return false
 			}

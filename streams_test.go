@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"cgp/internal/program"
+	"cgp/internal/server"
 	"cgp/internal/trace"
 	"cgp/internal/workload"
 )
@@ -78,8 +79,11 @@ func TestPinnedSimulatedStreams(t *testing.T) {
 		}
 		got[w.Name] = streamDigest(t, rg)
 	}
-	// serverBenchQueries is cgpserve -drive's statement mix.
-	_, served := sealScriptedCapture(t, serverBenchQueries, 0)
+	var drive []string
+	for _, q := range server.DriveMix {
+		drive = append(drive, q.SQL)
+	}
+	_, served := sealScriptedCapture(t, drive, 0)
 	got["served"] = streamDigest(t, served)
 
 	for name, want := range pinnedStreams {
